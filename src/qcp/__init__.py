@@ -10,6 +10,7 @@ root-system (Shi/Linial) arrangement builders.
 from .arrangement import (
     ArrangementInput,
     CollapseReport,
+    CountingFormula,
     central_period_summary,
     characteristic_polynomial,
     characteristic_quasi_polynomial,
@@ -57,6 +58,7 @@ __all__ = [
     "ArrangementInput",
     "BudgetExceededError",
     "CollapseReport",
+    "CountingFormula",
     "FamilyParams",
     "IntMatrix",
     "InternalConsistencyError",

@@ -20,33 +20,25 @@ contributes nothing, so only one offset per column class is ever chosen.
 Identical stacked columns are deduplicated first; summing the sign over all
 ways to pick at least one copy of a repeated column collapses to a single
 signed pick, so deduplication is exact.
+
+CountingFormula expands every term into integer weights on divisibility
+indicators [D | q]; the value at any q, every constituent and the minimum
+period are read off those weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
-from .intlinalg import (
-    IntMatrix,
-    _smith_divisors,
-    divisors_of,
-    euler_phi,
-    gcd_all,
-)
-from .quasipoly import (
-    Polynomial,
-    QuasiPolynomial,
-    has_gcd_property,
-    interpolate_constituents,
-    minimum_period,
-)
+from .intlinalg import IntMatrix, _smith_divisors, gcd_all
+from .quasipoly import Polynomial, QuasiPolynomial, has_gcd_property
 
 __all__ = [
     "ArrangementInput",
     "CollapseReport",
+    "CountingFormula",
     "lcm_period",
     "q_zero",
     "divisor_formula_count",
@@ -58,7 +50,7 @@ __all__ = [
     "CONSTITUENT_BUDGET",
 ]
 
-# Largest lcm period for which constituents are materialized one by one.
+# Largest lcm period for which every constituent is materialized.
 CONSTITUENT_BUDGET = 100_000
 
 # Naive subset enumeration is quadratic-exponential; refuse past this width.
@@ -117,19 +109,28 @@ class ArrangementInput:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArrangementInput":
+        """Parse ``{"m", "n", "C", "b"}``; entries must be JSON integers,
+        never bools, floats or strings, and nothing is coerced."""
         try:
-            m = int(data["m"])
-            n = int(data["n"])
+            m = data["m"]
+            n = data["n"]
             crows = data["C"]
             b = data["b"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed arrangement object: {exc}") from exc
-        matrix = IntMatrix.from_rows([[int(v) for v in row] for row in crows])
+        for name, value in (("m", m), ("n", n)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(crows, list) or not all(isinstance(row, list) for row in crows):
+            raise ValidationError("C must be a list of rows")
+        if not isinstance(b, list):
+            raise ValidationError("b must be a list")
+        matrix = IntMatrix.from_rows(crows)
         if matrix.rows != m or matrix.cols != n:
             raise ValidationError(
                 f"declared shape {m}x{n} does not match C ({matrix.rows}x{matrix.cols})"
             )
-        return cls(cmatrix=matrix, offsets=tuple(int(v) for v in b))
+        return cls(cmatrix=matrix, offsets=tuple(b))
 
 
 @dataclass(frozen=True)
@@ -341,36 +342,169 @@ def _build_term_table(arr: ArrangementInput) -> dict:
     return {key: coef for key, coef in terms.items() if coef}
 
 
-_term_table = lru_cache(maxsize=128)(_build_term_table)
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of a positive integer, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            out.append((p, a))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
-def _evaluate_terms(terms: dict, m: int, q: int) -> int:
-    powers = [1] * (m + 1)
-    for i in range(1, m + 1):
-        powers[i] = powers[i - 1] * q
-    total = powers[m]
-    for (ell, pairs), coef in terms.items():
-        prod = 1
+def _indicator_weights(pairs) -> dict[int, int]:
+    """Nonzero weights w with, for every q >= 1,
+
+        F(q) = prod over (e, e') in pairs of [gcd(e, q) = gcd(e', q)] * gcd(e, q)
+             = sum of w[D] over the D in w dividing q.
+
+    F depends on q only through gcd(q, L), L the lcm of every divisor in
+    ``pairs``, and it is multiplicative there: gcds and their equality split
+    over the primes of L.  So are its weights (the Moebius inversion of F),
+    and at a prime power they are the difference F(p^a) - F(p^(a-1)).  For a
+    single pair with e = e' that is Euler's totient, the identity
+    gcd(e, q) = sum of phi(D) over D dividing both.
+    """
+    weights = {1: 1}
+    for p, top in _prime_powers(lcm(*(x for pair in pairs for x in pair))):
+        local = [(1, 1)]
+        prev = 1
+        for a in range(1, top + 1):
+            pa = p**a
+            value = 1
+            for e, ep in pairs:
+                g = gcd(e, pa)
+                if g != gcd(ep, pa):
+                    value = 0
+                    break
+                value *= g
+            if value != prev:
+                local.append((pa, value - prev))
+            prev = value
+        weights = {d * pa: w * lw for d, w in weights.items() for pa, lw in local}
+    return weights
+
+
+def _check_divisor_chains(terms: dict, rho: int, central: bool) -> None:
+    """Structural sanity: every term divisor divides the lcm period, and
+    central input (zero offset row) has equal chains.
+
+    Divisibility is what makes every constituent depend on its class only
+    through the gcd with the period; a violation would mean a bug in the
+    period or term computation.
+    """
+    for (_, pairs), _ in terms.items():
         for e, ep in pairs:
-            g = gcd(e, q)
-            if g != gcd(ep, q):
-                prod = 0
-                break
-            prod *= g
-        if prod:
-            total += coef * prod * powers[m - ell]
-    return total
+            if central and e != ep:
+                raise InternalConsistencyError(
+                    "central arrangement produced unequal divisor chains"
+                )
+            if rho % e or rho % ep:
+                raise InternalConsistencyError(
+                    f"term divisor pair ({e}, {ep}) does not divide the lcm period {rho}"
+                )
+
+
+@dataclass(frozen=True)
+class CountingFormula:
+    """The counting formula of one arrangement as weights on divisibility
+    indicators: for every q >= 1,
+
+        count(q) = q^m + sum over ell of
+                   (sum of weights[ell][D] over the moduli D dividing q) * q^(m - ell).
+
+    Every modulus divides ``period``, the lcm period, so the constituent of
+    residue class k is the same expression with D | k, and it depends on k
+    only through gcd(k, period).  Indicators of distinct moduli are linearly
+    independent, and a periodic function of gcd(q, period) is a function of
+    gcd(q, s) for each of its periods s, so ``minimum_period`` is the lcm of
+    the moduli with a nonzero weight.  Building the formula costs the subset
+    walk plus the divisors of the term divisors, never the period or its
+    divisors; only ``quasi_polynomial`` is linear in the period.
+
+    Build one with ``CountingFormula.of``; ``weights`` maps each coefficient
+    rank ell to its moduli and nonzero integer weights.
+    """
+
+    m: int
+    period: int
+    minimum_period: int
+    weights: dict[int, dict[int, int]]
+
+    @classmethod
+    def of(cls, arr: ArrangementInput) -> "CountingFormula":
+        """Walk the column subsets of ``arr`` once and expand every term."""
+        rho = lcm_period(arr.cmatrix)
+        terms = _build_term_table(arr)
+        _check_divisor_chains(terms, rho, arr.is_central)
+        by_pairs: dict[tuple, dict[int, int]] = {}  # one expansion per distinct pairs
+        weights: dict[int, dict[int, int]] = {}
+        for (ell, pairs), coef in terms.items():
+            if pairs not in by_pairs:
+                by_pairs[pairs] = _indicator_weights(pairs)
+            dest = weights.setdefault(ell, {})
+            for dmod, w in by_pairs[pairs].items():
+                dest[dmod] = dest.get(dmod, 0) + coef * w
+        weights = {
+            ell: {dmod: w for dmod, w in dest.items() if w} for ell, dest in weights.items()
+        }
+        minp = lcm(*(dmod for dest in weights.values() for dmod in dest))
+        if rho % minp:
+            raise InternalConsistencyError(
+                f"minimum period {minp} does not divide the lcm period {rho}"
+            )
+        return cls(m=arr.m, period=rho, minimum_period=minp, weights=weights)
+
+    def constituent(self, k: int) -> Polynomial:
+        """The monic degree-m polynomial of residue class k >= 1 (k need not
+        be reduced modulo the period)."""
+        m = self.m
+        coeffs = [0] * m + [1]
+        for ell, dest in self.weights.items():
+            coeffs[m - ell] += sum(w for dmod, w in dest.items() if k % dmod == 0)
+        return Polynomial(tuple(coeffs))
+
+    def count(self, q: int) -> int:
+        """Exact value of the counting formula at q >= 1: the constituent of
+        q's class evaluated at q."""
+        if q < 1:
+            raise ValidationError("q must be a positive integer")
+        return self.constituent(q).evaluate(q)
+
+    def quasi_polynomial(self) -> QuasiPolynomial:
+        """Every constituent, classes 1..period; classes with the same gcd
+        with the period share one Polynomial."""
+        rho = self.period
+        if rho > CONSTITUENT_BUDGET:
+            raise BudgetExceededError(
+                f"lcm period {rho} exceeds the constituent materialization budget "
+                f"{CONSTITUENT_BUDGET}"
+            )
+        shared: dict[int, Polynomial] = {}
+        constituents = []
+        for k in range(1, rho + 1):
+            g = gcd(k, rho)
+            if g not in shared:
+                shared[g] = self.constituent(g)
+            constituents.append(shared[g])
+        return QuasiPolynomial(period=rho, constituents=tuple(constituents))
 
 
 def divisor_formula_count(arr: ArrangementInput, q: int) -> int:
     """Exact evaluation of the divisor counting formula at q >= 1.
 
     Equals the true complement cardinality for every q > q_zero(arr); below
-    the threshold the two may differ and no agreement is claimed.
+    the threshold the two may differ and no agreement is claimed.  Each call
+    walks the subsets again; to evaluate many q, build one CountingFormula.
     """
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
-    return _evaluate_terms(_term_table(arr), arr.m, q)
+    return CountingFormula.of(arr).count(q)
 
 
 def divisor_formula_count_naive(arr: ArrangementInput, q: int) -> int:
@@ -411,64 +545,31 @@ def divisor_formula_count_naive(arr: ArrangementInput, q: int) -> int:
     return total
 
 
-def _check_divisor_chains(terms: dict, rho: int) -> None:
-    """Structural sanity: every term divisor divides the lcm period.
-
-    This is what makes every constituent depend on its class only through
-    the gcd with the period; a violation would mean a bug in the period or
-    term computation.
-    """
-    for (_, pairs), _ in terms.items():
-        for e, ep in pairs:
-            if rho % e or rho % ep:
-                raise InternalConsistencyError(
-                    f"term divisor pair ({e}, {ep}) does not divide the lcm period {rho}"
-                )
-
-
 def characteristic_quasi_polynomial(arr: ArrangementInput) -> QuasiPolynomial:
     """The counting quasi-polynomial, one exact constituent per residue class.
 
-    Each class k is sampled at the m + 2 smallest admissible points
-    q > q0 with q ≡ k mod period; m + 1 points determine the constituent by
-    exact interpolation and the extra point is a holdout that must match.
-    Constituents are monic of degree m with integer coefficients; any
-    violation raises InternalConsistencyError.
+    Constituents are read off the counting formula (see CountingFormula):
+    monic of degree m with integer coefficients, one per divisor of the lcm
+    period, shared by every class with that gcd.  Raises
+    BudgetExceededError when the lcm period exceeds CONSTITUENT_BUDGET.
     """
-    rho = lcm_period(arr.cmatrix)
-    if rho > CONSTITUENT_BUDGET:
-        raise BudgetExceededError(
-            f"lcm period {rho} exceeds the constituent materialization budget "
-            f"{CONSTITUENT_BUDGET}"
-        )
-    q0 = q_zero(arr)
-    terms = _term_table(arr)
-    _check_divisor_chains(terms, rho)
-    m = arr.m
-    samples = {}
-    for k in range(1, rho + 1):
-        first = q0 + 1 + ((k - (q0 + 1)) % rho)
-        pts = []
-        for i in range(m + 2):
-            q = first + i * rho
-            pts.append((q, _evaluate_terms(terms, m, q)))
-        samples[k] = pts
-    return interpolate_constituents(samples, expected_degree=m)
+    return CountingFormula.of(arr).quasi_polynomial()
 
 
 def characteristic_polynomial(arr: ArrangementInput) -> Polynomial:
     """The class-1 constituent (the characteristic polynomial of the arrangement)."""
-    return characteristic_quasi_polynomial(arr).constituent_for_class(1)
+    return CountingFormula.of(arr).constituent(1)
 
 
 def collapse_report(arr: ArrangementInput) -> CollapseReport:
     """Full period analysis: lcm period, minimum period, collapse flag, q0."""
-    qp = characteristic_quasi_polynomial(arr)
-    minp = minimum_period(qp)
+    formula = CountingFormula.of(arr)
+    qp = formula.quasi_polynomial()
+    minp = formula.minimum_period
     return CollapseReport(
-        lcm_period=qp.period,
+        lcm_period=formula.period,
         minimum_period=minp,
-        collapse=minp < qp.period,
+        collapse=minp < formula.period,
         q0=q_zero(arr),
         gcd_property=has_gcd_property(qp),
         quasi_polynomial=qp,
@@ -479,51 +580,11 @@ def central_period_summary(arr: ArrangementInput) -> tuple[int, int]:
     """(lcm period, minimum period) of a central arrangement, without
     materializing any constituent.
 
-    For central input the offset row is zero, so every subset keeps its rank
-    and its two divisor chains coincide; each coefficient of the counting
-    quasi-polynomial is then a signed sum of products gcd(e, q).  Expanding
-    gcd(e, q) = sum of phi(d) over d dividing both e and q turns every
-    coefficient into an integer combination of divisibility indicators
-    [D | q], and the minimum period of such a combination is the lcm of the
-    moduli D that survive with a nonzero weight.  The overall minimum period
-    is the lcm over the coefficients.  Cost scales with the number of
-    divisors involved, not with the period, so periods far beyond the
+    Both are read off the counting formula (see CountingFormula), whose cost
+    does not grow with the period, so lcm periods far beyond the
     materialization budget remain exact.
     """
     if not arr.is_central:
         raise ValidationError("central_period_summary requires a central arrangement")
-    rho = lcm_period(arr.cmatrix)
-    terms = _term_table(arr)
-    weights: dict[int, dict[int, int]] = {}
-    for (ell, pairs), coef in terms.items():
-        for e, ep in pairs:
-            if e != ep:
-                raise InternalConsistencyError(
-                    "central arrangement produced unequal divisor chains"
-                )
-            if rho % e:
-                raise InternalConsistencyError(
-                    f"term divisor {e} does not divide the lcm period {rho}"
-                )
-        expansion = {1: coef}
-        for e, _ in pairs:
-            nxt: dict[int, int] = {}
-            for d in divisors_of(e):
-                f = euler_phi(d)
-                for dd, w in expansion.items():
-                    key = dd // gcd(dd, d) * d
-                    nxt[key] = nxt.get(key, 0) + w * f
-            expansion = nxt
-        dest = weights.setdefault(ell, {})
-        for dmod, w in expansion.items():
-            dest[dmod] = dest.get(dmod, 0) + w
-    minp = 1
-    for dest in weights.values():
-        for dmod, w in dest.items():
-            if w:
-                minp = minp // gcd(minp, dmod) * dmod
-    if rho % minp:
-        raise InternalConsistencyError(
-            f"minimum period {minp} does not divide the lcm period {rho}"
-        )
-    return rho, minp
+    formula = CountingFormula.of(arr)
+    return formula.period, formula.minimum_period

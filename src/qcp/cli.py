@@ -2,7 +2,7 @@
 
 Subcommands: compute, oracle, family, shi, linial, scan-central,
 conjecture-scan, verify.  Output is JSON or plain text with identical
-numeric content.  Exit codes: 0 success, 1 validation failure,
+numeric content.  Exit codes: 0 success, 1 validation or budget failure,
 2 internal-consistency failure.
 """
 
@@ -12,12 +12,7 @@ import argparse
 import json
 import sys
 
-from .arrangement import (
-    ArrangementInput,
-    collapse_report,
-    divisor_formula_count,
-    q_zero,
-)
+from .arrangement import ArrangementInput, CountingFormula, collapse_report, q_zero
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .families import FAMILY_KINDS, FamilyParams, family_matrix
 from .oracle import DEFAULT_BUDGET, brute_force_count, central_scan
@@ -206,10 +201,11 @@ def _cmd_conjecture_scan(args):
 def _cmd_verify(args):
     arr = _load_arrangement(args.input)
     threshold = q_zero(arr)
+    counting = CountingFormula.of(arr)
     results = []
     ok = True
     for q in range(threshold + 1, threshold + args.q_window + 1):
-        formula = divisor_formula_count(arr, q)
+        formula = counting.count(q)
         brute = brute_force_count(arr, q, budget=args.budget)
         match = formula == brute
         ok = ok and match
@@ -321,8 +317,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         fmt = getattr(args, "format", "text")
         payload, lines, code = args.handler(args)
-    except (ValidationError, BudgetExceededError) as exc:
+    except ValidationError as exc:
         _emit_error(fmt, "validation", exc)
+        return 1
+    except BudgetExceededError as exc:
+        _emit_error(fmt, "budget", exc)
         return 1
     except InternalConsistencyError as exc:
         _emit_error(fmt, "internal", exc)

@@ -109,7 +109,7 @@ class IntMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValidationError("all rows must have equal length")
-        flat = tuple(int(v) for row in rows for v in row)
+        flat = tuple(v for row in rows for v in row)
         return cls(rows=len(rows), cols=ncols, entries=flat)
 
     @classmethod

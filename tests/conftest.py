@@ -1,13 +1,27 @@
 """Shared independent oracles for the test suite.
 
-These helpers deliberately avoid the library's Smith-form and enumeration
+The first group deliberately avoids the library's Smith-form and enumeration
 code: determinants come from cofactor expansion, divisor chains from gcds of
 full minor sets, and subset quantities from complete enumeration.  They are
 slow and only used on small inputs.
+
+The second group checks the read-off of CountingFormula.  It starts from the
+library's term table or its naive enumerator, but shares nothing with the
+read-off: terms are evaluated as gcd products, expanded with the totient
+identity, or sampled and interpolated.
 """
 
 from itertools import combinations
 from math import gcd
+
+from qcp import (
+    divisor_formula_count_naive,
+    interpolate_constituents,
+    lcm_period,
+    q_zero,
+)
+from qcp.arrangement import _build_term_table
+from qcp.intlinalg import divisors_of, euler_phi
 
 
 def det(rows) -> int:
@@ -90,3 +104,59 @@ def oracle_q_zero(ccolumns, offsets) -> int:
                 if chain and chain[-1] > best:
                     best = chain[-1]
     return best
+
+
+def evaluate_terms(terms, m, q) -> int:
+    """The counting formula at q, each term's gcd product taken directly."""
+    total = q**m
+    for (ell, pairs), coef in terms.items():
+        prod = 1
+        for e, ep in pairs:
+            g = gcd(e, q)
+            if g != gcd(ep, q):
+                prod = 0
+                break
+            prod *= g
+        total += coef * prod * q ** (m - ell)
+    return total
+
+
+def totient_summary(arr) -> tuple[int, int]:
+    """(lcm period, minimum period) of a central arrangement by the totient
+    expansion gcd(e, q) = sum of phi(d) over d dividing e and q: each
+    coefficient becomes a combination of indicators [D | q], and the minimum
+    period is the lcm of the moduli left with a nonzero weight."""
+    rho = lcm_period(arr.cmatrix)
+    weights = {}
+    for (ell, pairs), coef in _build_term_table(arr).items():
+        expansion = {1: coef}
+        for e, ep in pairs:
+            assert e == ep, "central input has equal divisor chains"
+            nxt = {}
+            for d in divisors_of(e):
+                f = euler_phi(d)
+                for dd, w in expansion.items():
+                    key = dd // gcd(dd, d) * d
+                    nxt[key] = nxt.get(key, 0) + w * f
+            expansion = nxt
+        dest = weights.setdefault(ell, {})
+        for dmod, w in expansion.items():
+            dest[dmod] = dest.get(dmod, 0) + w
+    minp = 1
+    for dest in weights.values():
+        for dmod, w in dest.items():
+            if w:
+                minp = minp // gcd(minp, dmod) * dmod
+    return rho, minp
+
+
+def interpolated_quasi_polynomial(arr):
+    """Constituents interpolated from naive-enumerator samples above q0:
+    m + 1 points per residue class and one holdout that must match."""
+    rho, q0, m = lcm_period(arr.cmatrix), q_zero(arr), arr.m
+    samples = {}
+    for k in range(1, rho + 1):
+        first = q0 + 1 + (k - q0 - 1) % rho
+        qs = [first + i * rho for i in range(m + 2)]
+        samples[k] = [(q, divisor_formula_count_naive(arr, q)) for q in qs]
+    return interpolate_constituents(samples, expected_degree=m)

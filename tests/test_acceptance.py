@@ -15,6 +15,7 @@ import pytest
 
 from qcp import (
     ArrangementInput,
+    CountingFormula,
     FamilyParams,
     IntMatrix,
     Polynomial,
@@ -160,11 +161,12 @@ def test_criterion_1(family_grid_reports):
     checked = 0
     for (m, p, s), (arr, report) in family_grid_reports.items():
         threshold = report.q0
+        formula = CountingFormula.of(arr)
         for q in range(threshold + 1, threshold + 2 * p + 6):
             if q**m * arr.n > DEFAULT_BUDGET:
                 assert m > 2, "small dimensions must stay within budget"
                 continue
-            assert divisor_formula_count(arr, q) == brute_force_count(arr, q), (m, p, s, q)
+            assert formula.count(q) == brute_force_count(arr, q), (m, p, s, q)
             checked += 1
     assert checked >= 500
 
@@ -190,8 +192,9 @@ def test_criterion_3():
 def test_criterion_4(family_grid_reports):
     for (m, p, s), (arr, report) in family_grid_reports.items():
         threshold = report.q0
+        formula = CountingFormula.of(arr)
         for q in range(threshold + 1, threshold + 2 * p + 6):
-            assert ehrhart_form_A(m, p, s, q) == divisor_formula_count(arr, q), (m, p, s, q)
+            assert ehrhart_form_A(m, p, s, q) == formula.count(q), (m, p, s, q)
         closed = closed_form_A(m, p, s)
         for q in range(1, 11):
             constituent = closed.constituent_for_class((q - 1) % s + 1)
@@ -343,8 +346,9 @@ def test_criterion_9():
             cols.append(col)
             offsets.append(rng.randint(-3, 3))
         arr = ArrangementInput(IntMatrix.from_columns(cols), tuple(offsets))
+        formula = CountingFormula.of(arr)
         for q in sorted(rng.sample(range(2, 14), 3)):
-            assert divisor_formula_count(arr, q) == divisor_formula_count_naive(arr, q), (
+            assert formula.count(q) == divisor_formula_count_naive(arr, q), (
                 trial,
                 q,
             )

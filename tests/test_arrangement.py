@@ -1,13 +1,20 @@
 """Counting formula, periods, threshold, and report assembly."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_lcm_period, oracle_q_zero
+from conftest import (
+    evaluate_terms,
+    interpolated_quasi_polynomial,
+    oracle_lcm_period,
+    oracle_q_zero,
+    totient_summary,
+)
 from qcp import (
     ArrangementInput,
     BudgetExceededError,
+    CountingFormula,
     IntMatrix,
     ValidationError,
     brute_force_count,
@@ -21,7 +28,7 @@ from qcp import (
     minimum_period,
     q_zero,
 )
-from qcp.arrangement import CollapseReport
+from qcp.arrangement import CONSTITUENT_BUDGET, CollapseReport, _build_term_table
 
 
 def arrangement(columns, offsets):
@@ -30,6 +37,11 @@ def arrangement(columns, offsets):
 
 FAMILY_A_122 = arrangement([(2,), (2,), (2,)], (0, 1, 2))
 FAMILY_D_222 = arrangement([(1, 0), (0, 1), (1, 2), (1, 2)], (0, 0, 1, 2))
+# a draw of random_arrangements(max_m=2, max_n=4, bound=3) with lcm period
+# 180180, past the constituent budget
+OVER_BUDGET = arrangement([(2, -3), (1, 3), (-3, 2), (3, 2)], (0, 0, 0, 0))
+# interpolating naive-enumerator samples costs about 2^n * period calls
+INTERPOLATION_PERIOD_CAP = 60
 
 
 def test_input_validation():
@@ -47,6 +59,15 @@ def test_json_round_trip():
     assert ArrangementInput.from_json_dict(data) == FAMILY_D_222
     with pytest.raises(ValidationError):
         ArrangementInput.from_json_dict({"m": 3, "n": 4, "C": data["C"], "b": data["b"]})
+    # nothing is coerced: bools, floats and strings are rejected everywhere
+    for key, bad in (
+        ("m", 2.0), ("m", "2"), ("n", True),
+        ("C", [[1, 0, 1, 1], [0, 1, 2, 2.0]]), ("C", [[1, 0, 1, 1], [0, 1, 2, "2"]]),
+        ("C", [[1, 0, 1, 1], [0, 1, 2, True]]), ("C", [1, 0, 1, 1]),
+        ("b", [0, 0, 1, 2.5]), ("b", [0, 0, True, 2]), ("b", [0, 0, 1, "2"]), ("b", 0),
+    ):
+        with pytest.raises(ValidationError):
+            ArrangementInput.from_json_dict({**data, key: bad})
 
 
 def test_lcm_period_identity_columns():
@@ -133,24 +154,26 @@ def test_formula_count_examples():
 def test_formula_equals_brute_force_above_threshold():
     for arr in (FAMILY_A_122, FAMILY_D_222):
         threshold = q_zero(arr)
-        rho = lcm_period(arr.cmatrix)
-        for q in range(threshold + 1, threshold + 2 * rho + 6):
-            assert divisor_formula_count(arr, q) == brute_force_count(arr, q)
+        formula = CountingFormula.of(arr)
+        for q in range(threshold + 1, threshold + 2 * formula.period + 6):
+            assert formula.count(q) == brute_force_count(arr, q)
 
 
 @given(random_arrangements(max_m=2, max_n=5, bound=3))
 @settings(max_examples=30, deadline=None)
 def test_grouped_matches_naive(arr):
+    formula = CountingFormula.of(arr)
     for q in (1, 2, 3, 7, 12):
-        assert divisor_formula_count(arr, q) == divisor_formula_count_naive(arr, q)
+        assert formula.count(q) == divisor_formula_count_naive(arr, q)
 
 
 def test_grouped_matches_naive_with_duplicate_columns():
     # repeated identical stacked columns must collapse to a single signed pick
     arr = arrangement([(2, 1), (2, 1), (2, 1), (1, 0), (1, 0)], (1, 1, 1, 0, 2))
+    formula = CountingFormula.of(arr)
     for q in range(1, 15):
         naive = divisor_formula_count_naive(arr, q)
-        assert divisor_formula_count(arr, q) == naive
+        assert formula.count(q) == naive
         assert brute_force_count(arr, q) == naive or q <= q_zero(arr)
 
 
@@ -201,8 +224,15 @@ def test_central_inputs_never_collapse():
 
 
 @given(random_arrangements(max_m=2, max_n=4, bound=3))
+@example(OVER_BUDGET)
 @settings(max_examples=25, deadline=None)
 def test_report_consistency_properties(arr):
+    formula = CountingFormula.of(arr)
+    if formula.period > CONSTITUENT_BUDGET:
+        with pytest.raises(BudgetExceededError, match="materialization budget"):
+            collapse_report(arr)
+        assert formula.period % formula.minimum_period == 0
+        return
     report = collapse_report(arr)
     assert report.lcm_period % report.minimum_period == 0
     assert report.collapse == (report.minimum_period < report.lcm_period)
@@ -213,22 +243,44 @@ def test_report_consistency_properties(arr):
 
 
 @given(random_arrangements(max_m=2, max_n=4, bound=3))
+@example(OVER_BUDGET)
 @settings(max_examples=25, deadline=None)
 def test_formula_is_the_quasi_polynomial_at_every_q(arr):
-    # both sides are determined by q's residue class, so they agree even
+    # all sides are determined by q's residue class, so they agree even
     # below the threshold where the true count may differ
+    formula = CountingFormula.of(arr)
+    terms = _build_term_table(arr)
+    if formula.period > CONSTITUENT_BUDGET:
+        with pytest.raises(BudgetExceededError, match="materialization budget"):
+            characteristic_quasi_polynomial(arr)
+        assert formula.period % formula.minimum_period == 0
+        for q in range(1, 60):
+            assert formula.count(q) == evaluate_terms(terms, arr.m, q)
+        return
     qp = characteristic_quasi_polynomial(arr)
     for q in range(1, 2 * qp.period + 8):
-        assert qp.evaluate(q) == divisor_formula_count(arr, q)
+        direct = evaluate_terms(terms, arr.m, q)
+        assert qp.evaluate(q) == direct
+        assert formula.count(q) == direct
+
+
+@given(random_arrangements(max_m=2, max_n=3, bound=2))
+@settings(max_examples=30, deadline=None)
+def test_read_off_matches_interpolated_constituents(arr):
+    formula = CountingFormula.of(arr)
+    qp = interpolated_quasi_polynomial(arr)
+    assert qp == formula.quasi_polynomial()
+    assert minimum_period(qp) == formula.minimum_period
 
 
 @given(random_arrangements(max_m=2, max_n=4, bound=4, with_offsets=False))
 @settings(max_examples=30, deadline=None)
 def test_central_summary_agrees_with_pipeline(arr):
     rho, minp = central_period_summary(arr)
-    report = collapse_report(arr)
-    assert rho == report.lcm_period
-    assert minp == report.minimum_period
+    assert (rho, minp) == totient_summary(arr)
+    if rho <= INTERPOLATION_PERIOD_CAP:
+        qp = interpolated_quasi_polynomial(arr)
+        assert (qp.period, minimum_period(qp)) == (rho, minp)
 
 
 def test_central_summary_rejects_non_central():
@@ -245,6 +297,7 @@ def test_constituent_materialization_cap():
     # the summary path still handles it exactly
     rho, minp = central_period_summary(arr)
     assert rho == minp == 251 * 257 * 263
+    assert totient_summary(arr) == (rho, minp)
 
 
 def test_minimum_period_collapses_when_constituents_coincide():

@@ -166,7 +166,23 @@ def test_budget_error_exit_one(capsys, tmp_path):
         capsys, "oracle", "--input", str(path), "--q", "100", "--budget", "10"
     )
     assert code == 1
-    assert "budget" in out
+    assert "error (budget)" in out
+    code, payload = run_json(
+        capsys, "oracle", "--input", str(path), "--q", "100", "--budget", "10"
+    )
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "budget of 10" in payload["error"]
+
+
+def test_compute_rejects_non_integer_entries(capsys, tmp_path):
+    # neither 1.9 nor "2" nor true nor 0.5 may be coerced to an integer
+    arr = {"m": 1, "n": 2, "C": [[1.9, "2"]], "b": [True, 0.5]}
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(arr))
+    code, payload = run_json(capsys, "compute", "--input", str(path))
+    assert code == 1
+    assert payload["kind"] == "validation"
 
 
 def test_compute_refuses_unmaterializable_period(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from qcp import (
     ArrangementInput,
+    CountingFormula,
     FamilyParams,
     IntMatrix,
     ValidationError,
@@ -111,9 +112,9 @@ def test_ehrhart_form_values():
 
 def test_ehrhart_form_matches_formula_everywhere():
     for m, p, s in _grid(max_m=3, max_p=4):
-        arr = a_family(m, p, s)
+        formula = CountingFormula.of(a_family(m, p, s))
         for q in range(1, 3 * p + 6):
-            assert ehrhart_form_A(m, p, s, q) == divisor_formula_count(arr, q)
+            assert ehrhart_form_A(m, p, s, q) == formula.count(q)
 
 
 def test_reciprocity_values():
@@ -155,6 +156,7 @@ def test_family_d_lemma_with_correction_term():
             for p in (1, 2, 3):
                 arr = family_matrix(FamilyParams(kind="D", m=m, p=p, a=a))
                 threshold = q_zero(arr)
+                formula = CountingFormula.of(arr)
                 for q in range(max(p, threshold) + 1, max(p, threshold) + 8):
                     expect = _open_cube(m, q)
                     for k in range(1, m):
@@ -163,7 +165,7 @@ def test_family_d_lemma_with_correction_term():
                     corr = correction_term(a, p, q)
                     expect += corr if m % 2 == 0 else -corr
                     assert brute_force_count(arr, q) == expect
-                    assert divisor_formula_count(arr, q) == expect
+                    assert formula.count(q) == expect
 
 
 def test_family_d_polynomiality_for_unit_and_full_a():
@@ -173,13 +175,14 @@ def test_family_d_polynomiality_for_unit_and_full_a():
                 arr = family_matrix(FamilyParams(kind="D", m=m, p=p, a=a))
                 report = collapse_report(arr)
                 assert report.minimum_period == 1
+                formula = CountingFormula.of(arr)
                 # for q >= 2p the correction term equals p and folds into the sum
                 for q in range(max(2 * p, report.q0 + 1), 2 * p + 8):
                     expect = _open_cube(m, q)
                     for k in range(1, m + 1):
                         term = p * _open_cube(m - k, q)
                         expect += -term if k % 2 else term
-                    assert divisor_formula_count(arr, q) == expect
+                    assert formula.count(q) == expect
 
 
 def test_family_b_identity():

@@ -2,15 +2,19 @@
 
 import pytest
 
+from conftest import interpolated_quasi_polynomial, totient_summary
 from qcp import (
     ArrangementInput,
     BudgetExceededError,
+    CountingFormula,
     IntMatrix,
     ValidationError,
     brute_force_count,
+    central_period_summary,
     central_scan,
-    divisor_formula_count,
     generate_central_inputs,
+    lcm_period,
+    minimum_period,
     q_zero,
 )
 from qcp.oracle import _count_scalar, _count_vectorized
@@ -119,6 +123,19 @@ def test_central_scan_reproducible():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_scan_summary_matches_interpolation_on_small_periods():
+    checked = 0
+    for arr in generate_central_inputs(m=2, n=4, entry_bound=5, trials=200, seed=42):
+        if lcm_period(arr.cmatrix) > 60:
+            continue
+        summary = central_period_summary(arr)
+        assert summary == totient_summary(arr)
+        qp = interpolated_quasi_polynomial(arr)
+        assert summary == (qp.period, minimum_period(qp))
+        checked += 1
+    assert checked >= 10
+
+
 def test_central_scan_budget_guard():
     with pytest.raises(BudgetExceededError):
         central_scan(m=2, n=30, entry_bound=2, trials=10, seed=0)
@@ -126,6 +143,7 @@ def test_central_scan_budget_guard():
 
 def test_formula_matches_oracle_on_scanned_inputs():
     for arr in generate_central_inputs(m=2, n=3, entry_bound=3, trials=10, seed=9):
+        formula = CountingFormula.of(arr)
         for q in range(1, 8):
-            assert divisor_formula_count(arr, q) == brute_force_count(arr, q)
+            assert formula.count(q) == brute_force_count(arr, q)
         assert q_zero(arr) == 0

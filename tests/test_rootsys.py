@@ -3,12 +3,11 @@
 import pytest
 
 from qcp import (
+    CountingFormula,
     RootSubset,
     ValidationError,
     brute_force_count,
     coxeter_number,
-    divisor_formula_count,
-    lcm_period,
     linial_matrix,
     positive_roots,
     q_zero,
@@ -160,9 +159,9 @@ def test_linial_matrix_shapes():
 
 def _assert_oracle_window(arr):
     threshold = q_zero(arr)
-    rho = lcm_period(arr.cmatrix)
-    for q in range(threshold + 1, threshold + 2 * rho + 6):
-        assert divisor_formula_count(arr, q) == brute_force_count(arr, q), q
+    formula = CountingFormula.of(arr)
+    for q in range(threshold + 1, threshold + 2 * formula.period + 6):
+        assert formula.count(q) == brute_force_count(arr, q), q
 
 
 def test_shi_formula_matches_brute_force():
