@@ -21,6 +21,25 @@ Identical stacked columns are deduplicated first; summing the sign over all
 ways to pick at least one copy of a repeated column collapses to a single
 signed pick, so deduplication is exact.
 
+The walk prunes rank jumps.  A subset whose stacked system is inconsistent
+over Q (rank A_J > rank C_J) contributes nothing, and neither does any
+superset, since adding equations to an inconsistent system keeps it
+inconsistent.  So when a class is added whose coefficient column depends on
+the columns chosen so far but whose stacked column does not, that choice is
+dropped with its whole subtree.  Integer echelon bases of C_J and A_J decide
+this without a Smith form; Smith runs once per set of classes for C_J and
+once per consistent offset choice for A_J (not at all when the chosen
+offsets are zero).  Every subset the walk offers, kept or pruned, is charged
+to WALK_BUDGET; past it the walk raises BudgetExceededError.  A central
+arrangement has no rank jumps, so the budget is what stops a wide one.
+
+The lcm period needs Smith forms of bases only.  For independent column
+sets I within J, the torsion of I's lattice embeds in that of J's: if
+x = l + k.v (l in L_I, v in J minus I) lies in span(L_I), independence
+forces k = 0.  So I's largest divisor divides J's, every independent set
+extends to a basis, and the lcm over the bases of the distinct columns is
+the lcm over all subsets.
+
 CountingFormula expands every term into integer weights on divisibility
 indicators [D | q]; the value at any q, every constituent and the minimum
 period are read off those weights.
@@ -48,10 +67,14 @@ __all__ = [
     "collapse_report",
     "central_period_summary",
     "CONSTITUENT_BUDGET",
+    "WALK_BUDGET",
 ]
 
 # Largest lcm period for which every constituent is materialized.
 CONSTITUENT_BUDGET = 100_000
+
+# Most column subsets the term-table walk may offer, kept or pruned.
+WALK_BUDGET = 200_000
 
 # Naive subset enumeration is quadratic-exponential; refuse past this width.
 NAIVE_COLUMN_LIMIT = 20
@@ -162,12 +185,21 @@ class CollapseReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CollapseReport":
+        """Parse a report; periods and q0 must be JSON integers and the flags
+        JSON booleans, and nothing is coerced."""
+        for name in ("lcm_period", "minimum_period", "q0"):
+            value = data[name]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("collapse", "gcd_property"):
+            if not isinstance(data[name], bool):
+                raise ValidationError(f"{name} must be a boolean, got {data[name]!r}")
         return cls(
-            lcm_period=int(data["lcm_period"]),
-            minimum_period=int(data["minimum_period"]),
-            collapse=bool(data["collapse"]),
-            q0=int(data["q0"]),
-            gcd_property=bool(data["gcd_property"]),
+            lcm_period=data["lcm_period"],
+            minimum_period=data["minimum_period"],
+            collapse=data["collapse"],
+            q0=data["q0"],
+            gcd_property=data["gcd_property"],
             quasi_polynomial=QuasiPolynomial.from_json_dict(data["quasi_polynomial"]),
         )
 
@@ -202,8 +234,11 @@ def lcm_period(cmatrix: IntMatrix) -> int:
 
     Every subset's largest divisor divides the largest divisor of some
     linearly independent subset spanning the same columns (dropping a
-    dependent column can only grow invariant factors), so only independent
-    subsets of distinct columns are enumerated.
+    dependent column can only grow invariant factors), and an independent
+    subset's largest divisor divides that of every independent superset (its
+    lattice's torsion embeds in theirs).  So the lcm is taken over the bases
+    of the distinct columns only: the walk goes through independent subsets
+    and runs Smith only on those of full rank.
     """
     for j in range(cmatrix.cols):
         if not any(cmatrix.column(j)):
@@ -215,21 +250,29 @@ def lcm_period(cmatrix: IntMatrix) -> int:
             seen.add(c)
             cols.append(c)
     nrows = cmatrix.rows
+    span: list = []
+    for c in cols:
+        red = _reduce_against(span, c)
+        if red is not None:
+            span.append(red)
+    rank = len(span)
     acc = 1
     chosen: list[tuple[int, ...]] = []
 
     def rec(start: int, basis) -> None:
         nonlocal acc
-        for idx in range(start, len(cols)):
+        # leave enough columns to complete a basis
+        for idx in range(start, len(cols) - (rank - len(chosen)) + 1):
             red = _reduce_against(basis, cols[idx])
             if red is None:
                 continue
             chosen.append(cols[idx])
-            rows = [[c[i] for c in chosen] for i in range(nrows)]
-            divs = _smith_divisors(rows)
-            top = divs[-1]
-            acc = acc // gcd(acc, top) * top
-            rec(idx + 1, basis + [red])
+            if len(chosen) == rank:
+                rows = [[c[i] for c in chosen] for i in range(nrows)]
+                top = _smith_divisors(rows)[-1]
+                acc = acc // gcd(acc, top) * top
+            else:
+                rec(idx + 1, basis + [red])
             chosen.pop()
 
     rec(0, [])
@@ -297,6 +340,13 @@ def _build_term_table(arr: ArrangementInput) -> dict:
     dropped); value: signed number of subsets with that data.  Grouped by
     equal coefficient columns, one offset choice per class, identical stacked
     columns deduplicated.
+
+    The walk is an iterative depth-first search over sets of column classes
+    that prunes rank jumps (see the module docstring).  A node is a set of
+    classes with its live offset choices, those whose stacked system is
+    consistent, each carrying an echelon basis of its stacked columns; the
+    coefficient columns carry one basis and one divisor chain shared by
+    every choice.
     """
     m = arr.m
     classes: list[tuple[tuple[int, ...], list[int]]] = []
@@ -315,30 +365,50 @@ def _build_term_table(arr: ArrangementInput) -> dict:
             classes.append((c, [b]))
 
     terms: dict = {}
-    chosen: list[tuple[tuple[int, ...], int]] = []
-
-    def visit() -> None:
-        crows = [[c[i] for c, _ in chosen] for i in range(m)]
-        arows = [list(r) for r in crows] + [[b for _, b in chosen]]
-        es = _smith_divisors(crows)
-        eps = _smith_divisors(arows)
-        if len(eps) != len(es):
-            return  # rank jump: contributes nothing
-        pairs = tuple(p for p in zip(es, eps) if p != (1, 1))
-        key = (len(es), pairs)
-        sign = -1 if len(chosen) % 2 else 1
-        terms[key] = terms.get(key, 0) + sign
-
-    def rec(start: int) -> None:
+    offered = 0
+    # (first class to add, coefficient basis, chosen coefficient columns,
+    #  live choices as (offsets, stacked basis))
+    stack = [(0, [], [], [((), [])])]
+    while stack:
+        start, c_basis, ccols, live = stack.pop()
         for idx in range(start, len(classes)):
             cvec, bs = classes[idx]
-            for b in bs:
-                chosen.append((cvec, b))
-                visit()
-                rec(idx + 1)
-                chosen.pop()
-
-    rec(0)
+            offered += len(live) * len(bs)
+            if offered > WALK_BUDGET:
+                raise BudgetExceededError(
+                    f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} "
+                    f"column subsets"
+                )
+            c_red = _reduce_against(c_basis, cvec)
+            kept = []
+            for offs, a_basis in live:
+                for b in bs:
+                    a_red = _reduce_against(a_basis, cvec + (b,))
+                    if a_red is None:
+                        kept.append((offs + (b,), a_basis))
+                    elif c_red is not None:
+                        kept.append((offs + (b,), a_basis + [a_red]))
+                    # else: rank jump, the subtree is dropped
+            if not kept:
+                continue
+            now = ccols + [cvec]
+            es = _smith_divisors([[c[i] for c in now] for i in range(m)])
+            sign = -1 if len(now) % 2 else 1
+            for offs, _ in kept:
+                if any(offs):
+                    rows = [[c[i] for c in now] for i in range(m)] + [list(offs)]
+                    eps = _smith_divisors(rows)
+                else:
+                    eps = es  # a zero row leaves the Smith form unchanged
+                if len(eps) != len(es):
+                    raise InternalConsistencyError(
+                        "subset walk reached a subset with a rank jump"
+                    )
+                key = (len(es), tuple(p for p in zip(es, eps) if p != (1, 1)))
+                terms[key] = terms.get(key, 0) + sign
+            stack.append(
+                (idx + 1, c_basis if c_red is None else c_basis + [c_red], now, kept)
+            )
     return {key: coef for key, coef in terms.items() if coef}
 
 

@@ -143,11 +143,11 @@ class IntMatrix:
         )
 
     def with_extra_row(self, extra) -> "IntMatrix":
-        extra = [int(v) for v in extra]
+        extra = tuple(extra)
         if len(extra) != self.cols:
             raise ValidationError("extra row length must match column count")
         return IntMatrix(
-            rows=self.rows + 1, cols=self.cols, entries=self.entries + tuple(extra)
+            rows=self.rows + 1, cols=self.cols, entries=self.entries + extra
         )
 
 

@@ -80,7 +80,16 @@ class Polynomial:
 
     @classmethod
     def from_json_list(cls, data) -> "Polynomial":
-        return cls(tuple(int(c) for c in data))
+        """Parse coefficients written by ``to_json_list``: decimal strings (or
+        JSON integers); floats, bools and other strings are rejected."""
+        coeffs = []
+        for c in data:
+            if isinstance(c, str) and c.isascii() and c.removeprefix("-").isdigit():
+                c = int(c)
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValidationError(f"coefficients must be decimal integers, got {c!r}")
+            coeffs.append(c)
+        return cls(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -144,10 +153,16 @@ class QuasiPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiPolynomial":
-        period = int(data["period"])
-        by_class = {int(item["k"]): item["coeffs"] for item in data["constituents"]}
-        if sorted(by_class) != list(range(1, period + 1)):
+        """Parse the form written by ``to_json_dict``; ``period`` and each
+        ``k`` must be JSON integers and are never coerced."""
+        period = data["period"]
+        classes = [item["k"] for item in data["constituents"]]
+        for value in (period, *classes):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"period and classes must be integers, got {value!r}")
+        if sorted(classes) != list(range(1, period + 1)):
             raise ValidationError("constituent classes must be exactly 1..period")
+        by_class = {item["k"]: item["coeffs"] for item in data["constituents"]}
         return cls(
             period=period,
             constituents=tuple(

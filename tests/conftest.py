@@ -9,6 +9,9 @@ The second group checks the read-off of CountingFormula.  It starts from the
 library's term table or its naive enumerator, but shares nothing with the
 read-off: terms are evaluated as gcd products, expanded with the totient
 identity, or sampled and interpolated.
+
+``unpruned_term_table`` checks the pruned subset walk: it offers every
+grouped subset, rank jumps included, and runs both Smith forms on each.
 """
 
 from itertools import combinations
@@ -21,7 +24,7 @@ from qcp import (
     q_zero,
 )
 from qcp.arrangement import _build_term_table
-from qcp.intlinalg import divisors_of, euler_phi
+from qcp.intlinalg import _smith_divisors, divisors_of, euler_phi
 
 
 def det(rows) -> int:
@@ -160,3 +163,52 @@ def interpolated_quasi_polynomial(arr):
         qs = [first + i * rho for i in range(m + 2)]
         samples[k] = [(q, divisor_formula_count_naive(arr, q)) for q in qs]
     return interpolate_constituents(samples, expected_degree=m)
+
+
+def unpruned_term_table(arr) -> dict:
+    """The term table of the counting formula by a full recursive walk:
+    one offset per class of equal coefficient columns, identical stacked
+    columns deduplicated, and every subset visited, inconsistent ones
+    included (they contribute nothing)."""
+    m = arr.m
+    classes = []
+    index = {}
+    seen = set()
+    for j in range(arr.n):
+        c = arr.cmatrix.column(j)
+        b = arr.offsets[j]
+        if (c, b) in seen:
+            continue
+        seen.add((c, b))
+        if c in index:
+            classes[index[c]][1].append(b)
+        else:
+            index[c] = len(classes)
+            classes.append((c, [b]))
+
+    terms = {}
+    chosen = []
+
+    def visit():
+        crows = [[c[i] for c, _ in chosen] for i in range(m)]
+        arows = [list(r) for r in crows] + [[b for _, b in chosen]]
+        es = _smith_divisors(crows)
+        eps = _smith_divisors(arows)
+        if len(eps) != len(es):
+            return  # rank jump: contributes nothing
+        pairs = tuple(p for p in zip(es, eps) if p != (1, 1))
+        key = (len(es), pairs)
+        sign = -1 if len(chosen) % 2 else 1
+        terms[key] = terms.get(key, 0) + sign
+
+    def rec(start):
+        for idx in range(start, len(classes)):
+            cvec, bs = classes[idx]
+            for b in bs:
+                chosen.append((cvec, b))
+                visit()
+                rec(idx + 1)
+                chosen.pop()
+
+    rec(0)
+    return {key: coef for key, coef in terms.items() if coef}

@@ -10,12 +10,14 @@ from conftest import (
     oracle_lcm_period,
     oracle_q_zero,
     totient_summary,
+    unpruned_term_table,
 )
 from qcp import (
     ArrangementInput,
     BudgetExceededError,
     CountingFormula,
     IntMatrix,
+    RootSubset,
     ValidationError,
     brute_force_count,
     central_period_summary,
@@ -26,8 +28,11 @@ from qcp import (
     divisor_formula_count_naive,
     lcm_period,
     minimum_period,
+    positive_roots,
     q_zero,
+    shi_matrix,
 )
+from qcp import arrangement as arrangement_module
 from qcp.arrangement import CONSTITUENT_BUDGET, CollapseReport, _build_term_table
 
 
@@ -113,6 +118,28 @@ def test_lcm_period_matches_full_enumeration(arr):
     assert lcm_period(arr.cmatrix) == oracle_lcm_period(cols)
 
 
+@st.composite
+def matrices_with_dependent_columns(draw, m=3, bound=3):
+    """A few columns, then repeats, multiples and sums of them, shuffled."""
+    entry = st.integers(-bound, bound)
+    column = st.lists(entry, min_size=m, max_size=m).filter(any).map(tuple)
+    cols = draw(st.lists(column, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+        x, y = draw(entry), draw(entry)
+        combo = tuple(x * a + y * b for a, b in zip(u, v))
+        if any(combo):
+            cols.append(combo)
+    return IntMatrix.from_columns(draw(st.permutations(cols)))
+
+
+@given(matrices_with_dependent_columns())
+@settings(max_examples=40, deadline=None)
+def test_lcm_period_matches_full_enumeration_dimension_three(mat):
+    cols = [list(c) for c in mat.columns()]
+    assert lcm_period(mat) == oracle_lcm_period(cols)
+
+
 @given(random_arrangements(max_m=2, max_n=5, bound=3))
 @settings(max_examples=40, deadline=None)
 def test_q_zero_matches_full_enumeration(arr):
@@ -177,6 +204,51 @@ def test_grouped_matches_naive_with_duplicate_columns():
         assert brute_force_count(arr, q) == naive or q <= q_zero(arr)
 
 
+@st.composite
+def shi_like_arrangements(draw, max_m=3, max_classes=5, bound=2):
+    """A few coefficient columns, each repeated with 2-4 offsets, so that
+    parallel classes and rank jumps are common."""
+    m = draw(st.integers(1, max_m))
+    column = st.lists(st.integers(-bound, bound), min_size=m, max_size=m).filter(any)
+    cols, offsets = [], []
+    for col in draw(st.lists(column.map(tuple), min_size=1, max_size=max_classes)):
+        for b in draw(st.lists(st.integers(-2, 3), min_size=2, max_size=4)):
+            cols.append(col)
+            offsets.append(b)
+    return arrangement(cols, offsets)
+
+
+@given(shi_like_arrangements())
+@settings(max_examples=40, deadline=None)
+def test_pruned_walk_matches_unpruned_walk(arr):
+    assert _build_term_table(arr) == unpruned_term_table(arr)
+
+
+@pytest.mark.parametrize("type_tag", ["A", "B", "G2"])
+def test_pruned_walk_matches_unpruned_walk_on_shi_deletions(type_tag):
+    system = positive_roots(type_tag, 2)
+    subsets = [RootSubset.full(system)]
+    subsets += [RootSubset.excluding(system, root) for root in system.positive_roots]
+    for k in (1, 2):
+        for subset in subsets:
+            arr = shi_matrix(subset, k)
+            assert _build_term_table(arr) == unpruned_term_table(arr)
+
+
+@pytest.mark.parametrize(
+    "type_tag, rank, k, offered",
+    [("G2", 2, 3, 7344), ("B", 3, 1, 4818), ("A", 3, 2, 6048)],
+)
+def test_walk_budget_counts_every_offered_subset(monkeypatch, type_tag, rank, k, offered):
+    # the unpruned walk would offer 117,648, 19,682 and 15,624 subsets
+    arr = shi_matrix(RootSubset.full(positive_roots(type_tag, rank)), k)
+    monkeypatch.setattr(arrangement_module, "WALK_BUDGET", offered)
+    _build_term_table(arr)
+    monkeypatch.setattr(arrangement_module, "WALK_BUDGET", offered - 1)
+    with pytest.raises(BudgetExceededError, match="subset walk"):
+        _build_term_table(arr)
+
+
 def test_naive_refuses_wide_input():
     wide = arrangement([(1,)] * 21, tuple(range(21)))
     with pytest.raises(BudgetExceededError):
@@ -213,6 +285,16 @@ def test_collapse_report_family_a_242():
     assert report.gcd_property
     data = report.to_json_dict()
     assert CollapseReport.from_json_dict(data) == report
+
+
+def test_collapse_report_json_is_strict():
+    data = collapse_report(FAMILY_A_122).to_json_dict()
+    for key, bad in (
+        ("gcd_property", "false"), ("collapse", 1), ("q0", "7"),
+        ("lcm_period", 2.0), ("minimum_period", True),
+    ):
+        with pytest.raises(ValidationError):
+            CollapseReport.from_json_dict({**data, key: bad})
 
 
 def test_central_inputs_never_collapse():

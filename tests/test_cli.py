@@ -175,6 +175,22 @@ def test_budget_error_exit_one(capsys, tmp_path):
     assert "budget of 10" in payload["error"]
 
 
+def test_compute_walk_budget_exit_one(capsys, tmp_path, monkeypatch):
+    from qcp import arrangement
+
+    # central with 12 distinct columns: no rank jumps, 4,095 subsets offered
+    cols = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1),
+            (1, 3), (3, 1), (2, 3), (3, 2), (1, -2), (2, -1)]
+    arr = {"m": 2, "n": 12, "C": [[c[i] for c in cols] for i in range(2)], "b": [0] * 12}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(arr))
+    monkeypatch.setattr(arrangement, "WALK_BUDGET", 1000)
+    code, payload = run_json(capsys, "compute", "--input", str(path))
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "subset walk" in payload["error"]
+
+
 def test_compute_rejects_non_integer_entries(capsys, tmp_path):
     # neither 1.9 nor "2" nor true nor 0.5 may be coerced to an integer
     arr = {"m": 1, "n": 2, "C": [[1.9, "2"]], "b": [True, 0.5]}

@@ -127,6 +127,8 @@ def test_matrix_accessors():
     assert m.entry(0, 1) == 2
     assert m.transpose().row(0) == (1, 4)
     assert m.with_extra_row([7, 8, 9]).row(2) == (7, 8, 9)
+    with pytest.raises(ValidationError):
+        mat([[1, 2]]).with_extra_row([1.9, True])  # never coerced to (1, 1)
     assert IntMatrix.from_columns([(1, 4), (2, 5), (3, 6)]) == m
 
 

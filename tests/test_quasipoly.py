@@ -145,3 +145,14 @@ def test_json_round_trip():
     data = original.to_json_dict()
     assert data["constituents"][0]["coeffs"] == ["-3", "1"]
     assert QuasiPolynomial.from_json_dict(data) == original
+    # period, classes and coefficients are never coerced
+    for bad in (["2.5", "1"], [2.5, 1], ["-3", True], ["1e3", "1"], ["--3", "1"]):
+        with pytest.raises(ValidationError):
+            Polynomial.from_json_list(bad)
+    for bad in ("2", 2.0, True):
+        with pytest.raises(ValidationError):
+            QuasiPolynomial.from_json_dict({**data, "period": bad})
+    for bad in ("1", 1.0, True):
+        constituents = [{**data["constituents"][0], "k": bad}, data["constituents"][1]]
+        with pytest.raises(ValidationError):
+            QuasiPolynomial.from_json_dict({**data, "constituents": constituents})
