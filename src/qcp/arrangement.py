@@ -29,16 +29,22 @@ the columns chosen so far but whose stacked column does not, that choice is
 dropped with its whole subtree.  Integer echelon bases of C_J and A_J decide
 this without a Smith form; Smith runs once per set of classes for C_J and
 once per consistent offset choice for A_J (not at all when the chosen
-offsets are zero).  Every subset the walk offers, kept or pruned, is charged
-to WALK_BUDGET; past it the walk raises BudgetExceededError.  A central
-arrangement has no rank jumps, so the budget is what stops a wide one.
+offsets are zero, and then the stacked reduction is the coefficient one).
+Every subset the walk offers, kept or pruned, is charged to WALK_BUDGET;
+past it the walk raises BudgetExceededError.  A central arrangement has no
+rank jumps, so the budget is what stops a wide one.
 
-The lcm period needs Smith forms of bases only.  For independent column
-sets I within J, the torsion of I's lattice embeds in that of J's: if
-x = l + k.v (l in L_I, v in J minus I) lies in span(L_I), independence
-forces k = 0.  So I's largest divisor divides J's, every independent set
-extends to a basis, and the lcm over the bases of the distinct columns is
-the lcm over all subsets.
+The lcm period needs Smith forms of bases only (the basis lemma).  For
+independent column sets I within J, the torsion of I's lattice embeds in
+that of J's: if x = l + k.v (l in L_I, v in J minus I) lies in span(L_I),
+independence forces k = 0.  So I's largest divisor divides J's, every
+independent set extends to a basis, and the lcm over the bases of the
+distinct columns is the lcm over all subsets.  The walk reaches every such
+basis, since an independent set of coefficient columns has no rank jump
+under any offsets, and it runs Smith on C_J there anyway; so the lcm period
+is read off the walk, as the lcm of the largest divisor over every class
+set it visits.  lcm_period computes the same number on its own, walking
+bases only; the tests use it as the oracle for the walk's value.
 
 CountingFormula expands every term into integer weights on divisibility
 indicators [D | q]; the value at any q, every constituent and the minimum
@@ -239,6 +245,10 @@ def lcm_period(cmatrix: IntMatrix) -> int:
     lattice's torsion embeds in theirs).  So the lcm is taken over the bases
     of the distinct columns only: the walk goes through independent subsets
     and runs Smith only on those of full rank.
+
+    CountingFormula reads the same number off its subset walk; this
+    standalone walk serves callers that need the period alone, and the
+    tests as the oracle for the walk's value.
     """
     for j in range(cmatrix.cols):
         if not any(cmatrix.column(j)):
@@ -333,10 +343,11 @@ def q_zero(arr: ArrangementInput) -> int:
     return best
 
 
-def _build_term_table(arr: ArrangementInput) -> dict:
-    """Aggregate subset contributions of the counting formula.
+def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
+    """Aggregate subset contributions of the counting formula, and the lcm
+    period.
 
-    Key: (coefficient rank, tuple of (e, e') divisor pairs with (1, 1)
+    Terms: key (coefficient rank, tuple of (e, e') divisor pairs with (1, 1)
     dropped); value: signed number of subsets with that data.  Grouped by
     equal coefficient columns, one offset choice per class, identical stacked
     columns deduplicated.
@@ -346,7 +357,15 @@ def _build_term_table(arr: ArrangementInput) -> dict:
     classes with its live offset choices, those whose stacked system is
     consistent, each carrying an echelon basis of its stacked columns; the
     coefficient columns carry one basis and one divisor chain shared by
-    every choice.
+    every choice.  For a choice whose offsets are all zero, adding offset 0
+    reduces the stacked column exactly as the coefficient column, with a
+    trailing 0, so that reduction is reused.
+
+    The lcm period is the lcm of the largest divisor of C_J over every class
+    set J whose chain the walk computes.  That is exact: every class set that
+    is independent has no rank jump for any offset choice, so the walk
+    reaches every basis of the distinct coefficient columns, and by the basis
+    lemma (module docstring) the lcm over bases is the lcm over all subsets.
     """
     m = arr.m
     classes: list[tuple[tuple[int, ...], list[int]]] = []
@@ -365,6 +384,7 @@ def _build_term_table(arr: ArrangementInput) -> dict:
             classes.append((c, [b]))
 
     terms: dict = {}
+    rho = 1
     offered = 0
     # (first class to add, coefficient basis, chosen coefficient columns,
     #  live choices as (offsets, stacked basis))
@@ -383,7 +403,10 @@ def _build_term_table(arr: ArrangementInput) -> dict:
             kept = []
             for offs, a_basis in live:
                 for b in bs:
-                    a_red = _reduce_against(a_basis, cvec + (b,))
+                    if b == 0 and not any(offs):
+                        a_red = None if c_red is None else (c_red[0], c_red[1] + (0,))
+                    else:
+                        a_red = _reduce_against(a_basis, cvec + (b,))
                     if a_red is None:
                         kept.append((offs + (b,), a_basis))
                     elif c_red is not None:
@@ -393,6 +416,7 @@ def _build_term_table(arr: ArrangementInput) -> dict:
                 continue
             now = ccols + [cvec]
             es = _smith_divisors([[c[i] for c in now] for i in range(m)])
+            rho = lcm(rho, es[-1])
             sign = -1 if len(now) % 2 else 1
             for offs, _ in kept:
                 if any(offs):
@@ -409,7 +433,7 @@ def _build_term_table(arr: ArrangementInput) -> dict:
             stack.append(
                 (idx + 1, c_basis if c_red is None else c_basis + [c_red], now, kept)
             )
-    return {key: coef for key, coef in terms.items() if coef}
+    return {key: coef for key, coef in terms.items() if coef}, rho
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -468,7 +492,11 @@ def _check_divisor_chains(terms: dict, rho: int, central: bool) -> None:
 
     Divisibility is what makes every constituent depend on its class only
     through the gcd with the period; a violation would mean a bug in the
-    period or term computation.
+    period or term computation.  With the period taken from the same walk,
+    e | rho holds by construction (every term's e is in the chain of a class
+    set whose largest divisor entered the lcm).  e' | rho still tests the
+    stacked Smith forms of nonzero offset choices against that period, and
+    the central e == e' check guards the walk's zero-offset shortcuts.
     """
     for (_, pairs), _ in terms.items():
         for e, ep in pairs:
@@ -510,9 +538,13 @@ class CountingFormula:
 
     @classmethod
     def of(cls, arr: ArrangementInput) -> "CountingFormula":
-        """Walk the column subsets of ``arr`` once and expand every term."""
-        rho = lcm_period(arr.cmatrix)
-        terms = _build_term_table(arr)
+        """Walk the column subsets of ``arr`` once and expand every term.
+
+        The one walk gives both the term table and the lcm period, read off
+        the coefficient divisor chains it computes (see _build_term_table);
+        ``lcm_period`` stays the standalone function and the tests' oracle.
+        """
+        terms, rho = _build_term_table(arr)
         _check_divisor_chains(terms, rho, arr.is_central)
         by_pairs: dict[tuple, dict[int, int]] = {}  # one expansion per distinct pairs
         weights: dict[int, dict[int, int]] = {}

@@ -199,6 +199,8 @@ def _cmd_conjecture_scan(args):
 
 
 def _cmd_verify(args):
+    if args.q_window < 1:
+        raise ValidationError(f"--q-window must be at least 1, got {args.q_window}")
     arr = _load_arrangement(args.input)
     threshold = q_zero(arr)
     counting = CountingFormula.of(arr)

@@ -131,7 +131,7 @@ def totient_summary(arr) -> tuple[int, int]:
     period is the lcm of the moduli left with a nonzero weight."""
     rho = lcm_period(arr.cmatrix)
     weights = {}
-    for (ell, pairs), coef in _build_term_table(arr).items():
+    for (ell, pairs), coef in _build_term_table(arr)[0].items():
         expansion = {1: coef}
         for e, ep in pairs:
             assert e == ep, "central input has equal divisor chains"

@@ -1,5 +1,7 @@
 """Counting formula, periods, threshold, and report assembly."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from qcp import (
     divisor_formula_count,
     divisor_formula_count_naive,
     lcm_period,
+    linial_matrix,
     minimum_period,
     positive_roots,
     q_zero,
@@ -221,7 +224,7 @@ def shi_like_arrangements(draw, max_m=3, max_classes=5, bound=2):
 @given(shi_like_arrangements())
 @settings(max_examples=40, deadline=None)
 def test_pruned_walk_matches_unpruned_walk(arr):
-    assert _build_term_table(arr) == unpruned_term_table(arr)
+    assert _build_term_table(arr)[0] == unpruned_term_table(arr)
 
 
 @pytest.mark.parametrize("type_tag", ["A", "B", "G2"])
@@ -232,7 +235,7 @@ def test_pruned_walk_matches_unpruned_walk_on_shi_deletions(type_tag):
     for k in (1, 2):
         for subset in subsets:
             arr = shi_matrix(subset, k)
-            assert _build_term_table(arr) == unpruned_term_table(arr)
+            assert _build_term_table(arr)[0] == unpruned_term_table(arr)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +250,71 @@ def test_walk_budget_counts_every_offered_subset(monkeypatch, type_tag, rank, k,
     monkeypatch.setattr(arrangement_module, "WALK_BUDGET", offered - 1)
     with pytest.raises(BudgetExceededError, match="subset walk"):
         _build_term_table(arr)
+
+
+@given(st.one_of(random_arrangements(), random_arrangements(with_offsets=False)))
+@settings(max_examples=60, deadline=None)
+def test_walk_period_matches_lcm_period(arr):
+    assert _build_term_table(arr)[1] == lcm_period(arr.cmatrix)
+
+
+@given(matrices_with_dependent_columns(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_period_matches_lcm_period_with_dependent_columns(mat, data):
+    offsets = data.draw(st.lists(st.integers(-2, 2), min_size=mat.cols, max_size=mat.cols))
+    arr = ArrangementInput(mat, tuple(offsets))
+    assert _build_term_table(arr)[1] == lcm_period(mat)
+
+
+@given(st.lists(
+    st.lists(st.integers(-5, 5), min_size=3, max_size=3).filter(any).map(tuple),
+    min_size=6, max_size=6,
+))
+@settings(max_examples=30, deadline=None)
+def test_walk_period_matches_lcm_period_on_central_scan_draws(cols):
+    # the shape of `qcp scan-central --m 3 --n 6 --entry-bound 5`
+    arr = arrangement(cols, (0,) * 6)
+    assert _build_term_table(arr)[1] == lcm_period(arr.cmatrix)
+
+
+@pytest.mark.parametrize("type_tag", ["A", "B", "G2"])
+def test_walk_period_matches_lcm_period_on_root_deletions(type_tag):
+    system = positive_roots(type_tag, 2)
+    subsets = [RootSubset.full(system)]
+    subsets += [RootSubset.excluding(system, root) for root in system.positive_roots]
+    for subset in subsets:
+        linial = linial_matrix(subset, 1)
+        # Shi and Linial give every root a nonzero offset; the central
+        # arrangement of the same roots has only the zero one
+        central = ArrangementInput(linial.cmatrix, (0,) * linial.n)
+        for arr in (shi_matrix(subset, 1), shi_matrix(subset, 2), linial, central):
+            assert _build_term_table(arr)[1] == lcm_period(arr.cmatrix)
+
+
+def test_formula_walks_once(monkeypatch):
+    # 63 subsets of six distinct central columns: one coefficient reduction
+    # and one Smith form each, and no separate lcm_period walk
+    arr = arrangement(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)], (0,) * 6
+    )
+    calls = Counter()
+
+    def count_calls(name):
+        inner = getattr(arrangement_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(arrangement_module, name, counted)
+
+    for name in ("lcm_period", "_smith_divisors", "_reduce_against"):
+        count_calls(name)
+    formula = CountingFormula.of(arr)
+    assert calls["lcm_period"] == 0
+    assert calls["_smith_divisors"] == 63
+    assert calls["_reduce_against"] == 63
+    assert formula.period == formula.minimum_period == 30
 
 
 def test_naive_refuses_wide_input():
@@ -331,7 +399,7 @@ def test_formula_is_the_quasi_polynomial_at_every_q(arr):
     # all sides are determined by q's residue class, so they agree even
     # below the threshold where the true count may differ
     formula = CountingFormula.of(arr)
-    terms = _build_term_table(arr)
+    terms, _ = _build_term_table(arr)
     if formula.period > CONSTITUENT_BUDGET:
         with pytest.raises(BudgetExceededError, match="materialization budget"):
             characteristic_quasi_polynomial(arr)

@@ -106,6 +106,18 @@ def test_verify_subcommand_passes(capsys, tmp_path):
     assert all(row["match"] for row in payload["results"])
 
 
+def test_verify_rejects_empty_window(capsys, tmp_path):
+    path = tmp_path / "a122.json"
+    path.write_text(json.dumps({"m": 1, "n": 3, "C": [[2, 2, 2]], "b": [0, 1, 2]}))
+    for window in ("0", "-3"):
+        code, payload = run_json(
+            capsys, "verify", "--input", str(path), "--q-window", window
+        )
+        assert code == 1
+        assert payload["kind"] == "validation"
+        assert "--q-window" in payload["error"]
+
+
 def test_text_and_json_numeric_parity(capsys):
     code, payload = run_json(
         capsys, "family", "--kind", "A", "--m", "2", "--p", "4", "--s", "2"
