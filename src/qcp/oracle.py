@@ -1,9 +1,14 @@
 """Ground-truth brute-force counting and randomized central-case scans.
 
-The counter enumerates all of (Z/q)^m and tests every hyperplane, so it is
-independent of the divisor formula and serves as its oracle.  Work is
-budgeted in point-hyperplane tests (q^m * n per call) so failure behavior is
-deterministic, not time-based.
+The counter enumerates all of (Z/q)^m and tests every point against every
+hyperplane, so it is independent of the divisor formula and serves as its
+oracle.  Up to ``_NUMPY_CELL_CAP`` points it works on the whole grid at once:
+hyperplanes are grouped by coefficient column mod q, c.z is built as a
+broadcast sum of per-axis residues (entries are reduced mod q in Python
+first, so any entry size is exact), and one table lookup tests every point
+against every offset of the class.  Larger grids fall back to an exact
+point-by-point loop.  Work is budgeted in point-hyperplane tests (q^m * n
+per call) so failure behavior is deterministic, not time-based.
 """
 
 from __future__ import annotations
@@ -26,29 +31,39 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 
-# Above this many grid cells the vectorized path would allocate too much.
+# Above this many grid cells the vectorized path would allocate too much: it
+# holds one int64 grid (c.z) and two bool grids (the live points and one
+# lookup) of q^m cells each, 10 bytes a cell, about 640 MiB at the cap.
 _NUMPY_CELL_CAP = 1 << 26
 
 _GENERATOR_NAME = "python-random-mt19937"
 
 
-def _int64_bound_ok(arr: ArrangementInput, q: int) -> bool:
-    for j in range(arr.n):
-        bound = sum(abs(c) for c in arr.cmatrix.column(j)) * (q - 1) + abs(arr.offsets[j])
-        if bound >= 1 << 62:
-            return False
-    return True
-
-
 def _count_vectorized(arr: ArrangementInput, q: int) -> int:
     import numpy as np  # only the brute-force counter needs numpy; keep it off import
 
-    grid = np.indices((q,) * arr.m, dtype=np.int64).reshape(arr.m, -1)
-    alive = np.ones(grid.shape[1], dtype=bool)
+    m = arr.m
+    # Hyperplanes sharing a coefficient column mod q share c.z mod q, so each
+    # class is tested once, against all of its offsets.
+    classes: dict[tuple[int, ...], set[int]] = {}
     for j in range(arr.n):
-        col = np.array(arr.cmatrix.column(j), dtype=np.int64)
-        vals = (col @ grid) % q
-        alive &= vals != (arr.offsets[j] % q)
+        col = tuple(c % q for c in arr.cmatrix.column(j))
+        classes.setdefault(col, set()).add(arr.offsets[j] % q)
+    axis = np.arange(q, dtype=np.int64)
+    alive = np.ones((q,) * m, dtype=bool)
+    for col, offs in classes.items():
+        # c.z over the grid as a broadcast sum of per-axis residues, each
+        # below q, so every value lies in [0, m(q-1)].
+        dot = np.zeros((1,) * m, dtype=np.int64)
+        for i, c in enumerate(col):
+            shape = [1] * m
+            shape[i] = q
+            dot = dot + (c * axis % q).reshape(shape)
+        # off[v] is False exactly when v is congruent to an offset of the class.
+        off = np.ones(m * q, dtype=bool)
+        for b in offs:
+            off[b::q] = False
+        alive &= off[dot]
     return int(alive.sum())
 
 
@@ -72,8 +87,9 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     """Cardinality of the points of (Z/q)^m avoiding every hyperplane.
 
     Cost is charged as q^m * n point tests against ``budget`` before any
-    enumeration starts.  Uses int64 vectorized counting when the dot products
-    provably fit, otherwise exact big-integer enumeration.
+    enumeration starts.  Grids of at most ``_NUMPY_CELL_CAP`` points are
+    counted vectorized, one residue lookup per coefficient class; larger ones
+    point by point.  Both are exact for entries of any size.
     """
     if q < 1:
         raise ValidationError("q must be a positive integer")
@@ -82,7 +98,7 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
         raise BudgetExceededError(
             f"counting at q={q} needs {cost} point tests, over the budget of {budget}"
         )
-    if q**arr.m <= _NUMPY_CELL_CAP and _int64_bound_ok(arr, q):
+    if q**arr.m <= _NUMPY_CELL_CAP:
         return _count_vectorized(arr, q)
     return _count_scalar(arr, q)
 
@@ -153,10 +169,11 @@ def central_scan(
     lcm periods random matrices routinely produce.  Any violating
     arrangement is recorded with both periods.
     """
-    if trials * (1 << n) * 2 > budget:
+    # Each draw's subset walk offers at most the 2^n - 1 nonempty subsets.
+    cost = trials * ((1 << n) - 1)
+    if cost > budget:
         raise BudgetExceededError(
-            f"scan needs up to {trials * (1 << n) * 2} subset reductions, "
-            f"over the budget of {budget}"
+            f"scan needs up to {cost} subsets, over the budget of {budget}"
         )
     violations = []
     for arr in generate_central_inputs(m, n, entry_bound, trials, seed):

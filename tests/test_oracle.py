@@ -1,6 +1,8 @@
 """Brute-force counter and randomized central scans."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import interpolated_quasi_polynomial, totient_summary
 from qcp import (
@@ -40,6 +42,14 @@ def test_family_d_222_at_four():
     assert brute_force_count(arr, 4) == 5
 
 
+def test_budget_is_point_tests():
+    # q^m * n = 5^2 * 3 point tests, charged before any counting
+    arr = arrangement([(1, 0), (0, 1), (1, 1)], (0, 0, 1))
+    assert brute_force_count(arr, 5, budget=75) == 13
+    with pytest.raises(BudgetExceededError, match="needs 75 point tests"):
+        brute_force_count(arr, 5, budget=74)
+
+
 def test_budget_error_names_budget():
     arr = arrangement([(1, 0), (0, 1)], (0, 0))
     with pytest.raises(BudgetExceededError, match="budget of 10"):
@@ -59,10 +69,48 @@ def test_vectorized_and_scalar_paths_agree():
 
 
 def test_huge_entries_take_the_big_integer_path():
+    # entries are reduced mod q in Python before numpy sees them, so huge
+    # entries run the vectorized path, exactly.
     # 2^61 is 2 mod 3 (2^2 is 1 mod 3), so only z = 0 is removed
     arr = arrangement([(2**61,)], (0,))
     assert brute_force_count(arr, 3) == 2
     assert brute_force_count(arr, 4) == 0  # 2^61 is 0 mod 4, the plane is everything
+    big = arrangement([(2**63 + 5, -(2**64) - 1), (3 * 2**70, 1), (2**63, 2**63)], (2**65, -1, 7))
+    for q in range(1, 10):
+        assert _count_vectorized(big, q) == _count_scalar(big, q)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-4, 4), st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63))
+)
+
+
+@st.composite
+def grouped_arrangements(draw):
+    """Columns from a pool of at most three, so coefficient classes repeat,
+    and offsets base + k*q, so offsets of a class coincide mod q."""
+    m = draw(st.integers(1, 3))
+    q = draw(st.integers(1, (24, 9, 5)[m - 1]))
+    pool = draw(
+        st.lists(st.lists(_ENTRIES, min_size=m, max_size=m).filter(any), min_size=1, max_size=3)
+    )
+    planes = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), _ENTRIES, st.integers(-2, 2)), min_size=1, max_size=6
+        )
+    )
+    cols = [col for col, _, _ in planes]
+    offsets = [base + k * q for _, base, k in planes]
+    return arrangement(cols, offsets), q
+
+
+@given(grouped_arrangements())
+@example((arrangement([(1, 2), (1, 2), (1, 2)], (0, 5, 10)), 5))
+@example((arrangement([(-3,), (2**64 - 3,)], (2**66, 1)), 7))
+@settings(max_examples=150, deadline=None)
+def test_vectorized_matches_scalar_on_grouped_classes(case):
+    arr, q = case
+    assert _count_vectorized(arr, q) == _count_scalar(arr, q)
 
 
 def test_count_invariant_under_hyperplane_permutation():
@@ -139,6 +187,14 @@ def test_scan_summary_matches_interpolation_on_small_periods():
 def test_central_scan_budget_guard():
     with pytest.raises(BudgetExceededError):
         central_scan(m=2, n=30, entry_bound=2, trials=10, seed=0)
+
+
+def test_central_scan_budget_charges_nonempty_subsets():
+    cost = 7 * (2**4 - 1)
+    report = central_scan(m=2, n=4, entry_bound=3, trials=7, seed=5, budget=cost)
+    assert report.trials == 7
+    with pytest.raises(BudgetExceededError, match=f"needs up to {cost} subsets"):
+        central_scan(m=2, n=4, entry_bound=3, trials=7, seed=5, budget=cost - 1)
 
 
 def test_formula_matches_oracle_on_scanned_inputs():
