@@ -27,9 +27,17 @@ superset, since adding equations to an inconsistent system keeps it
 inconsistent.  So when a class is added whose coefficient column depends on
 the columns chosen so far but whose stacked column does not, that choice is
 dropped with its whole subtree.  Integer echelon bases of C_J and A_J decide
-this without a Smith form; Smith runs once per set of classes for C_J and
-once per consistent offset choice for A_J (not at all when the chosen
-offsets are zero, and then the stacked reduction is the coefficient one).
+this without a Smith form.  The divisor chain of C_J comes from its
+determinantal divisors d_1..d_m (d_k the gcd of all k x k minors, 0 above
+the rank), carried down the walk: when class c joins J the only new minors
+are those that use c, so d_k <- gcd(d_k, g(K + c)) over the (k-1)-subsets
+K of J, g(S) being the gcd of the |S| x |S| minors of S's columns (an exact
+determinant, memoised per walk).  The d_k of the whole coefficient matrix
+divides every d_k of C_J, so once d_k reaches it (1 in the common case) it
+is skipped.  The chain is e_k = d_k / d_(k-1).  Smith runs once on the
+whole coefficient matrix, for those floors, and on A_J once per consistent
+offset choice with a nonzero offset (when the chosen offsets are zero the
+stacked chain is the coefficient one, and the stacked reduction too).
 Every subset the walk offers, kept or pruned, is charged to WALK_BUDGET;
 past it the walk raises BudgetExceededError.  A central arrangement has no
 rank jumps, so the budget is what stops a wide one.
@@ -41,10 +49,11 @@ independence forces k = 0.  So I's largest divisor divides J's, every
 independent set extends to a basis, and the lcm over the bases of the
 distinct columns is the lcm over all subsets.  The walk reaches every such
 basis, since an independent set of coefficient columns has no rank jump
-under any offsets, and it runs Smith on C_J there anyway; so the lcm period
-is read off the walk, as the lcm of the largest divisor over every class
-set it visits.  lcm_period computes the same number on its own, walking
-bases only; the tests use it as the oracle for the walk's value.
+under any offsets, and it computes the chain of C_J there anyway; so the
+lcm period is read off the walk, as the lcm of the largest divisor
+e_r = d_r / d_(r-1) (r the rank) over every class set it visits.
+lcm_period computes the same number on its own, walking bases only; the
+tests use it as the oracle for the walk's value.
 
 CountingFormula expands every term into integer weights on divisibility
 indicators [D | q]; the value at any q, every constituent and the minimum
@@ -54,7 +63,8 @@ period are read off those weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .intlinalg import IntMatrix, _smith_divisors, gcd_all
@@ -235,6 +245,94 @@ def _reduce_against(basis, vec):
     return None
 
 
+def _det(rows) -> int:
+    """Exact determinant of a square integer matrix given as row lists, by
+    fraction-free (Bareiss) elimination; every division is exact."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if not a[t][t]:
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    a[t], a[i] = a[i], a[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = a[t]
+        piv = top[t]
+        for i in range(t + 1, n):
+            row = a[i]
+            f = row[t]
+            for j in range(t + 1, n):
+                row[j] = (piv * row[j] - f * top[j]) // prev
+        prev = piv
+    return sign * a[n - 1][n - 1]
+
+
+def _minors_gcd(cols) -> int:
+    """gcd of all k x k minors of the matrix whose k columns are ``cols``
+    (0 when they are dependent)."""
+    k = len(cols)
+    g = 0
+    for rows in combinations(range(len(cols[0])), k):
+        g = gcd(g, _det([[c[i] for c in cols] for i in rows]))
+        if g == 1:
+            break
+    return g
+
+
+def _whole_determinantal(columns, m: int) -> tuple[int, ...]:
+    """d_1..d_m of the m-row matrix holding every column in ``columns``:
+    products of its elementary divisors, 0 above its rank."""
+    chain = _smith_divisors([[c[i] for c in columns] for i in range(m)])
+    return tuple(prod(chain[:k]) if k <= len(chain) else 0 for k in range(1, m + 1))
+
+
+def _extend_determinantal(dets, chosen, idx, minor_gcd, floor):
+    """Determinantal divisors of C_J after class ``idx`` joins J = ``chosen``.
+
+    ``dets`` holds d_1..d_m of C_J, d_k being the gcd of all k x k minors
+    (0 above the rank).  The minors new to J + idx are those on a column set
+    K + idx, K a (k-1)-subset of J, so d_k <- gcd(d_k, g(K + idx)) over
+    those K, g being ``minor_gcd`` of a sorted tuple of class indices.
+
+    ``floor`` holds d_1..d_m of a matrix with every column the walk can add
+    (see _whole_determinantal).  Its minors include those of every C_J, so
+    floor[k-1] divides d_k; once d_k reaches it (1 in the common case, 0
+    above the whole rank) it stays there in every superset and is skipped.
+    """
+    out = list(dets)
+    for k in range(1, min(len(chosen) + 1, len(dets)) + 1):
+        dk = out[k - 1]
+        low = floor[k - 1]
+        if dk == low:
+            continue
+        for sub in combinations(chosen, k - 1):
+            dk = gcd(dk, minor_gcd(sub + (idx,)))
+            if dk == low:
+                break
+        out[k - 1] = dk
+    return tuple(out)
+
+
+def _divisor_chain(dets, rank: int) -> tuple[int, ...]:
+    """Elementary divisors e_k = d_k / d_(k-1) (d_0 = 1) from determinantal
+    divisors; ``rank``, from an echelon basis of the same columns, must be
+    the number of nonzero d_k."""
+    if not all(dets[:rank]) or any(dets[rank:]):
+        raise InternalConsistencyError(
+            f"determinantal divisors {dets} disagree with the echelon rank {rank}"
+        )
+    return tuple(dets[k] // (dets[k - 1] if k else 1) for k in range(rank))
+
+
 def lcm_period(cmatrix: IntMatrix) -> int:
     """lcm of the largest elementary divisor over all column subsets.
 
@@ -356,16 +454,26 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     that prunes rank jumps (see the module docstring).  A node is a set of
     classes with its live offset choices, those whose stacked system is
     consistent, each carrying an echelon basis of its stacked columns; the
-    coefficient columns carry one basis and one divisor chain shared by
-    every choice.  For a choice whose offsets are all zero, adding offset 0
-    reduces the stacked column exactly as the coefficient column, with a
-    trailing 0, so that reduction is reused.
+    coefficient columns carry one basis and the determinantal divisors
+    d_1..d_m of C_J, shared by every choice.  When class c joins, d_k
+    becomes gcd(d_k, g(K + c)) over the (k-1)-subsets K of the chosen
+    classes, skipped once d_k reaches the d_k of the whole coefficient
+    matrix (one Smith form per walk); g, the gcd of the full-size minors of
+    a class set, is memoised for the walk.  The chain of C_J is
+    e_k = d_k / d_(k-1), and the echelon rank must equal the number of
+    nonzero d_k.  Past the whole matrix, Smith runs only on the stacked
+    matrix of a choice with a nonzero offset, whose minors depend on the
+    offsets.  For a choice whose
+    offsets are all zero, adding offset 0 reduces the stacked column exactly
+    as the coefficient column, with a trailing 0, so that reduction is
+    reused, and the stacked chain is the coefficient one.
 
-    The lcm period is the lcm of the largest divisor of C_J over every class
-    set J whose chain the walk computes.  That is exact: every class set that
-    is independent has no rank jump for any offset choice, so the walk
-    reaches every basis of the distinct coefficient columns, and by the basis
-    lemma (module docstring) the lcm over bases is the lcm over all subsets.
+    The lcm period is the lcm of the largest divisor e_r = d_r / d_(r-1) of
+    C_J over every class set J the walk keeps.  That is exact: every class
+    set that is independent has no rank jump for any offset choice, so the
+    walk reaches every basis of the distinct coefficient columns, and by the
+    basis lemma (module docstring) the lcm over bases is the lcm over all
+    subsets.
     """
     m = arr.m
     classes: list[tuple[tuple[int, ...], list[int]]] = []
@@ -383,14 +491,23 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
             index[c] = len(classes)
             classes.append((c, [b]))
 
+    floor = _whole_determinantal([c for c, _ in classes], m)
+    memo: dict[tuple[int, ...], int] = {}
+
+    def minor_gcd(key: tuple[int, ...]) -> int:
+        g = memo.get(key)
+        if g is None:
+            g = memo[key] = _minors_gcd([classes[i][0] for i in key])
+        return g
+
     terms: dict = {}
     rho = 1
     offered = 0
-    # (first class to add, coefficient basis, chosen coefficient columns,
-    #  live choices as (offsets, stacked basis))
-    stack = [(0, [], [], [((), [])])]
+    # (first class to add, coefficient basis, chosen classes, their columns,
+    #  determinantal divisors of C_J, live choices as (offsets, stacked basis))
+    stack = [(0, [], (), [], (0,) * m, [((), [])])]
     while stack:
-        start, c_basis, ccols, live = stack.pop()
+        start, c_basis, chosen, ccols, dets, live = stack.pop()
         for idx in range(start, len(classes)):
             cvec, bs = classes[idx]
             offered += len(live) * len(bs)
@@ -414,8 +531,10 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
                     # else: rank jump, the subtree is dropped
             if not kept:
                 continue
+            now_basis = c_basis if c_red is None else c_basis + [c_red]
+            now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
+            es = _divisor_chain(now_dets, len(now_basis))
             now = ccols + [cvec]
-            es = _smith_divisors([[c[i] for c in now] for i in range(m)])
             rho = lcm(rho, es[-1])
             sign = -1 if len(now) % 2 else 1
             for offs, _ in kept:
@@ -430,9 +549,7 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
                     )
                 key = (len(es), tuple(p for p in zip(es, eps) if p != (1, 1)))
                 terms[key] = terms.get(key, 0) + sign
-            stack.append(
-                (idx + 1, c_basis if c_red is None else c_basis + [c_red], now, kept)
-            )
+            stack.append((idx + 1, now_basis, chosen + (idx,), now, now_dets, kept))
     return {key: coef for key, coef in terms.items() if coef}, rho
 
 

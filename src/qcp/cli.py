@@ -64,15 +64,17 @@ def _report_lines(report) -> list[str]:
     ]
 
 
-def _report_payload(arr: ArrangementInput):
+def _report_payload(arr: ArrangementInput, fmt: str):
+    """Payload and text lines of a report; the lines (one per residue class)
+    are built for text output only."""
     report = collapse_report(arr)
     payload = {"arrangement": arr.to_json_dict(), "report": report.to_json_dict()}
-    lines = _arrangement_lines(arr) + _report_lines(report)
+    lines = _arrangement_lines(arr) + _report_lines(report) if fmt == "text" else []
     return payload, lines, 0
 
 
 def _cmd_compute(args):
-    return _report_payload(_load_arrangement(args.input))
+    return _report_payload(_load_arrangement(args.input), args.format)
 
 
 def _cmd_oracle(args):
@@ -87,7 +89,7 @@ def _cmd_family(args):
     params = FamilyParams(kind=args.kind, m=args.m, p=args.p, s=args.s, a=args.a)
     arr = family_matrix(params)
     extra = {"kind": params.kind, "m": params.m, "p": params.p, "s": params.s, "a": params.a}
-    payload, lines, code = _report_payload(arr)
+    payload, lines, code = _report_payload(arr, args.format)
     payload["family"] = extra
     lines = [f"family: kind={params.kind} m={params.m} p={params.p} s={params.s} a={params.a}"] + lines
     return payload, lines, code
@@ -110,7 +112,7 @@ def _root_subset(args) -> RootSubset:
 def _cmd_shi(args):
     subset = _root_subset(args)
     arr = shi_matrix(subset, args.k)
-    payload, lines, code = _report_payload(arr)
+    payload, lines, code = _report_payload(arr, args.format)
     payload["shi"] = {
         "type": args.type,
         "rank": args.rank,
@@ -125,7 +127,7 @@ def _cmd_shi(args):
 def _cmd_linial(args):
     subset = _root_subset(args)
     arr = linial_matrix(subset, args.n)
-    payload, lines, code = _report_payload(arr)
+    payload, lines, code = _report_payload(arr, args.format)
     payload["linial"] = {
         "type": args.type,
         "rank": args.rank,

@@ -2,11 +2,13 @@
 
 The counter enumerates all of (Z/q)^m and tests every point against every
 hyperplane, so it is independent of the divisor formula and serves as its
-oracle.  Up to ``_NUMPY_CELL_CAP`` points it works on the whole grid at once:
-hyperplanes are grouped by coefficient column mod q, c.z is built as a
-broadcast sum of per-axis residues (entries are reduced mod q in Python
-first, so any entry size is exact), and one table lookup tests every point
-against every offset of the class.  Larger grids fall back to an exact
+oracle.  It works on blocks of consecutive first-coordinate values, each of
+at most ``_NUMPY_CELL_CAP`` points: hyperplanes are grouped by coefficient
+column mod q, c.z is built as a broadcast sum of per-axis residues (entries
+are reduced mod q in Python first, so any entry size is exact), and one
+table lookup tests every point of the block against every offset of the
+class.  Only a grid whose single slice q^(m-1) exceeds the cap, or whose q
+is past 3*10^9 (where c_i * z_i leaves int64), falls back to an exact
 point-by-point loop.  Work is budgeted in point-hyperplane tests (q^m * n
 per call) so failure behavior is deterministic, not time-based.
 """
@@ -31,15 +33,18 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 
-# Above this many grid cells the vectorized path would allocate too much: it
-# holds one int64 grid (c.z) and two bool grids (the live points and one
-# lookup) of q^m cells each, 10 bytes a cell, about 640 MiB at the cap.
+# Most grid cells the vectorized path holds at once: one int64 block (c.z)
+# and two bool blocks (the live points and one lookup), 10 bytes a cell,
+# about 640 MiB at the cap.  Larger grids are counted block by block.
 _NUMPY_CELL_CAP = 1 << 26
 
 _GENERATOR_NAME = "python-random-mt19937"
 
 
 def _count_vectorized(arr: ArrangementInput, q: int) -> int:
+    """Count the grid in blocks of consecutive first-coordinate values, each
+    of at most ``_NUMPY_CELL_CAP`` cells; one slice (one first coordinate)
+    must fit the cap."""
     import numpy as np  # only the brute-force counter needs numpy; keep it off import
 
     m = arr.m
@@ -49,22 +54,27 @@ def _count_vectorized(arr: ArrangementInput, q: int) -> int:
     for j in range(arr.n):
         col = tuple(c % q for c in arr.cmatrix.column(j))
         classes.setdefault(col, set()).add(arr.offsets[j] % q)
-    axis = np.arange(q, dtype=np.int64)
-    alive = np.ones((q,) * m, dtype=bool)
-    for col, offs in classes.items():
-        # c.z over the grid as a broadcast sum of per-axis residues, each
-        # below q, so every value lies in [0, m(q-1)].
-        dot = np.zeros((1,) * m, dtype=np.int64)
-        for i, c in enumerate(col):
-            shape = [1] * m
-            shape[i] = q
-            dot = dot + (c * axis % q).reshape(shape)
-        # off[v] is False exactly when v is congruent to an offset of the class.
-        off = np.ones(m * q, dtype=bool)
-        for b in offs:
-            off[b::q] = False
-        alive &= off[dot]
-    return int(alive.sum())
+    rows = _NUMPY_CELL_CAP // q ** (m - 1)
+    axis = np.arange(q, dtype=np.int64) if m > 1 else None  # the unblocked axes
+    count = 0
+    for first in range(0, q, rows):
+        block = np.arange(first, min(first + rows, q), dtype=np.int64)
+        alive = np.ones((len(block),) + (q,) * (m - 1), dtype=bool)
+        for col, offs in classes.items():
+            # c.z over the block as a broadcast sum of per-axis residues,
+            # each below q, so every value lies in [0, m(q-1)].
+            dot = (col[0] * block % q).reshape((-1,) + (1,) * (m - 1))
+            for i in range(1, m):
+                shape = [1] * m
+                shape[i] = q
+                dot = dot + (col[i] * axis % q).reshape(shape)
+            # off[v] is False exactly when v is congruent to an offset of the class.
+            off = np.ones(m * q, dtype=bool)
+            for b in offs:
+                off[b::q] = False
+            alive &= off[dot]
+        count += int(alive.sum())
+    return count
 
 
 def _count_scalar(arr: ArrangementInput, q: int) -> int:
@@ -87,8 +97,9 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     """Cardinality of the points of (Z/q)^m avoiding every hyperplane.
 
     Cost is charged as q^m * n point tests against ``budget`` before any
-    enumeration starts.  Grids of at most ``_NUMPY_CELL_CAP`` points are
-    counted vectorized, one residue lookup per coefficient class; larger ones
+    enumeration starts.  The grid is counted vectorized, one residue lookup
+    per coefficient class, in blocks of at most ``_NUMPY_CELL_CAP`` points;
+    only when a single slice of q^(m-1) points exceeds the cap is it counted
     point by point.  Both are exact for entries of any size.
     """
     if q < 1:
@@ -98,7 +109,8 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
         raise BudgetExceededError(
             f"counting at q={q} needs {cost} point tests, over the budget of {budget}"
         )
-    if q**arr.m <= _NUMPY_CELL_CAP:
+    # c_i * z_i with both below q must fit int64
+    if q ** (arr.m - 1) <= _NUMPY_CELL_CAP and (q - 1) ** 2 < 1 << 63:
         return _count_vectorized(arr, q)
     return _count_scalar(arr, q)
 

@@ -143,13 +143,15 @@ class QuasiPolynomial:
         return QuasiPolynomial(period=new_period, constituents=reps)
 
     def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "constituents": [
-                {"k": k + 1, "coeffs": poly.to_json_list()}
-                for k, poly in enumerate(self.constituents)
-            ],
-        }
+        """Classes that share one Polynomial object share one coefficient list."""
+        coeffs: dict[int, list[str]] = {}
+        items = []
+        for k, poly in enumerate(self.constituents, 1):
+            listed = coeffs.get(id(poly))
+            if listed is None:
+                listed = coeffs[id(poly)] = poly.to_json_list()
+            items.append({"k": k, "coeffs": listed})
+        return {"period": self.period, "constituents": items}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiPolynomial":

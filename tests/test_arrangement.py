@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     evaluate_terms,
     interpolated_quasi_polynomial,
+    minors_gcd,
     oracle_lcm_period,
     oracle_q_zero,
     totient_summary,
@@ -36,7 +37,16 @@ from qcp import (
     shi_matrix,
 )
 from qcp import arrangement as arrangement_module
-from qcp.arrangement import CONSTITUENT_BUDGET, CollapseReport, _build_term_table
+from qcp.arrangement import (
+    CONSTITUENT_BUDGET,
+    CollapseReport,
+    _build_term_table,
+    _divisor_chain,
+    _extend_determinantal,
+    _minors_gcd,
+    _whole_determinantal,
+)
+from qcp.intlinalg import _smith_divisors
 
 
 def arrangement(columns, offsets):
@@ -293,7 +303,9 @@ def test_walk_period_matches_lcm_period_on_root_deletions(type_tag):
 
 def test_formula_walks_once(monkeypatch):
     # 63 subsets of six distinct central columns: one coefficient reduction
-    # and one Smith form each, and no separate lcm_period walk
+    # each, one Smith form in all (on the whole matrix; the chains come from
+    # determinantal divisors), the minor gcd of each of the 6 + 15 + 20
+    # column sets of size at most 3 once, and no separate lcm_period walk
     arr = arrangement(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)], (0,) * 6
     )
@@ -308,13 +320,117 @@ def test_formula_walks_once(monkeypatch):
 
         monkeypatch.setattr(arrangement_module, name, counted)
 
-    for name in ("lcm_period", "_smith_divisors", "_reduce_against"):
+    for name in ("lcm_period", "_smith_divisors", "_reduce_against", "_minors_gcd"):
         count_calls(name)
     formula = CountingFormula.of(arr)
     assert calls["lcm_period"] == 0
-    assert calls["_smith_divisors"] == 63
+    assert calls["_smith_divisors"] == 1
+    assert calls["_minors_gcd"] == 41
     assert calls["_reduce_against"] == 63
     assert formula.period == formula.minimum_period == 30
+
+
+@st.composite
+def sublattice_columns(draw, m, max_n, bound=2):
+    """Nonzero columns in a proper sublattice of Z^m, some repeated, so that
+    determinantal divisors stay above 1: B.x with B = U.diag.L (U upper and
+    L lower unitriangular, |det B| in {2, 3, 4}), or columns with an even
+    coordinate sum."""
+    entry = st.integers(-bound, bound)
+    vector = st.lists(entry, min_size=m, max_size=m)
+    xs = draw(st.lists(vector, min_size=1, max_size=max_n))
+    if draw(st.booleans()):
+        diag = draw(st.sampled_from([(2,), (3,), (4,), (2, 2)]))
+        diag = (diag + (1,) * m)[:m]
+        upper = [[1 if i == j else draw(entry) if j > i else 0 for j in range(m)]
+                 for i in range(m)]
+        lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(m)]
+                 for i in range(m)]
+        basis = [[sum(upper[i][t] * diag[t] * lower[t][j] for t in range(m))
+                  for j in range(m)] for i in range(m)]
+        cols = [tuple(sum(basis[i][j] * x[j] for j in range(m)) for i in range(m))
+                for x in xs]
+    else:
+        cols = [(x[0] + sum(x) % 2, *x[1:]) for x in xs]
+    cols = [c for c in cols if any(c)] or [(2,) + (0,) * (m - 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        if len(cols) < max_n:
+            cols.append(draw(st.sampled_from(cols)))
+    return draw(st.permutations(cols))
+
+
+@st.composite
+def sublattice_arrangements(draw, max_n=6):
+    m = draw(st.integers(2, 4))
+    cols = draw(sublattice_columns(m, max_n))
+    if draw(st.booleans()):
+        offsets = (0,) * len(cols)
+    else:
+        offsets = draw(st.lists(st.integers(-2, 2), min_size=len(cols), max_size=len(cols)))
+    return arrangement(cols, offsets)
+
+
+# even coordinate sums in Z^4: d_4 stays 2 however many columns join
+EVEN_SUM_4 = arrangement(
+    [(1, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 1, -1), (1, 0, 0, 1)],
+    (0,) * 6,
+)
+
+
+@given(sublattice_arrangements())
+@example(EVEN_SUM_4)
+@example(arrangement(EVEN_SUM_4.cmatrix.columns(), (1, 0, 0, 2, 0, -1)))
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_unpruned_walk_on_sublattices(arr):
+    terms, rho = _build_term_table(arr)
+    assert terms == unpruned_term_table(arr)
+    assert rho == lcm_period(arr.cmatrix)
+
+
+def test_even_sum_determinantal_divisor_stays_two():
+    cols = EVEN_SUM_4.cmatrix.columns()
+
+    def minor_gcd(key):
+        return _minors_gcd([cols[i] for i in key])
+
+    floor = _whole_determinantal(cols, 4)
+    assert floor == (1, 1, 1, 2)
+    for low in (floor, (1,) * 4):
+        chosen, dets = (), (0,) * 4
+        for idx in range(len(cols)):
+            dets = _extend_determinantal(dets, chosen, idx, minor_gcd, low)
+            chosen += (idx,)
+        assert dets == (1, 1, 1, 2)
+        assert _divisor_chain(dets, 4) == (1, 1, 1, 2)
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.one_of(
+    st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any).map(tuple),
+             min_size=1, max_size=8),
+    sublattice_columns(m, 8),
+)))
+@settings(max_examples=40, deadline=None)
+def test_chains_from_determinantal_divisors_match_smith(cols):
+    # every column set, each reached by adding its largest index last, with
+    # the whole matrix's determinantal divisors as floors and with none (1)
+    m = len(cols[0])
+    rows = [[c[i] for c in cols] for i in range(m)]
+    whole = _whole_determinantal(cols, m)
+    assert whole == tuple(minors_gcd(rows, k) for k in range(1, m + 1))
+
+    def minor_gcd(key):
+        return _minors_gcd([cols[i] for i in key])
+
+    for floor in (whole, (1,) * m):
+        stack = [((), (0,) * m)]
+        while stack:
+            chosen, dets = stack.pop()
+            for idx in range(chosen[-1] + 1 if chosen else 0, len(cols)):
+                now = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
+                now_chosen = chosen + (idx,)
+                smith = _smith_divisors([[cols[j][i] for j in now_chosen] for i in range(m)])
+                assert _divisor_chain(now, len(smith)) == tuple(smith)
+                stack.append((now_chosen, now))
 
 
 def test_naive_refuses_wide_input():

@@ -2,6 +2,8 @@
 
 import json
 
+from qcp import ArrangementInput, collapse_report
+from qcp.arrangement import CollapseReport
 from qcp.cli import main
 
 
@@ -130,6 +132,25 @@ def test_text_and_json_numeric_parity(capsys):
     assert f"minimum period: {report['minimum_period']}" in text
     assert f"q0: {report['q0']}" in text
     assert "period collapse: yes" in text
+
+
+def test_report_with_shared_constituents_round_trips(capsys):
+    # lcm period 2991 = 3 * 997, so thousands of classes share a few
+    # constituents and, in the JSON, their coefficient lists
+    argv = ("family", "--kind", "Aprime", "--m", "2", "--p", "3", "--s", "3", "--a", "997")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    report = CollapseReport.from_json_dict(payload["report"])
+    assert report.lcm_period == 2991
+    arr = ArrangementInput.from_json_dict(payload["arrangement"])
+    assert report == collapse_report(arr)
+    code, text = run(capsys, *argv)
+    assert code == 0
+    lines = text.splitlines()
+    classes = [line for line in lines if line.startswith("  k=")]
+    assert len(classes) == 2991
+    assert classes[0] == f"  k=1: {report.quasi_polynomial.constituent_for_class(1)}"
+    assert classes[-1] == f"  k=2991: {report.quasi_polynomial.constituent_for_class(2991)}"
 
 
 def test_validation_errors_exit_one(capsys, tmp_path):

@@ -19,6 +19,7 @@ from qcp import (
     minimum_period,
     q_zero,
 )
+from qcp import oracle as oracle_module
 from qcp.oracle import _count_scalar, _count_vectorized
 
 
@@ -111,6 +112,49 @@ def grouped_arrangements(draw):
 def test_vectorized_matches_scalar_on_grouped_classes(case):
     arr, q = case
     assert _count_vectorized(arr, q) == _count_scalar(arr, q)
+
+
+# columns with a repeat, so one class has two offsets
+_BLOCK_COLUMNS = {
+    1: [(1,), (3,), (3,), (-2,)],
+    2: [(1, 2), (3, -1), (3, -1), (2, 2)],
+    3: [(1, 2, 0), (3, -1, 1), (3, -1, 1), (2, 2, -1)],
+}
+
+
+@pytest.mark.parametrize("m, qs", [(1, range(13, 40)), (2, range(4, 13)), (3, (3,))])
+def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, qs):
+    # with a cap of 12 cells every q here has a grid past the cap but a
+    # slice q^(m-1) within it, so the grid is counted in several blocks
+    monkeypatch.setattr(oracle_module, "_NUMPY_CELL_CAP", 12)
+    arr = arrangement(_BLOCK_COLUMNS[m], (0, 1, -4, 5))
+    expected = {q: _count_scalar(arr, q) for q in qs}
+
+    def no_scalar(*args):
+        raise AssertionError("the point-by-point path ran")
+
+    monkeypatch.setattr(oracle_module, "_count_scalar", no_scalar)
+    for q in qs:
+        assert q**m > 12 >= q ** (m - 1)
+        # the whole grid is still charged, q^m * n point tests, up front
+        assert brute_force_count(arr, q, budget=q**m * 4) == expected[q]
+        with pytest.raises(BudgetExceededError):
+            brute_force_count(arr, q, budget=q**m * 4 - 1)
+
+
+def test_scalar_count_only_past_a_slice(monkeypatch):
+    # m = 3, q = 4: one slice holds 16 cells, past a cap of 12
+    monkeypatch.setattr(oracle_module, "_NUMPY_CELL_CAP", 12)
+    arr = arrangement(_BLOCK_COLUMNS[3], (0, 1, -4, 5))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _count_scalar(*args)
+
+    monkeypatch.setattr(oracle_module, "_count_scalar", counted)
+    assert brute_force_count(arr, 4) == _count_scalar(arr, 4)
+    assert len(calls) == 1
 
 
 def test_count_invariant_under_hyperplane_permutation():
