@@ -204,8 +204,10 @@ def _cmd_verify(args):
     if args.q_window < 1:
         raise ValidationError(f"--q-window must be at least 1, got {args.q_window}")
     arr = _load_arrangement(args.input)
-    threshold = q_zero(arr)
+    # The walk runs under WALK_BUDGET and q_zero under none, so a wide input
+    # stops here, in the walk, before q_zero starts.
     counting = CountingFormula.of(arr)
+    threshold = q_zero(arr)
     results = []
     ok = True
     for q in range(threshold + 1, threshold + args.q_window + 1):

@@ -3,14 +3,18 @@
 The counter enumerates all of (Z/q)^m and tests every point against every
 hyperplane, so it is independent of the divisor formula and serves as its
 oracle.  It works on blocks of consecutive first-coordinate values, each of
-at most ``_NUMPY_CELL_CAP`` points: hyperplanes are grouped by coefficient
-column mod q, c.z is built as a broadcast sum of per-axis residues (entries
-are reduced mod q in Python first, so any entry size is exact), and one
-table lookup tests every point of the block against every offset of the
-class.  Only a grid whose single slice q^(m-1) exceeds the cap, or whose q
-is past 3*10^9 (where c_i * z_i leaves int64), falls back to an exact
-point-by-point loop.  Work is budgeted in point-hyperplane tests (q^m * n
-per call) so failure behavior is deterministic, not time-based.
+at most ``_NUMPY_CELL_CAP`` points.  Hyperplanes are grouped by coefficient
+column mod q (entries are reduced mod q in Python first, so any entry size
+is exact), and each class keeps a bool table of its offsets, read through
+windows: row u is the table shifted by u.  A point's c.z is u + r_last, u
+the partial sum of its residues c_i * z_i mod q over every axis but the
+last, so one lookup ``windows[u][..., r_last]`` tests every point of the
+block against every offset of the class.  No integer array the size of the
+grid is built: u has q^(m-2) entries per first coordinate.  Only a grid
+whose single slice q^(m-1) exceeds the cap, or whose q is past 3*10^9
+(where c_i * z_i leaves int64), falls back to an exact point-by-point loop.
+Work is budgeted in point-hyperplane tests (q^m * n per call) so failure
+behavior is deterministic, not time-based.
 """
 
 from __future__ import annotations
@@ -33,9 +37,13 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 
-# Most grid cells the vectorized path holds at once: one int64 block (c.z)
-# and two bool blocks (the live points and one lookup), 10 bytes a cell,
-# about 640 MiB at the cap.  Larger grids are counted block by block.
+# Most grid cells the vectorized path holds at once.  For m >= 2 a block
+# costs three bool arrays, the live points, one gather of window rows and
+# the lookup, so 3 bytes a cell and about 200 MiB at the cap; the partial
+# sums u add 8/q bytes a cell.  For m = 1 the block's first coordinates and
+# their residues are int64 as well, 18 bytes a cell and about 1.1 GiB at the
+# cap, plus one byte a cell per class for the offset tables, which are q
+# long.  Larger grids are counted block by block.
 _NUMPY_CELL_CAP = 1 << 26
 
 _GENERATOR_NAME = "python-random-mt19937"
@@ -44,7 +52,17 @@ _GENERATOR_NAME = "python-random-mt19937"
 def _count_vectorized(arr: ArrangementInput, q: int) -> int:
     """Count the grid in blocks of consecutive first-coordinate values, each
     of at most ``_NUMPY_CELL_CAP`` cells; one slice (one first coordinate)
-    must fit the cap."""
+    must fit the cap.
+
+    With r_i = c_i * z_i mod q, a point lies on a hyperplane of a class
+    exactly when u + r_last is congruent to one of the class's offsets, u
+    being the partial sum of r_i over every axis but the last.  Row u of the
+    class's windows is its offset table shifted by u, so
+    ``windows[u][..., r_last]`` tests the whole block against every offset
+    of the class.  Only u is held as integers, q^(m-2) of them per first
+    coordinate, so a block costs 3 bytes a cell for m >= 2.  For m = 1 the
+    first axis is the last and its int64 residues make it about 18.
+    """
     import numpy as np  # only the brute-force counter needs numpy; keep it off import
 
     m = arr.m
@@ -54,26 +72,44 @@ def _count_vectorized(arr: ArrangementInput, q: int) -> int:
     for j in range(arr.n):
         col = tuple(c % q for c in arr.cmatrix.column(j))
         classes.setdefault(col, set()).add(arr.offsets[j] % q)
-    rows = _NUMPY_CELL_CAP // q ** (m - 1)
     axis = np.arange(q, dtype=np.int64) if m > 1 else None  # the unblocked axes
+    # An axis whose coefficient is 0 mod q has r_i = 0 at every coordinate;
+    # its residues are this one entry, which broadcasts along the axis.
+    zero = np.zeros(1, dtype=np.int64)
+    tables = []
+    for col, offs in classes.items():
+        # off[v] is False exactly when v is congruent to an offset of the
+        # class; u + r_last lies in [0, m(q-1)], inside its m*q entries.
+        off = np.ones(m * q, dtype=bool)
+        for b in offs:
+            off[b::q] = False
+        off.flags.writeable = False
+        # Row u is off[u : u + q] for u in [0, (m-1)q]: a read-only view
+        # that copies nothing (numpy checks that it stays inside off).
+        windows = np.ndarray(((m - 1) * q + 1, q), dtype=bool, buffer=off, strides=(1, 1))
+        # Entries and coordinates are below q, and brute_force_count admits
+        # only (q - 1)^2 < 2^63, so each product fits int64.
+        residues = [col[i] * axis % q if col[i] else zero for i in range(1, m)]
+        tables.append((col[0], windows, residues))
+    rows = _NUMPY_CELL_CAP // q ** (m - 1)
     count = 0
     for first in range(0, q, rows):
         block = np.arange(first, min(first + rows, q), dtype=np.int64)
+        r0 = np.empty_like(block)  # first-axis residues, one block at a time
         alive = np.ones((len(block),) + (q,) * (m - 1), dtype=bool)
-        for col, offs in classes.items():
-            # c.z over the block as a broadcast sum of per-axis residues,
-            # each below q, so every value lies in [0, m(q-1)].
-            dot = (col[0] * block % q).reshape((-1,) + (1,) * (m - 1))
-            for i in range(1, m):
-                shape = [1] * m
-                shape[i] = q
-                dot = dot + (col[i] * axis % q).reshape(shape)
-            # off[v] is False exactly when v is congruent to an offset of the class.
-            off = np.ones(m * q, dtype=bool)
-            for b in offs:
-                off[b::q] = False
-            alive &= off[dot]
-        count += int(alive.sum())
+        for c0, windows, residues in tables:
+            if c0:
+                np.multiply(block, c0, out=r0)
+                r0 %= q
+            *heads, last = [r0 if c0 else zero] + residues
+            # u over the block and every axis but the last; 0 when m = 1
+            u = 0
+            for i, r in enumerate(heads):
+                shape = [1] * (m - 1)
+                shape[i] = -1
+                u = u + r.reshape(shape)
+            alive &= windows[u][..., last]
+        count += int(np.count_nonzero(alive))
     return count
 
 
@@ -97,9 +133,12 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     """Cardinality of the points of (Z/q)^m avoiding every hyperplane.
 
     Cost is charged as q^m * n point tests against ``budget`` before any
-    enumeration starts.  The grid is counted vectorized, one residue lookup
-    per coefficient class, in blocks of at most ``_NUMPY_CELL_CAP`` points;
-    only when a single slice of q^(m-1) points exceeds the cap is it counted
+    enumeration starts.  The grid is counted vectorized in blocks of at most
+    ``_NUMPY_CELL_CAP`` points: per coefficient class, the partial sums u of
+    the residues c_i * z_i mod q over every axis but the last select shifted
+    windows of the class's offset table, and the last axis's residues index
+    into them, 3 bytes a cell for m >= 2 and about 18 for m = 1.  Only when
+    a single slice of q^(m-1) points exceeds the cap is the grid counted
     point by point.  Both are exact for entries of any size.
     """
     if q < 1:

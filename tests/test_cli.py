@@ -224,6 +224,30 @@ def test_compute_walk_budget_exit_one(capsys, tmp_path, monkeypatch):
     assert "subset walk" in payload["error"]
 
 
+def test_verify_walk_budget_stops_before_q_zero(capsys, tmp_path, monkeypatch):
+    from qcp import arrangement, cli
+
+    # non-central, so q_zero would search its subsets; it has no budget
+    cols = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1),
+            (1, 3), (3, 1), (2, 3), (3, 2), (1, -2), (2, -1)]
+    arr = {"m": 2, "n": 12, "C": [[c[i] for c in cols] for i in range(2)], "b": list(range(12))}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(arr))
+    monkeypatch.setattr(arrangement, "WALK_BUDGET", 50)
+    calls = []
+
+    def spy(arg):
+        calls.append(arg)
+        return arrangement.q_zero(arg)
+
+    monkeypatch.setattr(cli, "q_zero", spy)
+    code, payload = run_json(capsys, "verify", "--input", str(path), "--q-window", "1")
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "subset walk" in payload["error"]
+    assert calls == []
+
+
 def test_compute_rejects_non_integer_entries(capsys, tmp_path):
     # neither 1.9 nor "2" nor true nor 0.5 may be coerced to an integer
     arr = {"m": 1, "n": 2, "C": [[1.9, "2"]], "b": [True, 0.5]}

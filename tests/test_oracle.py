@@ -1,5 +1,7 @@
 """Brute-force counter and randomized central scans."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,14 @@ def grouped_arrangements(draw):
 @given(grouped_arrangements())
 @example((arrangement([(1, 2), (1, 2), (1, 2)], (0, 5, 10)), 5))
 @example((arrangement([(-3,), (2**64 - 3,)], (2**66, 1)), 7))
+@example((arrangement([(1, 2), (3, -1)], (0, 5)), 1))  # q = 1: the grid is one point
+@example((arrangement([(2, 1, 0)], (0,)), 1))
+# one class whose offsets cover every residue, so no point survives
+@example((arrangement([(1, 2), (1, 2), (1, 2)], (0, 1, 5)), 3))
+@example((arrangement([(3, 1), (3, 1), (3, 1), (1, 1)], (0, 1, 2, 0)), 3))
+@example((arrangement([(2,), (2,), (5,)], (0, 1, 0)), 2))
+# coefficients 0 mod q on the first, a middle and the last axis
+@example((arrangement([(7, 1, 14), (1, 0, 7), (3, 7, 2), (1, 1, 1)], (0, 1, 2, 3)), 7))
 @settings(max_examples=150, deadline=None)
 def test_vectorized_matches_scalar_on_grouped_classes(case):
     arr, q = case
@@ -122,11 +132,22 @@ _BLOCK_COLUMNS = {
 }
 
 
-@pytest.mark.parametrize("m, qs", [(1, range(13, 40)), (2, range(4, 13)), (3, (3,))])
-def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, qs):
-    # with a cap of 12 cells every q here has a grid past the cap but a
-    # slice q^(m-1) within it, so the grid is counted in several blocks
-    monkeypatch.setattr(oracle_module, "_NUMPY_CELL_CAP", 12)
+@pytest.mark.parametrize(
+    "m, cap, qs",
+    [
+        (1, 12, range(13, 40)),
+        (2, 12, range(4, 13)),
+        (3, 12, (3,)),
+        # m = 3 in blocks of 2, 2, 2 and 1, and of 2 and 1 first coordinates
+        (3, 98, (7,)),
+        (3, 20, (3,)),
+    ],
+    ids=["1-qs0", "2-qs1", "3-qs2", "3-qs3", "3-qs4"],  # m and the q range, as listed
+)
+def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, cap, qs):
+    # every q here has a grid past the cap but a slice q^(m-1) within it,
+    # so the grid is counted in several blocks
+    monkeypatch.setattr(oracle_module, "_NUMPY_CELL_CAP", cap)
     arr = arrangement(_BLOCK_COLUMNS[m], (0, 1, -4, 5))
     expected = {q: _count_scalar(arr, q) for q in qs}
 
@@ -135,11 +156,29 @@ def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, qs):
 
     monkeypatch.setattr(oracle_module, "_count_scalar", no_scalar)
     for q in qs:
-        assert q**m > 12 >= q ** (m - 1)
+        assert q**m > cap >= q ** (m - 1)
         # the whole grid is still charged, q^m * n point tests, up front
         assert brute_force_count(arr, q, budget=q**m * 4) == expected[q]
         with pytest.raises(BudgetExceededError):
             brute_force_count(arr, q, budget=q**m * 4 - 1)
+
+
+@pytest.mark.parametrize("m, q, bytes_per_cell", [(2, 400, 5), (3, 40, 5), (1, 1 << 16, 34.1)])
+def test_vectorized_count_peak_memory_per_cell(m, q, bytes_per_cell):
+    # numpy reports its allocations to tracemalloc, so the traced peak covers
+    # every array the count builds.  For m >= 2 a block holds three bool
+    # arrays and u, about 3.2 bytes a cell here; an int64 c.z over the grid
+    # alone would be 8.  For m = 1 the first-axis residues are int64 and the
+    # count reads 21 bytes a cell; building c.z over the grid read 34.0.
+    arr = arrangement(_BLOCK_COLUMNS[m], (0, 1, -4, 5))
+    _count_vectorized(arr, 5)  # the first call imports numpy; keep that out of the peak
+    tracemalloc.start()
+    try:
+        _count_vectorized(arr, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / q**m <= bytes_per_cell
 
 
 def test_scalar_count_only_past_a_slice(monkeypatch):
