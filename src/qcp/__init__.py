@@ -16,7 +16,6 @@ from .arrangement import (
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
-    divisor_formula_count_naive,
     lcm_period,
     q_zero,
 )
@@ -40,7 +39,6 @@ from .quasipoly import (
     Polynomial,
     QuasiPolynomial,
     has_gcd_property,
-    interpolate_constituents,
     minimum_period,
 )
 from .rootsys import (
@@ -80,13 +78,11 @@ __all__ = [
     "correction_term",
     "coxeter_number",
     "divisor_formula_count",
-    "divisor_formula_count_naive",
     "ehrhart_form_A",
     "family_matrix",
     "generate_central_inputs",
     "has_gcd_property",
     "integer_rank",
-    "interpolate_constituents",
     "lcm_period",
     "linial_matrix",
     "minimum_period",

@@ -57,7 +57,10 @@ tests use it as the oracle for the walk's value.
 
 CountingFormula expands every term into integer weights on divisibility
 indicators [D | q]; the value at any q, every constituent and the minimum
-period are read off those weights.
+period are read off those weights.  Every modulus D divides the lcm period,
+so [D | k] = [D | gcd(k, period)] and a constituent depends on its class k
+only through gcd(k, period): the gcd property holds by construction, and
+collapse_report states it without comparing constituents.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from math import gcd, lcm, prod
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .intlinalg import IntMatrix, _smith_divisors, gcd_all
-from .quasipoly import Polynomial, QuasiPolynomial, has_gcd_property
+from .quasipoly import Polynomial, QuasiPolynomial
 
 __all__ = [
     "ArrangementInput",
@@ -77,7 +80,6 @@ __all__ = [
     "lcm_period",
     "q_zero",
     "divisor_formula_count",
-    "divisor_formula_count_naive",
     "characteristic_quasi_polynomial",
     "characteristic_polynomial",
     "collapse_report",
@@ -91,9 +93,6 @@ CONSTITUENT_BUDGET = 100_000
 
 # Most column subsets the term-table walk may offer, kept or pruned.
 WALK_BUDGET = 200_000
-
-# Naive subset enumeration is quadratic-exponential; refuse past this width.
-NAIVE_COLUMN_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,6 @@ class ArrangementInput:
     @property
     def is_central(self) -> bool:
         return not any(self.offsets)
-
-    def stacked(self) -> IntMatrix:
-        """The (m+1) x n matrix with the offsets appended as a last row."""
-        return self.cmatrix.with_extra_row(self.offsets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -726,44 +721,6 @@ def divisor_formula_count(arr: ArrangementInput, q: int) -> int:
     return CountingFormula.of(arr).count(q)
 
 
-def divisor_formula_count_naive(arr: ArrangementInput, q: int) -> int:
-    """Reference evaluation over all 2^n - 1 column subsets, no grouping.
-
-    Kept as an independent cross-check of the grouped enumerator; refuses
-    inputs wider than NAIVE_COLUMN_LIMIT columns.
-    """
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
-    n = arr.n
-    if n > NAIVE_COLUMN_LIMIT:
-        raise BudgetExceededError(
-            f"naive enumeration over 2^{n} subsets exceeds the limit of "
-            f"{NAIVE_COLUMN_LIMIT} columns"
-        )
-    m = arr.m
-    cols = [(arr.cmatrix.column(j), arr.offsets[j]) for j in range(n)]
-    total = q**m
-    for mask in range(1, 1 << n):
-        sub = [cols[j] for j in range(n) if mask >> j & 1]
-        crows = [[c[i] for c, _ in sub] for i in range(m)]
-        arows = [list(r) for r in crows] + [[b for _, b in sub]]
-        es = _smith_divisors(crows)
-        eps = _smith_divisors(arows)
-        if len(es) != len(eps):
-            continue
-        prod = 1
-        for e, ep in zip(es, eps):
-            g = gcd(e, q)
-            if g != gcd(ep, q):
-                prod = 0
-                break
-            prod *= g
-        if prod:
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            total += sign * prod * q ** (m - len(es))
-    return total
-
-
 def characteristic_quasi_polynomial(arr: ArrangementInput) -> QuasiPolynomial:
     """The counting quasi-polynomial, one exact constituent per residue class.
 
@@ -790,7 +747,7 @@ def collapse_report(arr: ArrangementInput) -> CollapseReport:
         minimum_period=minp,
         collapse=minp < formula.period,
         q0=q_zero(arr),
-        gcd_property=has_gcd_property(qp),
+        gcd_property=True,  # by construction: one constituent per gcd(k, period)
         quasi_polynomial=qp,
     )
 

@@ -102,39 +102,24 @@ def _parse_root_csv(text: str) -> tuple[int, ...]:
         raise ValidationError(f"--exclude-root expects comma-separated integers: {exc}") from exc
 
 
-def _root_subset(args) -> RootSubset:
+def _cmd_root_arrangement(args):
+    """``shi`` or ``linial``: ``args.builder`` makes the arrangement from the
+    root subset and ``args.param`` ("k" or "n") names its parameter."""
     system = positive_roots(args.type, args.rank)
     if args.exclude_root is None:
-        return RootSubset.full(system)
-    return RootSubset.excluding(system, _parse_root_csv(args.exclude_root))
-
-
-def _cmd_shi(args):
-    subset = _root_subset(args)
-    arr = shi_matrix(subset, args.k)
-    payload, lines, code = _report_payload(arr, args.format)
-    payload["shi"] = {
+        excluded, subset = None, RootSubset.full(system)
+    else:
+        excluded = _parse_root_csv(args.exclude_root)
+        subset = RootSubset.excluding(system, excluded)
+    value = getattr(args, args.param)
+    payload, lines, code = _report_payload(args.builder(subset, value), args.format)
+    payload[args.command] = {
         "type": args.type,
         "rank": args.rank,
-        "k": args.k,
-        "excluded_root": list(_parse_root_csv(args.exclude_root)) if args.exclude_root else None,
+        args.param: value,
+        "excluded_root": None if excluded is None else list(excluded),
     }
-    lines = [f"shi: type={args.type} rank={args.rank} k={args.k} "
-             f"excluded={args.exclude_root or '-'}"] + lines
-    return payload, lines, code
-
-
-def _cmd_linial(args):
-    subset = _root_subset(args)
-    arr = linial_matrix(subset, args.n)
-    payload, lines, code = _report_payload(arr, args.format)
-    payload["linial"] = {
-        "type": args.type,
-        "rank": args.rank,
-        "n": args.n,
-        "excluded_root": list(_parse_root_csv(args.exclude_root)) if args.exclude_root else None,
-    }
-    lines = [f"linial: type={args.type} rank={args.rank} n={args.n} "
+    lines = [f"{args.command}: type={args.type} rank={args.rank} {args.param}={value} "
              f"excluded={args.exclude_root or '-'}"] + lines
     return payload, lines, code
 
@@ -164,22 +149,21 @@ def _cmd_conjecture_scan(args):
     system = positive_roots(args.type, args.rank)
     rows = []
     all_consistent = True
-    for idx, root in enumerate(system.positive_roots):
-        subset = RootSubset(
-            parent=system,
-            included=tuple(i for i in range(len(system.positive_roots)) if i != idx),
-        )
+    for root in system.positive_roots:
+        subset = RootSubset.excluding(system, root)
         for k in range(1, args.k + 1):
-            report = collapse_report(shi_matrix(subset, k))
-            consistent = report.minimum_period == 1 or report.collapse
+            # periods and collapse flag only: no q0 and no constituents
+            formula = CountingFormula.of(shi_matrix(subset, k))
+            collapse = formula.minimum_period < formula.period
+            consistent = formula.minimum_period == 1 or collapse
             all_consistent = all_consistent and consistent
             rows.append(
                 {
                     "excluded_root": list(root),
                     "k": k,
-                    "lcm_period": report.lcm_period,
-                    "minimum_period": report.minimum_period,
-                    "collapse": report.collapse,
+                    "lcm_period": formula.period,
+                    "minimum_period": formula.minimum_period,
+                    "collapse": collapse,
                     "consistent": consistent,
                 }
             )
@@ -267,7 +251,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--exclude-root", default=None,
                    help="comma-separated coefficients of one positive root to drop")
     _add_format(p)
-    p.set_defaults(handler=_cmd_shi)
+    p.set_defaults(handler=_cmd_root_arrangement, builder=shi_matrix, param="k")
 
     p = subs.add_parser("linial",
                         help="extended Linial arrangement of a root subset")
@@ -276,7 +260,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exclude-root", default=None)
     _add_format(p)
-    p.set_defaults(handler=_cmd_linial)
+    p.set_defaults(handler=_cmd_root_arrangement, builder=linial_matrix, param="n")
 
     p = subs.add_parser("scan-central",
                         help="randomized minimum-vs-lcm period scan on central input")

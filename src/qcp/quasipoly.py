@@ -4,21 +4,23 @@ A quasi-polynomial of period ``rho`` is a list of ``rho`` polynomials
 f^1, ..., f^rho; its value at a positive integer q is f^k(q) where k is the
 residue class of q, with classes numbered 1..rho and class rho standing for
 q divisible by rho.
+
+``CountingFormula`` (arrangement.py) builds constituents in closed form.  No
+command calls ``minimum_period`` or ``has_gcd_property``: they compare
+constituents class by class, to audit what the formula builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import ValidationError
 from .intlinalg import divisors_of
 
 __all__ = [
     "Polynomial",
     "QuasiPolynomial",
-    "interpolate_constituents",
     "minimum_period",
     "has_gcd_property",
 ]
@@ -171,86 +173,6 @@ class QuasiPolynomial:
                 Polynomial.from_json_list(by_class[k]) for k in range(1, period + 1)
             ),
         )
-
-
-def _lagrange_coeffs(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Exact coefficients (constant first) of the interpolating polynomial."""
-    n = len(points)
-    acc = [Fraction(0)] * n
-    for i, (qi, vi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, (qj, _) in enumerate(points):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                shifted[d] -= c * qj
-                shifted[d + 1] += c
-            basis = shifted
-            denom *= qi - qj
-        scale = Fraction(vi, denom)
-        for d, c in enumerate(basis):
-            acc[d] += c * scale
-    return acc
-
-
-def interpolate_constituents(samples, expected_degree: int) -> QuasiPolynomial:
-    """Reconstruct a quasi-polynomial from per-class samples.
-
-    ``samples`` maps each residue class k in 1..rho (rho = number of keys) to
-    at least ``expected_degree + 1`` pairs (q, value) with q ≡ k mod rho and
-    pairwise distinct q.  The first ``expected_degree + 1`` points of each
-    class (in increasing q) determine the constituent; any further points act
-    as holdouts and must match it exactly.
-
-    Raises
-    ------
-    InternalConsistencyError
-        If a constituent is not integral or a holdout sample disagrees.
-    ValidationError
-        If the sample map is malformed or underdetermined.
-    """
-    if expected_degree < 0:
-        raise ValidationError("expected_degree must be nonnegative")
-    rho = len(samples)
-    if rho < 1:
-        raise ValidationError("need samples for at least one residue class")
-    if sorted(samples) != list(range(1, rho + 1)):
-        raise ValidationError("sample classes must be exactly 1..rho")
-
-    constituents = []
-    for k in range(1, rho + 1):
-        pts = sorted((int(q), int(v)) for q, v in samples[k])
-        if len(pts) < expected_degree + 1:
-            raise ValidationError(
-                f"class {k}: need at least {expected_degree + 1} samples, got {len(pts)}"
-            )
-        qs = [q for q, _ in pts]
-        if len(set(qs)) != len(qs):
-            raise ValidationError(f"class {k}: sample points must be pairwise distinct")
-        for q in qs:
-            if q < 1 or q % rho != k % rho:
-                raise ValidationError(f"class {k}: sample point {q} not in the class")
-        base = pts[: expected_degree + 1]
-        frac = _lagrange_coeffs(base)
-        ints = []
-        for c in frac:
-            if c.denominator != 1:
-                raise InternalConsistencyError(
-                    f"constituent not integral: class {k} yields coefficient {c}"
-                )
-            ints.append(int(c))
-        poly = Polynomial(tuple(ints))
-        for q, v in pts[expected_degree + 1 :]:
-            got = poly.evaluate(q)
-            if got != v:
-                raise InternalConsistencyError(
-                    f"holdout sample mismatch: class {k} at q={q}: "
-                    f"interpolant gives {got}, sample says {v}"
-                )
-        constituents.append(poly)
-    return QuasiPolynomial(period=rho, constituents=tuple(constituents))
 
 
 def minimum_period(qp: QuasiPolynomial) -> int:

@@ -74,7 +74,11 @@ class RootSystem:
         return 1 + sum(self.highest_root_coeffs)
 
     def index_of(self, coeffs) -> int:
-        coeffs = tuple(int(c) for c in coeffs)
+        """Position of a positive root given by its integer coefficients;
+        entries are never coerced, so floats, strings and bools are rejected."""
+        coeffs = tuple(coeffs)
+        if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
+            raise ValidationError(f"root coefficients must be integers, got {coeffs!r}")
         try:
             return self.positive_roots.index(coeffs)
         except ValueError:
@@ -186,6 +190,8 @@ def positive_roots(type_tag: str, rank: int) -> RootSystem:
     """Root system data for the requested type and rank."""
     if type_tag not in ROOT_TYPES:
         raise ValidationError(f"type must be one of {ROOT_TYPES}, got {type_tag!r}")
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValidationError(f"rank must be an integer, got {rank!r}")
     if type_tag == "G2":
         if rank != 2:
             raise ValidationError("G2 requires rank 2")

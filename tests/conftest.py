@@ -6,20 +6,26 @@ full minor sets, and subset quantities from complete enumeration.  They are
 slow and only used on small inputs.
 
 The second group checks the read-off of CountingFormula.  It starts from the
-library's term table or its naive enumerator, but shares nothing with the
-read-off: terms are evaluated as gcd products, expanded with the totient
-identity, or sampled and interpolated.
+library's term table or from ``divisor_formula_count_naive``, but shares
+nothing with the read-off: terms are evaluated as gcd products, expanded
+with the totient identity, or sampled and interpolated exactly by
+``interpolate_constituents``.  The naive enumerator and the interpolator
+live here, not in qcp: no command runs them, and they stay as oracles.
 
 ``unpruned_term_table`` checks the pruned subset walk: it offers every
 grouped subset, rank jumps included, and runs both Smith forms on each.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from qcp import (
-    divisor_formula_count_naive,
-    interpolate_constituents,
+    BudgetExceededError,
+    InternalConsistencyError,
+    Polynomial,
+    QuasiPolynomial,
+    ValidationError,
     lcm_period,
     q_zero,
 )
@@ -151,6 +157,119 @@ def totient_summary(arr) -> tuple[int, int]:
             if w:
                 minp = minp // gcd(minp, dmod) * dmod
     return rho, minp
+
+
+# Naive subset enumeration is quadratic-exponential; refuse past this width.
+NAIVE_COLUMN_LIMIT = 20
+
+
+def divisor_formula_count_naive(arr, q: int) -> int:
+    """The counting formula at q >= 1 over all 2^n - 1 column subsets, with
+    no grouping and both Smith forms run on every subset; refuses inputs
+    wider than NAIVE_COLUMN_LIMIT columns."""
+    if q < 1:
+        raise ValidationError("q must be a positive integer")
+    n = arr.n
+    if n > NAIVE_COLUMN_LIMIT:
+        raise BudgetExceededError(
+            f"naive enumeration over 2^{n} subsets exceeds the limit of "
+            f"{NAIVE_COLUMN_LIMIT} columns"
+        )
+    m = arr.m
+    cols = [(arr.cmatrix.column(j), arr.offsets[j]) for j in range(n)]
+    total = q**m
+    for mask in range(1, 1 << n):
+        sub = [cols[j] for j in range(n) if mask >> j & 1]
+        crows = [[c[i] for c, _ in sub] for i in range(m)]
+        arows = [list(r) for r in crows] + [[b for _, b in sub]]
+        es = _smith_divisors(crows)
+        eps = _smith_divisors(arows)
+        if len(es) != len(eps):
+            continue
+        prod = 1
+        for e, ep in zip(es, eps):
+            g = gcd(e, q)
+            if g != gcd(ep, q):
+                prod = 0
+                break
+            prod *= g
+        if prod:
+            sign = -1 if bin(mask).count("1") % 2 else 1
+            total += sign * prod * q ** (m - len(es))
+    return total
+
+
+def _lagrange_coeffs(points) -> list:
+    """Exact coefficients (constant first) of the interpolating polynomial."""
+    n = len(points)
+    acc = [Fraction(0)] * n
+    for i, (qi, vi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = 1
+        for j, (qj, _) in enumerate(points):
+            if j == i:
+                continue
+            shifted = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                shifted[d] -= c * qj
+                shifted[d + 1] += c
+            basis = shifted
+            denom *= qi - qj
+        scale = Fraction(vi, denom)
+        for d, c in enumerate(basis):
+            acc[d] += c * scale
+    return acc
+
+
+def interpolate_constituents(samples, expected_degree: int):
+    """Reconstruct a quasi-polynomial from per-class samples.
+
+    ``samples`` maps each residue class k in 1..rho (rho = number of keys) to
+    at least ``expected_degree + 1`` pairs (q, value) with q ≡ k mod rho and
+    pairwise distinct q.  The first ``expected_degree + 1`` points of each
+    class (in increasing q) determine the constituent; any further points act
+    as holdouts and must match it exactly.  Raises InternalConsistencyError
+    when a constituent is not integral or a holdout disagrees, and
+    ValidationError when the sample map is malformed or underdetermined.
+    """
+    if expected_degree < 0:
+        raise ValidationError("expected_degree must be nonnegative")
+    rho = len(samples)
+    if rho < 1:
+        raise ValidationError("need samples for at least one residue class")
+    if sorted(samples) != list(range(1, rho + 1)):
+        raise ValidationError("sample classes must be exactly 1..rho")
+
+    constituents = []
+    for k in range(1, rho + 1):
+        pts = sorted((int(q), int(v)) for q, v in samples[k])
+        if len(pts) < expected_degree + 1:
+            raise ValidationError(
+                f"class {k}: need at least {expected_degree + 1} samples, got {len(pts)}"
+            )
+        qs = [q for q, _ in pts]
+        if len(set(qs)) != len(qs):
+            raise ValidationError(f"class {k}: sample points must be pairwise distinct")
+        for q in qs:
+            if q < 1 or q % rho != k % rho:
+                raise ValidationError(f"class {k}: sample point {q} not in the class")
+        ints = []
+        for c in _lagrange_coeffs(pts[: expected_degree + 1]):
+            if c.denominator != 1:
+                raise InternalConsistencyError(
+                    f"constituent not integral: class {k} yields coefficient {c}"
+                )
+            ints.append(int(c))
+        poly = Polynomial(tuple(ints))
+        for q, v in pts[expected_degree + 1 :]:
+            got = poly.evaluate(q)
+            if got != v:
+                raise InternalConsistencyError(
+                    f"holdout sample mismatch: class {k} at q={q}: "
+                    f"interpolant gives {got}, sample says {v}"
+                )
+        constituents.append(poly)
+    return QuasiPolynomial(period=rho, constituents=tuple(constituents))
 
 
 def interpolated_quasi_polynomial(arr):

@@ -13,6 +13,7 @@ from math import comb, gcd
 
 import pytest
 
+from conftest import divisor_formula_count_naive
 from qcp import (
     ArrangementInput,
     CountingFormula,
@@ -25,7 +26,6 @@ from qcp import (
     closed_form_A,
     collapse_report,
     divisor_formula_count,
-    divisor_formula_count_naive,
     ehrhart_form_A,
     family_matrix,
     generate_central_inputs,

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    divisor_formula_count_naive,
     evaluate_terms,
     interpolated_quasi_polynomial,
     minors_gcd,
@@ -28,7 +29,6 @@ from qcp import (
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
-    divisor_formula_count_naive,
     lcm_period,
     linial_matrix,
     minimum_period,
@@ -437,6 +437,23 @@ def test_naive_refuses_wide_input():
     wide = arrangement([(1,)] * 21, tuple(range(21)))
     with pytest.raises(BudgetExceededError):
         divisor_formula_count_naive(wide, 3)
+
+
+def test_report_gcd_flag_holds_by_construction(monkeypatch):
+    from qcp import quasipoly
+
+    audit = quasipoly.has_gcd_property
+
+    def boom(qp):
+        raise RuntimeError("collapse_report must not audit its own construction")
+
+    monkeypatch.setattr(quasipoly, "has_gcd_property", boom)
+    monkeypatch.setattr(arrangement_module, "has_gcd_property", boom, raising=False)
+    for arr in (FAMILY_A_122, FAMILY_D_222, arrangement([(1, 2), (2, 1)], (3, 0))):
+        report = collapse_report(arr)
+        assert report.gcd_property is True
+        assert report.to_json_dict()["gcd_property"] is True
+        assert audit(report.quasi_polynomial)
 
 
 def test_quasi_polynomial_family_a_122():

@@ -2,7 +2,9 @@
 
 import json
 
-from qcp import ArrangementInput, collapse_report
+import pytest
+
+from qcp import ArrangementInput, RootSubset, collapse_report, positive_roots, shi_matrix
 from qcp.arrangement import CollapseReport
 from qcp.cli import main
 
@@ -92,6 +94,38 @@ def test_conjecture_scan_subcommand(capsys):
     assert code == 0
     assert len(payload["rows"]) == 4
     assert payload["all_consistent"] is True
+
+
+@pytest.mark.parametrize("type_tag", ["G2", "B"])
+def test_conjecture_scan_needs_no_q0_and_no_constituents(capsys, monkeypatch, type_tag):
+    from qcp import arrangement, cli
+
+    system = positive_roots(type_tag, 2)
+    expected = []
+    for root in system.positive_roots:
+        for k in (1, 2):
+            report = collapse_report(shi_matrix(RootSubset.excluding(system, root), k))
+            expected.append({
+                "excluded_root": list(root),
+                "k": k,
+                "lcm_period": report.lcm_period,
+                "minimum_period": report.minimum_period,
+                "collapse": report.collapse,
+                "consistent": report.minimum_period == 1 or report.collapse,
+            })
+
+    def boom(*args):
+        raise RuntimeError("conjecture-scan prints neither q0 nor constituents")
+
+    monkeypatch.setattr(arrangement, "q_zero", boom)
+    monkeypatch.setattr(cli, "q_zero", boom)
+    monkeypatch.setattr(arrangement.CountingFormula, "quasi_polynomial", boom)
+    code, payload = run_json(
+        capsys, "conjecture-scan", "--type", type_tag, "--rank", "2", "--k", "2"
+    )
+    assert code == 0
+    assert payload["rows"] == expected
+    assert payload["all_consistent"] is all(row["consistent"] for row in expected)
 
 
 def test_verify_subcommand_passes(capsys, tmp_path):

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interpolate_constituents
 from qcp import (
     InternalConsistencyError,
     Polynomial,
     QuasiPolynomial,
     ValidationError,
     has_gcd_property,
-    interpolate_constituents,
     minimum_period,
 )
 

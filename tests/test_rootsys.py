@@ -114,6 +114,22 @@ def test_subset_construction():
         RootSubset(parent=system, included=(9,))
 
 
+@pytest.mark.parametrize("coeffs", [(1.9, 0.2), ("1", "0"), (True, False), (1.0, 0)])
+def test_root_coefficients_are_never_coerced(coeffs):
+    # int() would turn each of these into (1, 0) and drop that root silently
+    g2 = positive_roots("G2", 2)
+    with pytest.raises(ValidationError, match="integers"):
+        RootSubset.excluding(g2, coeffs)
+    with pytest.raises(ValidationError, match="integers"):
+        g2.index_of(coeffs)
+
+
+@pytest.mark.parametrize("rank", [True, 2.0, "2"])
+def test_rank_is_never_coerced(rank):
+    with pytest.raises(ValidationError, match="rank must be an integer"):
+        positive_roots("A", rank)
+
+
 def test_shi_matrix_shapes():
     b2 = positive_roots("B", 2)
     arr = shi_matrix(RootSubset.full(b2), 1)
