@@ -36,11 +36,15 @@ determinant, memoised per walk).  The d_k of the whole coefficient matrix
 divides every d_k of C_J, so once d_k reaches it (1 in the common case) it
 is skipped.  The chain is e_k = d_k / d_(k-1).  Smith runs once on the
 whole coefficient matrix, for those floors, and on A_J once per consistent
-offset choice with a nonzero offset (when the chosen offsets are zero the
-stacked chain is the coefficient one, and the stacked reduction too).
-Every subset the walk offers, kept or pruned, is charged to WALK_BUDGET;
-past it the walk raises BudgetExceededError.  A central arrangement has no
-rank jumps, so the budget is what stops a wide one.
+offset choice with a nonzero offset.  When the chosen offsets are all zero
+the stacked chain is the coefficient one, and the stacked basis is the
+coefficient basis with a trailing 0, built only when a nonzero offset
+joins.  Once the coefficient basis has m rows every further class is
+dependent and is not reduced; only its stacked column is, since stacked
+rank m + 1 is a rank jump.  Every subset the walk offers, kept or pruned,
+is charged to WALK_BUDGET; past it the walk raises BudgetExceededError.  A
+central arrangement has no rank jumps, so the budget is what stops a wide
+one.
 
 The lcm period needs Smith forms of bases only (the basis lemma).  For
 independent column sets I within J, the torsion of I's lattice embeds in
@@ -273,9 +277,19 @@ def _det(rows) -> int:
 
 def _minors_gcd(cols) -> int:
     """gcd of all k x k minors of the matrix whose k columns are ``cols``
-    (0 when they are dependent)."""
+    (0 when they are dependent).  One column gives the gcd of its entries
+    and two the gcd of their 2 x 2 minors, with no matrix built."""
     k = len(cols)
+    if k == 1:
+        return gcd(*cols[0])
     g = 0
+    if k == 2:
+        u, v = cols
+        for i, j in combinations(range(len(u)), 2):
+            g = gcd(g, u[i] * v[j] - u[j] * v[i])
+            if g == 1:
+                break
+        return g
     for rows in combinations(range(len(cols[0])), k):
         g = gcd(g, _det([[c[i] for c in cols] for i in rows]))
         if g == 1:
@@ -446,22 +460,29 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     columns deduplicated.
 
     The walk is an iterative depth-first search over sets of column classes
-    that prunes rank jumps (see the module docstring).  A node is a set of
-    classes with its live offset choices, those whose stacked system is
-    consistent, each carrying an echelon basis of its stacked columns; the
-    coefficient columns carry one basis and the determinantal divisors
-    d_1..d_m of C_J, shared by every choice.  When class c joins, d_k
-    becomes gcd(d_k, g(K + c)) over the (k-1)-subsets K of the chosen
-    classes, skipped once d_k reaches the d_k of the whole coefficient
-    matrix (one Smith form per walk); g, the gcd of the full-size minors of
-    a class set, is memoised for the walk.  The chain of C_J is
-    e_k = d_k / d_(k-1), and the echelon rank must equal the number of
-    nonzero d_k.  Past the whole matrix, Smith runs only on the stacked
-    matrix of a choice with a nonzero offset, whose minors depend on the
-    offsets.  For a choice whose
-    offsets are all zero, adding offset 0 reduces the stacked column exactly
-    as the coefficient column, with a trailing 0, so that reduction is
-    reused, and the stacked chain is the coefficient one.
+    that prunes rank jumps (see the module docstring).  A node is a tuple of
+    class indices with its live offset choices, those whose stacked system
+    is consistent, each carrying an echelon basis of its stacked columns;
+    the coefficient columns carry one basis and the determinantal divisors
+    d_1..d_m of C_J, shared by every choice.  Once that basis has m rows it
+    spans, so a joining class is dependent without a reduction; its stacked
+    column still reduces, since stacked rank m + 1 is the rank jump that
+    prunes.  When class c joins, d_k becomes gcd(d_k, g(K + c)) over the
+    (k-1)-subsets K of the chosen classes, skipped once d_k reaches the d_k
+    of the whole coefficient matrix (one Smith form per walk); g, the gcd of
+    the full-size minors of a class set, is memoised for the walk.  The
+    chain of C_J is e_k = d_k / d_(k-1), and the echelon rank must equal the
+    number of nonzero d_k.  Past the whole matrix, Smith runs only on the
+    stacked matrix of a choice with a nonzero offset, whose minors depend on
+    the offsets; its rows come from the node's class indices.
+
+    A node has at most one choice whose offsets are all zero, and it stores
+    no stacked basis (None): that basis is the coefficient one with a
+    trailing 0, so adding offset 0 keeps it so, no rank jump can occur, and
+    its stacked chain is the coefficient one, giving the term key
+    (r, ((e, e) for e != 1)).  Only when a nonzero offset joins that choice
+    is its stacked basis built, once per node, from the node's own
+    coefficient basis.
 
     The lcm period is the lcm of the largest divisor e_r = d_r / d_(r-1) of
     C_J over every class set J the walk keeps.  That is exact: every class
@@ -485,24 +506,27 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
         else:
             index[c] = len(classes)
             classes.append((c, [b]))
+    cols = [c for c, _ in classes]
 
-    floor = _whole_determinantal([c for c, _ in classes], m)
+    floor = _whole_determinantal(cols, m)
     memo: dict[tuple[int, ...], int] = {}
 
     def minor_gcd(key: tuple[int, ...]) -> int:
         g = memo.get(key)
         if g is None:
-            g = memo[key] = _minors_gcd([classes[i][0] for i in key])
+            g = memo[key] = _minors_gcd([cols[i] for i in key])
         return g
 
     terms: dict = {}
     rho = 1
     offered = 0
-    # (first class to add, coefficient basis, chosen classes, their columns,
-    #  determinantal divisors of C_J, live choices as (offsets, stacked basis))
-    stack = [(0, [], (), [], (0,) * m, [((), [])])]
+    # (first class to add, coefficient basis, chosen class indices,
+    #  determinantal divisors of C_J, live choices as (offsets, stacked
+    #  basis), the basis None for the choice whose offsets are all zero)
+    stack = [(0, [], (), (0,) * m, [((), None)])]
     while stack:
-        start, c_basis, chosen, ccols, dets, live = stack.pop()
+        start, c_basis, chosen, dets, live = stack.pop()
+        zero_basis = None  # the all-zero choice's stacked basis, built on demand
         for idx in range(start, len(classes)):
             cvec, bs = classes[idx]
             offered += len(live) * len(bs)
@@ -511,40 +535,46 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
                     f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} "
                     f"column subsets"
                 )
-            c_red = _reduce_against(c_basis, cvec)
+            c_red = None if len(c_basis) == m else _reduce_against(c_basis, cvec)
             kept = []
             for offs, a_basis in live:
                 for b in bs:
-                    if b == 0 and not any(offs):
-                        a_red = None if c_red is None else (c_red[0], c_red[1] + (0,))
+                    if a_basis is None:
+                        if b == 0:  # still all zero, so no rank jump
+                            kept.append((offs + (0,), None))
+                            continue
+                        if zero_basis is None:
+                            zero_basis = [(piv, row + (0,)) for piv, row in c_basis]
+                        stacked = zero_basis
                     else:
-                        a_red = _reduce_against(a_basis, cvec + (b,))
+                        stacked = a_basis
+                    a_red = _reduce_against(stacked, cvec + (b,))
                     if a_red is None:
-                        kept.append((offs + (b,), a_basis))
+                        kept.append((offs + (b,), stacked))
                     elif c_red is not None:
-                        kept.append((offs + (b,), a_basis + [a_red]))
+                        kept.append((offs + (b,), stacked + [a_red]))
                     # else: rank jump, the subtree is dropped
             if not kept:
                 continue
             now_basis = c_basis if c_red is None else c_basis + [c_red]
             now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
             es = _divisor_chain(now_dets, len(now_basis))
-            now = ccols + [cvec]
+            now = chosen + (idx,)
             rho = lcm(rho, es[-1])
             sign = -1 if len(now) % 2 else 1
-            for offs, _ in kept:
-                if any(offs):
-                    rows = [[c[i] for c in now] for i in range(m)] + [list(offs)]
-                    eps = _smith_divisors(rows)
+            for offs, a_basis in kept:
+                if a_basis is None:
+                    key = (len(es), tuple((e, e) for e in es if e != 1))
                 else:
-                    eps = es  # a zero row leaves the Smith form unchanged
-                if len(eps) != len(es):
-                    raise InternalConsistencyError(
-                        "subset walk reached a subset with a rank jump"
-                    )
-                key = (len(es), tuple(p for p in zip(es, eps) if p != (1, 1)))
+                    rows = [[cols[i][r] for i in now] for r in range(m)] + [list(offs)]
+                    eps = _smith_divisors(rows)
+                    if len(eps) != len(es):
+                        raise InternalConsistencyError(
+                            "subset walk reached a subset with a rank jump"
+                        )
+                    key = (len(es), tuple(p for p in zip(es, eps) if p != (1, 1)))
                 terms[key] = terms.get(key, 0) + sign
-            stack.append((idx + 1, now_basis, chosen + (idx,), now, now_dets, kept))
+            stack.append((idx + 1, now_basis, now, now_dets, kept))
     return {key: coef for key, coef in terms.items() if coef}, rho
 
 

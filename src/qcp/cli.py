@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .arrangement import ArrangementInput, CountingFormula, collapse_report, q_zero
@@ -95,11 +96,20 @@ def _cmd_family(args):
     return payload, lines, code
 
 
+_ROOT_ENTRY = re.compile(r"-?[0-9]+")
+
+
 def _parse_root_csv(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"--exclude-root expects comma-separated integers: {exc}") from exc
+    """Root coordinates from ``--exclude-root``: each part an optional ``-``
+    and ASCII digits, nothing else (no sign ``+``, underscores, whitespace or
+    non-ASCII digits, all of which ``int()`` would accept)."""
+    parts = text.split(",")
+    for part in parts:
+        if not _ROOT_ENTRY.fullmatch(part):
+            raise ValidationError(
+                f"--exclude-root expects comma-separated integers, got {part!r}"
+            )
+    return tuple(int(part) for part in parts)
 
 
 def _cmd_root_arrangement(args):

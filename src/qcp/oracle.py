@@ -3,7 +3,8 @@
 The counter enumerates all of (Z/q)^m and tests every point against every
 hyperplane, so it is independent of the divisor formula and serves as its
 oracle.  It works on blocks of consecutive first-coordinate values, each of
-at most ``_NUMPY_CELL_CAP`` points.  Hyperplanes are grouped by coefficient
+at most ``_BLOCK_CELLS`` points (2^16, sized for the CPU cache) and at least
+one slice of q^(m-1) points.  Hyperplanes are grouped by coefficient
 column mod q (entries are reduced mod q in Python first, so any entry size
 is exact), and each class keeps a bool table of its offsets, read through
 windows: row u is the table shifted by u.  A point's c.z is u + r_last, u
@@ -43,16 +44,23 @@ DEFAULT_BUDGET = 10**8
 # sums u add 8/q bytes a cell.  For m = 1 the block's first coordinates and
 # their residues are int64 as well, 18 bytes a cell and about 1.1 GiB at the
 # cap, plus one byte a cell per class for the offset tables, which are q
-# long.  Larger grids are counted block by block.
+# long.  A grid whose single slice q^(m-1) is past the cap is counted point
+# by point.
 _NUMPY_CELL_CAP = 1 << 26
+
+# Cells counted per block: small enough that a block's live points and its
+# gathers from the window rows stay in the CPU cache, as they do not at the
+# cap.  A block always holds at least one slice (one first coordinate); the
+# cap alone decides when a slice is too large for the vectorized path.
+_BLOCK_CELLS = 1 << 16
 
 _GENERATOR_NAME = "python-random-mt19937"
 
 
 def _count_vectorized(arr: ArrangementInput, q: int) -> int:
     """Count the grid in blocks of consecutive first-coordinate values, each
-    of at most ``_NUMPY_CELL_CAP`` cells; one slice (one first coordinate)
-    must fit the cap.
+    of at most ``_BLOCK_CELLS`` cells (and at most ``_NUMPY_CELL_CAP``) but
+    at least one slice (one first coordinate), which must fit the cap.
 
     With r_i = c_i * z_i mod q, a point lies on a hyperplane of a class
     exactly when u + r_last is congruent to one of the class's offsets, u
@@ -91,7 +99,7 @@ def _count_vectorized(arr: ArrangementInput, q: int) -> int:
         # only (q - 1)^2 < 2^63, so each product fits int64.
         residues = [col[i] * axis % q if col[i] else zero for i in range(1, m)]
         tables.append((col[0], windows, residues))
-    rows = _NUMPY_CELL_CAP // q ** (m - 1)
+    rows = max(1, min(_BLOCK_CELLS, _NUMPY_CELL_CAP) // q ** (m - 1))
     count = 0
     for first in range(0, q, rows):
         block = np.arange(first, min(first + rows, q), dtype=np.int64)
@@ -134,12 +142,13 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
 
     Cost is charged as q^m * n point tests against ``budget`` before any
     enumeration starts.  The grid is counted vectorized in blocks of at most
-    ``_NUMPY_CELL_CAP`` points: per coefficient class, the partial sums u of
-    the residues c_i * z_i mod q over every axis but the last select shifted
-    windows of the class's offset table, and the last axis's residues index
-    into them, 3 bytes a cell for m >= 2 and about 18 for m = 1.  Only when
-    a single slice of q^(m-1) points exceeds the cap is the grid counted
-    point by point.  Both are exact for entries of any size.
+    ``_BLOCK_CELLS`` points, or one slice of q^(m-1) when that is larger:
+    per coefficient class, the partial sums u of the residues c_i * z_i
+    mod q over every axis but the last select shifted windows of the
+    class's offset table, and the last axis's residues index into them,
+    3 bytes a cell for m >= 2 and about 18 for m = 1.  Only when a single
+    slice of q^(m-1) points exceeds the cap is the grid counted point by
+    point.  Both are exact for entries of any size.
     """
     if q < 1:
         raise ValidationError("q must be a positive integer")

@@ -231,7 +231,20 @@ def shi_like_arrangements(draw, max_m=3, max_classes=5, bound=2):
     return arrangement(cols, offsets)
 
 
+# (1, 0) and (0, 1) with offset 0 span, so (1, 1) with offset 0 joins them
+# with no coefficient reduction; (1, -1) with offset 2 follows, and its
+# stacked column must still reduce, against the all-zero choice's stacked
+# basis: the spanning node's own coefficient basis with a trailing 0.  The
+# choice (1, 0), (0, 1), (1, 1) with offsets 0, 1, 1 is consistent, and the
+# walk keeps it only if the stacked basis built at node (1, 0) holds
+# (1, 0, 0).
+SPANNING_ZERO_CHOICE = arrangement(
+    [(1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (1, -1), (1, -1)], (0, 0, 1, 0, 1, 0, 2)
+)
+
+
 @given(shi_like_arrangements())
+@example(SPANNING_ZERO_CHOICE)
 @settings(max_examples=40, deadline=None)
 def test_pruned_walk_matches_unpruned_walk(arr):
     assert _build_term_table(arr)[0] == unpruned_term_table(arr)
@@ -303,9 +316,11 @@ def test_walk_period_matches_lcm_period_on_root_deletions(type_tag):
 
 def test_formula_walks_once(monkeypatch):
     # 63 subsets of six distinct central columns: one coefficient reduction
-    # each, one Smith form in all (on the whole matrix; the chains come from
-    # determinantal divisors), the minor gcd of each of the 6 + 15 + 20
-    # column sets of size at most 3 once, and no separate lcm_period walk
+    # each except the 20 of the 22 larger than three whose first three
+    # columns already span (columns 0, 1 and 3 do not), one Smith form in
+    # all (on the whole matrix; the chains come from determinantal
+    # divisors), the minor gcd of each of the 6 + 15 + 20 column sets of
+    # size at most 3 once, and no separate lcm_period walk
     arr = arrangement(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)], (0,) * 6
     )
@@ -326,7 +341,7 @@ def test_formula_walks_once(monkeypatch):
     assert calls["lcm_period"] == 0
     assert calls["_smith_divisors"] == 1
     assert calls["_minors_gcd"] == 41
-    assert calls["_reduce_against"] == 63
+    assert calls["_reduce_against"] == 43
     assert formula.period == formula.minimum_period == 30
 
 

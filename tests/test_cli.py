@@ -66,6 +66,28 @@ def test_shi_subcommand_with_excluded_root(capsys):
     assert payload["shi"]["excluded_root"] == [1, 0]
 
 
+@pytest.mark.parametrize("text", ["0_1,0", "1, 0", "+1,0", "１,0", "1,0,", "1,,0", ""])
+def test_exclude_root_rejects_text_int_would_coerce(capsys, text):
+    # int() reads "0_1", " 0", "+1" and "１" as integers, so the first four
+    # would name root (1, 0)
+    code, payload = run_json(
+        capsys, "shi", "--type", "B", "--rank", "2", "--k", "1", f"--exclude-root={text}"
+    )
+    assert code == 1
+    assert payload["kind"] == "validation"
+    assert "--exclude-root expects comma-separated integers" in payload["error"]
+
+
+def test_exclude_root_reads_negative_entries(capsys):
+    # parsed as integers, then refused by the library as no positive root
+    code, payload = run_json(
+        capsys, "shi", "--type", "B", "--rank", "3", "--k", "1", "--exclude-root=-1,1,1"
+    )
+    assert code == 1
+    assert payload["kind"] == "validation"
+    assert "(-1, 1, 1) is not a positive root of B3" in payload["error"]
+
+
 def test_linial_subcommand(capsys):
     code, payload = run_json(
         capsys, "linial", "--type", "B", "--rank", "2", "--n", "2"

@@ -133,21 +133,37 @@ _BLOCK_COLUMNS = {
 
 
 @pytest.mark.parametrize(
-    "m, cap, qs",
+    "m, cap, block, qs",
     [
-        (1, 12, range(13, 40)),
-        (2, 12, range(4, 13)),
-        (3, 12, (3,)),
+        (1, 12, None, range(13, 40)),
+        (2, 12, None, range(4, 13)),
+        (3, 12, None, (3,)),
         # m = 3 in blocks of 2, 2, 2 and 1, and of 2 and 1 first coordinates
-        (3, 98, (7,)),
-        (3, 20, (3,)),
+        (3, 98, None, (7,)),
+        (3, 20, None, (3,)),
+        # the block size apart from the cap: blocks of 12 or 20 cells under
+        # the default cap, blocks of one slice when a slice outgrows the
+        # block, and blocks of 49 cells under a cap of 98
+        (1, None, 12, range(13, 40)),
+        (2, None, 12, range(4, 13)),
+        (3, None, 20, (3,)),
+        (2, None, 3, (5, 7)),
+        (3, 98, 49, (7,)),
     ],
-    ids=["1-qs0", "2-qs1", "3-qs2", "3-qs3", "3-qs4"],  # m and the q range, as listed
+    ids=[
+        "1-qs0", "2-qs1", "3-qs2", "3-qs3", "3-qs4",  # m and the q range, as listed
+        "1-block12", "2-block12", "3-block20", "2-slice-past-block", "3-block-under-cap",
+    ],
 )
-def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, cap, qs):
-    # every q here has a grid past the cap but a slice q^(m-1) within it,
-    # so the grid is counted in several blocks
-    monkeypatch.setattr(oracle_module, "_NUMPY_CELL_CAP", cap)
+def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, cap, block, qs):
+    # every q here has a grid past the block size but a slice q^(m-1) within
+    # the cap, so the grid is counted in several blocks
+    if cap is not None:
+        monkeypatch.setattr(oracle_module, "_NUMPY_CELL_CAP", cap)
+    if block is not None:
+        monkeypatch.setattr(oracle_module, "_BLOCK_CELLS", block)
+    cap = oracle_module._NUMPY_CELL_CAP
+    size = min(oracle_module._BLOCK_CELLS, cap)
     arr = arrangement(_BLOCK_COLUMNS[m], (0, 1, -4, 5))
     expected = {q: _count_scalar(arr, q) for q in qs}
 
@@ -156,7 +172,7 @@ def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, cap, qs):
 
     monkeypatch.setattr(oracle_module, "_count_scalar", no_scalar)
     for q in qs:
-        assert q**m > cap >= q ** (m - 1)
+        assert q**m > size and cap >= q ** (m - 1)
         # the whole grid is still charged, q^m * n point tests, up front
         assert brute_force_count(arr, q, budget=q**m * 4) == expected[q]
         with pytest.raises(BudgetExceededError):
