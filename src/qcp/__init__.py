@@ -5,6 +5,10 @@ arrangement, extracts the quasi-polynomial in q with its lcm and minimum
 periods, detects period collapse, and cross-checks everything against a
 brute-force counting oracle.  Includes explicit matrix families and
 root-system (Shi/Linial) arrangement builders.
+
+The exports are the paper's objects (both periods, collapse and q0), the
+builders of its arrangements, and the audits and oracles that the tests and
+the benchmark call; README.md says which is which.
 """
 
 from .arrangement import (
@@ -12,7 +16,6 @@ from .arrangement import (
     CollapseReport,
     CountingFormula,
     central_period_summary,
-    characteristic_polynomial,
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
@@ -33,7 +36,7 @@ from .families import (
     family_matrix,
     reciprocity_A,
 )
-from .intlinalg import IntMatrix, SmithForm, integer_rank, smith_normal_form
+from .intlinalg import IntMatrix
 from .oracle import ScanReport, brute_force_count, central_scan, generate_central_inputs
 from .quasipoly import (
     Polynomial,
@@ -44,7 +47,6 @@ from .quasipoly import (
 from .rootsys import (
     RootSubset,
     RootSystem,
-    coxeter_number,
     linial_matrix,
     positive_roots,
     shi_matrix,
@@ -66,23 +68,19 @@ __all__ = [
     "RootSubset",
     "RootSystem",
     "ScanReport",
-    "SmithForm",
     "ValidationError",
     "brute_force_count",
     "central_period_summary",
     "central_scan",
-    "characteristic_polynomial",
     "characteristic_quasi_polynomial",
     "closed_form_A",
     "collapse_report",
     "correction_term",
-    "coxeter_number",
     "divisor_formula_count",
     "ehrhart_form_A",
     "family_matrix",
     "generate_central_inputs",
     "has_gcd_property",
-    "integer_rank",
     "lcm_period",
     "linial_matrix",
     "minimum_period",
@@ -90,5 +88,4 @@ __all__ = [
     "q_zero",
     "reciprocity_A",
     "shi_matrix",
-    "smith_normal_form",
 ]

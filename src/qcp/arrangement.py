@@ -85,7 +85,6 @@ __all__ = [
     "q_zero",
     "divisor_formula_count",
     "characteristic_quasi_polynomial",
-    "characteristic_polynomial",
     "collapse_report",
     "central_period_summary",
     "CONSTITUENT_BUDGET",
@@ -360,12 +359,7 @@ def lcm_period(cmatrix: IntMatrix) -> int:
     for j in range(cmatrix.cols):
         if not any(cmatrix.column(j)):
             raise ValidationError(f"coefficient column {j} is zero")
-    cols: list[tuple[int, ...]] = []
-    seen = set()
-    for c in cmatrix.columns():
-        if c not in seen:
-            seen.add(c)
-            cols.append(c)
+    cols = list(dict.fromkeys(cmatrix.columns()))
     nrows = cmatrix.rows
     span: list = []
     for c in cols:
@@ -408,13 +402,9 @@ def q_zero(arr: ArrangementInput) -> int:
     if arr.is_central:
         return 0
     m = arr.m
-    stacked_cols: list[tuple[int, ...]] = []
-    seen = set()
-    for j in range(arr.n):
-        col = arr.cmatrix.column(j) + (arr.offsets[j],)
-        if col not in seen:
-            seen.add(col)
-            stacked_cols.append(col)
+    stacked_cols = list(
+        dict.fromkeys(c + (b,) for c, b in zip(arr.cmatrix.columns(), arr.offsets))
+    )
     best = 0
     chosen: list[tuple[int, ...]] = []
 
@@ -492,20 +482,10 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     subsets.
     """
     m = arr.m
-    classes: list[tuple[tuple[int, ...], list[int]]] = []
-    index: dict[tuple[int, ...], int] = {}
-    seen = set()
-    for j in range(arr.n):
-        c = arr.cmatrix.column(j)
-        b = arr.offsets[j]
-        if (c, b) in seen:
-            continue
-        seen.add((c, b))
-        if c in index:
-            classes[index[c]][1].append(b)
-        else:
-            index[c] = len(classes)
-            classes.append((c, [b]))
+    by_class: dict[tuple[int, ...], list[int]] = {}
+    for c, b in dict.fromkeys(zip(arr.cmatrix.columns(), arr.offsets)):
+        by_class.setdefault(c, []).append(b)
+    classes = list(by_class.items())
     cols = [c for c, _ in classes]
 
     floor = _whole_determinantal(cols, m)
@@ -760,11 +740,6 @@ def characteristic_quasi_polynomial(arr: ArrangementInput) -> QuasiPolynomial:
     BudgetExceededError when the lcm period exceeds CONSTITUENT_BUDGET.
     """
     return CountingFormula.of(arr).quasi_polynomial()
-
-
-def characteristic_polynomial(arr: ArrangementInput) -> Polynomial:
-    """The class-1 constituent (the characteristic polynomial of the arrangement)."""
-    return CountingFormula.of(arr).constituent(1)
 
 
 def collapse_report(arr: ArrangementInput) -> CollapseReport:

@@ -303,6 +303,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _requested_format(argv: list[str]) -> str:
+    """The last ``--format`` of a command line, read before parsing so that a
+    parse error is reported in that format too."""
+    fmt = "text"
+    for token, value in zip(argv, argv[1:] + [""]):
+        if token == "--format":
+            fmt = value
+        elif token.startswith("--format="):
+            fmt = token[len("--format="):]
+    return "json" if fmt == "json" else "text"
+
+
+def _join_exclude_root(argv: list[str]) -> list[str]:
+    """``--exclude-root -1,1,1`` as ``--exclude-root=-1,1,1``: argparse takes
+    a value that starts with ``-`` and a digit for an option, so it would
+    never reach root validation."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--exclude-root" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _emit_error(fmt: str, kind: str, exc: Exception) -> None:
     if fmt == "json":
         print(json.dumps({"error": str(exc), "kind": kind}))
@@ -311,8 +336,9 @@ def _emit_error(fmt: str, kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
+    argv = _join_exclude_root(sys.argv[1:] if argv is None else list(argv))
     parser = _build_parser()
-    fmt = "text"
+    fmt = _requested_format(argv)
     try:
         args = parser.parse_args(argv)
         fmt = getattr(args, "format", "text")

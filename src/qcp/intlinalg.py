@@ -1,7 +1,8 @@
-"""Exact integer linear algebra: dense matrices, Smith normal form, rank.
+"""Exact integer linear algebra: a dense matrix and the Smith divisor chain.
 
-Everything runs on Python's arbitrary-precision integers, so intermediate
-growth can never overflow and every result is exact.
+``_smith_divisors`` gives the elementary divisors d_1 | ... | d_r of a matrix
+held as row lists, r being its rank; the subset walk calls it directly.  All
+arithmetic is on Python integers, so every result is exact.
 """
 
 from __future__ import annotations
@@ -11,16 +12,7 @@ from math import gcd
 
 from .errors import ValidationError
 
-__all__ = [
-    "IntMatrix",
-    "SmithForm",
-    "smith_normal_form",
-    "integer_rank",
-    "gcd_all",
-    "lcm_all",
-    "divisors_of",
-    "euler_phi",
-]
+__all__ = ["IntMatrix", "gcd_all", "divisors_of"]
 
 
 def gcd_all(values) -> int:
@@ -29,16 +21,6 @@ def gcd_all(values) -> int:
     for v in values:
         g = gcd(g, v)
     return g
-
-
-def lcm_all(values) -> int:
-    """Positive lcm of an iterable of integers, ignoring zeros; 1 if empty."""
-    out = 1
-    for v in values:
-        v = abs(v)
-        if v:
-            out = out // gcd(out, v) * v
-    return out
 
 
 def divisors_of(n: int) -> list[int]:
@@ -54,23 +36,6 @@ def divisors_of(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient of a positive integer, by trial-division factorization."""
-    if n < 1:
-        raise ValidationError("euler_phi expects a positive integer")
-    out = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
 
 
 @dataclass(frozen=True)
@@ -121,9 +86,6 @@ class IntMatrix:
             [[c[i] for c in columns] for i in range(len(columns[0]))]
         )
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -132,46 +94,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def to_rows(self) -> list[list[int]]:
-        """Fresh mutable row-of-lists copy."""
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def with_extra_row(self, extra) -> "IntMatrix":
-        extra = tuple(extra)
-        if len(extra) != self.cols:
-            raise ValidationError("extra row length must match column count")
-        return IntMatrix(
-            rows=self.rows + 1, cols=self.cols, entries=self.entries + extra
-        )
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """Rank and elementary divisor chain d_1 | d_2 | ... | d_rank of a matrix."""
-
-    rank: int
-    divisors: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rank != len(self.divisors):
-            raise ValidationError("rank must equal the number of divisors")
-        for d in self.divisors:
-            if d <= 0:
-                raise ValidationError("elementary divisors must be positive")
-        for a, b in zip(self.divisors, self.divisors[1:]):
-            if b % a:
-                raise ValidationError(f"divisor chain broken: {a} does not divide {b}")
-
-    @property
-    def largest(self) -> int:
-        """Last (largest) divisor, or 1 for the zero matrix."""
-        return self.divisors[-1] if self.divisors else 1
 
 
 def _smith_divisors(mat: list[list[int]]) -> list[int]:
@@ -255,18 +177,3 @@ def _smith_divisors(mat: list[list[int]]) -> list[int]:
         divisors.append(mat[t][t])
         t += 1
     return divisors
-
-
-def smith_normal_form(matrix: IntMatrix) -> SmithForm:
-    """Smith normal form data of ``matrix``: rank and divisor chain.
-
-    The result is independent of row/column order; transform matrices are
-    not exposed.
-    """
-    divisors = _smith_divisors(matrix.to_rows())
-    return SmithForm(rank=len(divisors), divisors=tuple(divisors))
-
-
-def integer_rank(matrix: IntMatrix) -> int:
-    """Rank of ``matrix`` over the rationals."""
-    return len(_smith_divisors(matrix.to_rows()))

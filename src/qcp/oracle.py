@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .arrangement import ArrangementInput, central_period_summary
 from .errors import BudgetExceededError, ValidationError
@@ -53,8 +54,6 @@ _NUMPY_CELL_CAP = 1 << 26
 # cap.  A block always holds at least one slice (one first coordinate); the
 # cap alone decides when a slice is too large for the vectorized path.
 _BLOCK_CELLS = 1 << 16
-
-_GENERATOR_NAME = "python-random-mt19937"
 
 
 def _count_vectorized(arr: ArrangementInput, q: int) -> int:
@@ -171,7 +170,8 @@ class ScanReport:
     trials: int
     violations: tuple[tuple[ArrangementInput, int, int], ...]
     seed: int
-    generator: str = field(default=_GENERATOR_NAME)
+    # the random source generate_central_inputs draws from
+    generator: ClassVar[str] = "python-random-mt19937"
 
     def to_json_dict(self) -> dict:
         return {

@@ -135,15 +135,6 @@ class QuasiPolynomial:
             raise ValidationError("evaluation point must be a positive integer")
         return self.constituents[(q - 1) % self.period].evaluate(q)
 
-    def with_period(self, new_period: int) -> "QuasiPolynomial":
-        """Re-express with a period that is a multiple of the current one."""
-        if new_period % self.period:
-            raise ValidationError("new period must be a multiple of the current period")
-        reps = tuple(
-            self.constituents[k % self.period] for k in range(new_period)
-        )
-        return QuasiPolynomial(period=new_period, constituents=reps)
-
     def to_json_dict(self) -> dict:
         """Classes that share one Polynomial object share one coefficient list."""
         coeffs: dict[int, list[str]] = {}

@@ -28,7 +28,6 @@ __all__ = [
     "RootSystem",
     "RootSubset",
     "positive_roots",
-    "coxeter_number",
     "shi_matrix",
     "linial_matrix",
 ]
@@ -223,10 +222,6 @@ def positive_roots(type_tag: str, rank: int) -> RootSystem:
         root_lengths=lengths,
         highest_root_coeffs=highest,
     )
-
-
-def coxeter_number(system: RootSystem) -> int:
-    return system.coxeter_number
 
 
 @dataclass(frozen=True)

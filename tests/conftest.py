@@ -14,6 +14,8 @@ live here, not in qcp: no command runs them, and they stay as oracles.
 
 ``unpruned_term_table`` checks the pruned subset walk: it offers every
 grouped subset, rank jumps included, and runs both Smith forms on each.
+
+``euler_phi`` and ``with_period`` are small helpers that only tests need.
 """
 
 from fractions import Fraction
@@ -30,7 +32,29 @@ from qcp import (
     q_zero,
 )
 from qcp.arrangement import _build_term_table
-from qcp.intlinalg import _smith_divisors, divisors_of, euler_phi
+from qcp.intlinalg import _smith_divisors, divisors_of
+
+
+def euler_phi(n: int) -> int:
+    """Euler totient of a positive integer, by trial-division factorization."""
+    out = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+def with_period(qp, new_period: int):
+    """``qp`` re-expressed with a period that is a multiple of its own."""
+    assert new_period % qp.period == 0, "new period must be a multiple of the current one"
+    reps = tuple(qp.constituents[k % qp.period] for k in range(new_period))
+    return QuasiPolynomial(period=new_period, constituents=reps)
 
 
 def det(rows) -> int:

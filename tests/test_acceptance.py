@@ -13,7 +13,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import divisor_formula_count_naive
+from conftest import divisor_formula_count_naive, with_period
 from qcp import (
     ArrangementInput,
     CountingFormula,
@@ -178,7 +178,7 @@ def test_criterion_2(family_grid_reports):
         assert report.lcm_period == p, (m, p, s)
         assert report.minimum_period == s, (m, p, s)
         assert report.collapse == (s < p)
-        expanded = closed_form_A(m, p, s).with_period(p)
+        expanded = with_period(closed_form_A(m, p, s), p)
         assert expanded.constituents == report.quasi_polynomial.constituents, (m, p, s)
 
 
@@ -233,8 +233,8 @@ def test_criterion_5(identity_quasi_polynomials):
                     if a in (1, p):
                         common = qa.period * qprime.period // gcd(qa.period, qprime.period)
                         assert (
-                            qa.with_period(common).constituents
-                            == qprime.with_period(common).constituents
+                            with_period(qa, common).constituents
+                            == with_period(qprime, common).constituents
                         )
 
 

@@ -25,7 +25,6 @@ from qcp import (
     ValidationError,
     brute_force_count,
     central_period_summary,
-    characteristic_polynomial,
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
@@ -480,7 +479,7 @@ def test_quasi_polynomial_family_a_122():
 
 def test_characteristic_polynomial_single_point():
     arr = arrangement([(1,)], (0,))
-    assert characteristic_polynomial(arr).coeffs == (-1, 1)
+    assert CountingFormula.of(arr).constituent(1).coeffs == (-1, 1)
 
 
 def test_constituents_monic_of_dimension_degree():

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcp
 from qcp import ArrangementInput, RootSubset, collapse_report, positive_roots, shi_matrix
 from qcp.arrangement import CollapseReport
 from qcp.cli import main
@@ -86,6 +91,49 @@ def test_exclude_root_reads_negative_entries(capsys):
     assert code == 1
     assert payload["kind"] == "validation"
     assert "(-1, 1, 1) is not a positive root of B3" in payload["error"]
+
+
+@pytest.mark.parametrize("command,param", [("shi", "--k"), ("linial", "--n")])
+def test_exclude_root_takes_negative_value_after_space(capsys, command, param):
+    # argparse alone reads "-1,1,1" as a second option with no value
+    code, payload = run_json(
+        capsys, command, "--type", "A", "--rank", "3", param, "1", "--exclude-root", "-1,1,1"
+    )
+    assert code == 1
+    assert payload == {"error": "(-1, 1, 1) is not a positive root of A3", "kind": "validation"}
+    code, payload = run_json(
+        capsys, command, "--type", "A", "--rank", "3", param, "1", "--exclude-root"
+    )
+    assert code == 1
+    assert "--exclude-root: expected one argument" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("compute", "--format", "json"), "the following arguments are required: --input"),
+        (("compute", "--format=json"), "the following arguments are required: --input"),
+        (("family", "--kind", "A", "--m", "2", "--p", "x", "--format", "json"),
+         "argument --p: invalid int value: 'x'"),
+    ],
+    ids=["missing-input", "missing-input-equals-form", "bad-int"],
+)
+def test_parse_errors_follow_format_json(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": message, "kind": "validation"}
+
+
+def test_import_loads_no_numpy_fractions_or_decimal():
+    # numpy waits for the first brute-force count; the test-only oracles that
+    # used fractions and decimal live in the tests
+    src = str(Path(qcp.__file__).resolve().parents[1])
+    probe = "import sys, qcp, qcp.cli; print(sorted({'numpy', 'fractions', 'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_linial_subcommand(capsys):

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from conftest import with_period
 from qcp import (
     ArrangementInput,
     CountingFormula,
@@ -91,7 +92,7 @@ def test_closed_form_matches_pipeline_on_small_grid():
         arr = a_family(m, p, s)
         computed = characteristic_quasi_polynomial(arr)
         assert computed.period == p
-        expanded = closed_form_A(m, p, s).with_period(p)
+        expanded = with_period(closed_form_A(m, p, s), p)
         assert expanded.constituents == computed.constituents
 
 
@@ -256,8 +257,8 @@ def test_family_aprime_equality_cases():
                     )
                     common = qa.period * qprime.period // gcd(qa.period, qprime.period)
                     assert (
-                        qa.with_period(common).constituents
-                        == qprime.with_period(common).constituents
+                        with_period(qa, common).constituents
+                        == with_period(qprime, common).constituents
                     )
 
 

@@ -7,7 +7,6 @@ from qcp import (
     RootSubset,
     ValidationError,
     brute_force_count,
-    coxeter_number,
     linial_matrix,
     positive_roots,
     q_zero,
@@ -55,7 +54,7 @@ def test_counts_and_coxeter_numbers(type_tag, rank, count, h):
     system = positive_roots(type_tag, rank)
     assert len(system.positive_roots) == count
     assert len(set(system.positive_roots)) == count
-    assert coxeter_number(system) == h
+    assert system.coxeter_number == h
     assert system.coxeter_number == 1 + sum(system.highest_root_coeffs)
 
 
