@@ -69,12 +69,11 @@ collapse_report states it without comparing constituents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
-from .intlinalg import IntMatrix, _smith_divisors, gcd_all
+from .intlinalg import IntMatrix, _smith_divisors, _Value, gcd_all
 from .quasipoly import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -98,29 +97,26 @@ CONSTITUENT_BUDGET = 100_000
 WALK_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class ArrangementInput:
+class ArrangementInput(_Value):
     """An integral arrangement: coefficient matrix plus offset vector.
 
     ``cmatrix`` is m x n with no zero column; ``offsets`` has one entry per
     column.  The central case is ``offsets == 0``.
     """
 
-    cmatrix: IntMatrix
-    offsets: tuple[int, ...]
-
-    def __post_init__(self):
-        for b in self.offsets:
+    def __init__(self, cmatrix: IntMatrix, offsets):
+        offsets = tuple(offsets)
+        for b in offsets:
             if not isinstance(b, int) or isinstance(b, bool):
                 raise ValidationError(f"offsets must be integers, got {b!r}")
-        object.__setattr__(self, "offsets", tuple(self.offsets))
-        if len(self.offsets) != self.cmatrix.cols:
+        if len(offsets) != cmatrix.cols:
             raise ValidationError(
-                f"offset vector has {len(self.offsets)} entries for {self.cmatrix.cols} hyperplanes"
+                f"offset vector has {len(offsets)} entries for {cmatrix.cols} hyperplanes"
             )
-        for j in range(self.cmatrix.cols):
-            if not any(self.cmatrix.column(j)):
+        for j in range(cmatrix.cols):
+            if not any(cmatrix.column(j)):
                 raise ValidationError(f"coefficient column {j} is zero")
+        self.__dict__.update(cmatrix=cmatrix, offsets=offsets)
 
     @property
     def m(self) -> int:
@@ -170,22 +166,30 @@ class ArrangementInput:
         return cls(cmatrix=matrix, offsets=tuple(b))
 
 
-@dataclass(frozen=True)
-class CollapseReport:
+class CollapseReport(_Value):
     """Periods, collapse flag, threshold, and the quasi-polynomial itself."""
 
-    lcm_period: int
-    minimum_period: int
-    collapse: bool
-    q0: int
-    gcd_property: bool
-    quasi_polynomial: QuasiPolynomial
-
-    def __post_init__(self):
-        if self.lcm_period % self.minimum_period:
+    def __init__(
+        self,
+        lcm_period: int,
+        minimum_period: int,
+        collapse: bool,
+        q0: int,
+        gcd_property: bool,
+        quasi_polynomial: QuasiPolynomial,
+    ):
+        if lcm_period % minimum_period:
             raise ValidationError("minimum period must divide the lcm period")
-        if self.collapse != (self.minimum_period < self.lcm_period):
+        if collapse != (minimum_period < lcm_period):
             raise ValidationError("collapse flag inconsistent with the periods")
+        self.__dict__.update(
+            lcm_period=lcm_period,
+            minimum_period=minimum_period,
+            collapse=collapse,
+            q0=q0,
+            gcd_property=gcd_property,
+            quasi_polynomial=quasi_polynomial,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -632,8 +636,7 @@ def _check_divisor_chains(terms: dict, rho: int, central: bool) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class CountingFormula:
+class CountingFormula(_Value):
     """The counting formula of one arrangement as weights on divisibility
     indicators: for every q >= 1,
 
@@ -653,10 +656,10 @@ class CountingFormula:
     rank ell to its moduli and nonzero integer weights.
     """
 
-    m: int
-    period: int
-    minimum_period: int
-    weights: dict[int, dict[int, int]]
+    def __init__(
+        self, m: int, period: int, minimum_period: int, weights: dict[int, dict[int, int]]
+    ):
+        self.__dict__.update(m=m, period=period, minimum_period=minimum_period, weights=weights)
 
     @classmethod
     def of(cls, arr: ArrangementInput) -> "CountingFormula":

@@ -2,14 +2,16 @@
 
 Subcommands: compute, oracle, family, shi, linial, scan-central,
 conjecture-scan, verify.  Output is JSON or plain text with identical
-numeric content.  Exit codes: 0 success, 1 validation or budget failure,
-2 internal-consistency failure.
+numeric content.  Exit codes: 0 success, 1 validation or budget failure, or
+standard output closed by its reader (``qcp ... | head``), 2
+internal-consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -305,13 +307,14 @@ def _build_parser() -> _Parser:
 
 def _requested_format(argv: list[str]) -> str:
     """The last ``--format`` of a command line, read before parsing so that a
-    parse error is reported in that format too."""
+    parse error is reported in that format too.  Like argparse, it takes any
+    prefix of ``--format`` from ``--f`` on, with the value after ``=`` or in
+    the next token; no other option starts with ``--f``."""
     fmt = "text"
     for token, value in zip(argv, argv[1:] + [""]):
-        if token == "--format":
-            fmt = value
-        elif token.startswith("--format="):
-            fmt = token[len("--format="):]
+        name, eq, inline = token.partition("=")
+        if len(name) >= 3 and "--format".startswith(name):
+            fmt = inline if eq else value
     return "json" if fmt == "json" else "text"
 
 
@@ -328,15 +331,14 @@ def _join_exclude_root(argv: list[str]) -> list[str]:
     return out
 
 
-def _emit_error(fmt: str, kind: str, exc: Exception) -> None:
+def _error_text(fmt: str, kind: str, exc: Exception) -> str:
     if fmt == "json":
-        print(json.dumps({"error": str(exc), "kind": kind}))
-    else:
-        print(f"error ({kind}): {exc}")
+        return json.dumps({"error": str(exc), "kind": kind})
+    return f"error ({kind}): {exc}"
 
 
-def main(argv=None) -> int:
-    argv = _join_exclude_root(sys.argv[1:] if argv is None else list(argv))
+def _run(argv: list[str]) -> tuple[str, int]:
+    """Standard output and exit code of one command line."""
     parser = _build_parser()
     fmt = _requested_format(argv)
     try:
@@ -344,18 +346,29 @@ def main(argv=None) -> int:
         fmt = getattr(args, "format", "text")
         payload, lines, code = args.handler(args)
     except ValidationError as exc:
-        _emit_error(fmt, "validation", exc)
-        return 1
+        return _error_text(fmt, "validation", exc), 1
     except BudgetExceededError as exc:
-        _emit_error(fmt, "budget", exc)
-        return 1
+        return _error_text(fmt, "budget", exc), 1
     except InternalConsistencyError as exc:
-        _emit_error(fmt, "internal", exc)
-        return 2
+        return _error_text(fmt, "internal", exc), 2
     if fmt == "json":
-        print(json.dumps(payload))
-    else:
-        print("\n".join(lines))
+        return json.dumps(payload), code
+    return "\n".join(lines), code
+
+
+def main(argv=None) -> int:
+    argv = _join_exclude_root(sys.argv[1:] if argv is None else list(argv))
+    out, code = _run(argv)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output (``qcp ... | head``).  Point it at
+        # devnull so that the flush at exit cannot fail again, and exit 1 as
+        # Python does on a broken pipe; see the ``signal`` module docs.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

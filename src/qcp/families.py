@@ -19,12 +19,11 @@ correction term for q > p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 
 from .arrangement import ArrangementInput
 from .errors import ValidationError
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _Value
 from .quasipoly import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -40,35 +39,28 @@ __all__ = [
 FAMILY_KINDS = ("A", "B", "Aprime", "D")
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Value):
     """Validated parameters selecting one member of one family kind."""
 
-    kind: str
-    m: int
-    p: int
-    s: int = 1
-    a: int = 1
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValidationError(f"kind must be one of {FAMILY_KINDS}, got {self.kind!r}")
-        for name in ("m", "p", "s", "a"):
-            v = getattr(self, name)
+    def __init__(self, kind: str, m: int, p: int, s: int = 1, a: int = 1):
+        if kind not in FAMILY_KINDS:
+            raise ValidationError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
+        for name, v in (("m", m), ("p", p), ("s", s), ("a", a)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if self.kind in ("A", "B"):
-            if self.p % self.s:
-                raise ValidationError(f"kind {self.kind} requires s | p, got s={self.s}, p={self.p}")
-            if self.a != 1:
-                raise ValidationError(f"kind {self.kind} does not use the parameter a")
-        if self.kind == "B":
-            if self.m < 2:
+        if kind in ("A", "B"):
+            if p % s:
+                raise ValidationError(f"kind {kind} requires s | p, got s={s}, p={p}")
+            if a != 1:
+                raise ValidationError(f"kind {kind} does not use the parameter a")
+        if kind == "B":
+            if m < 2:
                 raise ValidationError("kind B requires m >= 2 (m = 1 degenerates)")
-            if self.p < 2:
+            if p < 2:
                 raise ValidationError("kind B requires p >= 2 (p = 1 is central)")
-        if self.kind == "D" and self.s != 1:
+        if kind == "D" and s != 1:
             raise ValidationError("kind D fixes s = 1")
+        self.__dict__.update(kind=kind, m=m, p=p, s=s, a=a)
 
 
 def family_matrix(params: FamilyParams) -> ArrangementInput:

@@ -3,11 +3,13 @@
 ``_smith_divisors`` gives the elementary divisors d_1 | ... | d_r of a matrix
 held as row lists, r being its rank; the subset walk calls it directly.  All
 arithmetic is on Python integers, so every result is exact.
+
+``_Value`` is the immutable base of every value class in qcp; it lives here,
+in the lowest module they all import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import ValidationError
@@ -38,8 +40,38 @@ def divisors_of(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Value:
+    """Immutable value compared, hashed and printed by its fields.
+
+    A subclass's ``__init__`` validates its arguments and stores the fields,
+    in order, with one ``self.__dict__.update``; ``__dict__`` holds nothing
+    else.  Values of the same class are equal when every field is, values of
+    different classes never are, the hash is that of the field tuple, and
+    the repr is ``Name(field=value, ...)``.  Assigning or deleting an
+    attribute raises AttributeError.  Pickle and deepcopy restore
+    ``__dict__`` without calling ``__init__``.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+
+class IntMatrix(_Value):
     """Immutable dense integer matrix, entries stored row-major.
 
     Attributes
@@ -50,21 +82,16 @@ class IntMatrix:
         Row-major entries, length rows * cols.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries):
+        entries = tuple(entries)
+        if rows < 1 or cols < 1:
             raise ValidationError("matrix must have at least one row and one column")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValidationError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
+        if len(entries) != rows * cols:
+            raise ValidationError(f"expected {rows * cols} entries, got {len(entries)}")
+        for e in entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValidationError(f"matrix entries must be integers, got {e!r}")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":

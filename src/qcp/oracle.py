@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import ClassVar
 
 from .arrangement import ArrangementInput, central_period_summary
 from .errors import BudgetExceededError, ValidationError
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _Value
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -162,16 +160,17 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     return _count_scalar(arr, q)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Value):
     """Outcome of a randomized central scan; empty violations means every
     sampled arrangement had minimum period equal to lcm period."""
 
-    trials: int
-    violations: tuple[tuple[ArrangementInput, int, int], ...]
-    seed: int
     # the random source generate_central_inputs draws from
-    generator: ClassVar[str] = "python-random-mt19937"
+    generator = "python-random-mt19937"
+
+    def __init__(
+        self, trials: int, violations: tuple[tuple[ArrangementInput, int, int], ...], seed: int
+    ):
+        self.__dict__.update(trials=trials, violations=violations, seed=seed)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,11 +12,10 @@ constituents class by class, to audit what the formula builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import ValidationError
-from .intlinalg import divisors_of
+from .intlinalg import _Value, divisors_of
 
 __all__ = [
     "Polynomial",
@@ -26,20 +25,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Value):
     """Integer polynomial, coefficients constant-term first, trailing zeros stripped."""
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = list(self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValidationError(f"polynomial coefficients must be integers, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.__dict__.update(coeffs=tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -94,31 +90,28 @@ class Polynomial:
         return cls(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(_Value):
     """Periodic family of monic integer polynomials of a common degree.
 
     ``constituents[k - 1]`` is the polynomial governing residue class k for
     k in 1..period; class ``period`` covers arguments divisible by the period.
     """
 
-    period: int
-    constituents: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "constituents", tuple(self.constituents))
-        if self.period < 1:
+    def __init__(self, period: int, constituents):
+        constituents = tuple(constituents)
+        if period < 1:
             raise ValidationError("period must be a positive integer")
-        if len(self.constituents) != self.period:
+        if len(constituents) != period:
             raise ValidationError("need exactly one constituent per residue class")
-        for p in self.constituents:
+        for p in constituents:
             if not isinstance(p, Polynomial):
                 raise ValidationError(f"constituents must be Polynomial values, got {p!r}")
-        degrees = {p.degree for p in self.constituents}
+        degrees = {p.degree for p in constituents}
         if len(degrees) != 1:
             raise ValidationError(f"constituents must share one degree, got {sorted(degrees)}")
-        if not all(p.is_monic for p in self.constituents):
+        if not all(p.is_monic for p in constituents):
             raise ValidationError("every constituent must be monic")
+        self.__dict__.update(period=period, constituents=constituents)
 
     @property
     def degree(self) -> int:

@@ -17,11 +17,9 @@ The extended Shi arrangement of a root subset uses every offset in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arrangement import ArrangementInput
 from .errors import ValidationError
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _Value
 
 __all__ = [
     "ROOT_TYPES",
@@ -38,34 +36,34 @@ SHORT = "short"
 LONG = "long"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(_Value):
     """Positive roots of an irreducible crystallographic root system."""
 
-    type_tag: str
-    rank: int
-    positive_roots: tuple[tuple[int, ...], ...]
-    root_lengths: tuple[str, ...]
-    highest_root_coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "positive_roots", tuple(tuple(r) for r in self.positive_roots)
-        )
-        object.__setattr__(self, "root_lengths", tuple(self.root_lengths))
-        object.__setattr__(self, "highest_root_coeffs", tuple(self.highest_root_coeffs))
-        if len(self.root_lengths) != len(self.positive_roots):
+    def __init__(
+        self, type_tag: str, rank: int, positive_roots, root_lengths, highest_root_coeffs
+    ):
+        positive_roots = tuple(tuple(r) for r in positive_roots)
+        root_lengths = tuple(root_lengths)
+        highest_root_coeffs = tuple(highest_root_coeffs)
+        if len(root_lengths) != len(positive_roots):
             raise ValidationError("one length tag per positive root required")
-        for root in self.positive_roots:
-            if len(root) != self.rank:
+        for root in positive_roots:
+            if len(root) != rank:
                 raise ValidationError("root coefficient vectors must have rank entries")
             if not any(root) or any(c < 0 for c in root):
                 raise ValidationError("roots must be nonzero with nonnegative entries")
-        if self.highest_root_coeffs not in self.positive_roots:
+        if highest_root_coeffs not in positive_roots:
             raise ValidationError("highest root must be a positive root")
-        for root in self.positive_roots:
-            if any(c > h for c, h in zip(root, self.highest_root_coeffs)):
+        for root in positive_roots:
+            if any(c > h for c, h in zip(root, highest_root_coeffs)):
                 raise ValidationError("highest root must dominate every positive root")
+        self.__dict__.update(
+            type_tag=type_tag,
+            rank=rank,
+            positive_roots=positive_roots,
+            root_lengths=root_lengths,
+            highest_root_coeffs=highest_root_coeffs,
+        )
 
     @property
     def coxeter_number(self) -> int:
@@ -224,19 +222,15 @@ def positive_roots(type_tag: str, rank: int) -> RootSystem:
     )
 
 
-@dataclass(frozen=True)
-class RootSubset:
+class RootSubset(_Value):
     """A subset of the positive roots, kept as indices into the parent list."""
 
-    parent: RootSystem
-    included: tuple[int, ...]
-
-    def __post_init__(self):
-        total = len(self.parent.positive_roots)
-        idx = tuple(self.included)
+    def __init__(self, parent: RootSystem, included):
+        total = len(parent.positive_roots)
+        idx = tuple(included)
         if len(set(idx)) != len(idx) or any(i < 0 or i >= total for i in idx):
             raise ValidationError("subset indices must be distinct and in range")
-        object.__setattr__(self, "included", tuple(sorted(idx)))
+        self.__dict__.update(parent=parent, included=tuple(sorted(idx)))
 
     @classmethod
     def full(cls, system: RootSystem) -> "RootSubset":

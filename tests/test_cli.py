@@ -115,8 +115,12 @@ def test_exclude_root_takes_negative_value_after_space(capsys, command, param):
         (("compute", "--format=json"), "the following arguments are required: --input"),
         (("family", "--kind", "A", "--m", "2", "--p", "x", "--format", "json"),
          "argument --p: invalid int value: 'x'"),
+        # argparse takes an unambiguous prefix of --format, so the reader must too
+        (("compute", "--form", "json"), "the following arguments are required: --input"),
+        (("compute", "--fo=json"), "the following arguments are required: --input"),
     ],
-    ids=["missing-input", "missing-input-equals-form", "bad-int"],
+    ids=["missing-input", "missing-input-equals-form", "bad-int", "abbreviated",
+         "abbreviated-equals-form"],
 )
 def test_parse_errors_follow_format_json(capsys, argv, message):
     code, out = run(capsys, *argv)
@@ -126,14 +130,37 @@ def test_parse_errors_follow_format_json(capsys, argv, message):
 
 def test_import_loads_no_numpy_fractions_or_decimal():
     # numpy waits for the first brute-force count; the test-only oracles that
-    # used fractions and decimal live in the tests
+    # used fractions and decimal live in the tests; the value classes are
+    # plain classes, not dataclasses.  -S keeps site hooks from preloading any.
     src = str(Path(qcp.__file__).resolve().parents[1])
-    probe = "import sys, qcp, qcp.cli; print(sorted({'numpy', 'fractions', 'decimal'} & set(sys.modules)))"
+    unwanted = {"numpy", "fractions", "decimal", "dataclasses", "inspect", "typing"}
+    probe = f"import sys, qcp, qcp.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 123 KB of JSON, more than a pipe holds, so the write meets the
+    # closed pipe
+    src = str(Path(qcp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["family", "--kind", "Aprime", "--m", "2", "--p", "3", "--s", "3",
+            "--a", "997", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcp", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(80)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{"arrangement": ')
+    assert stderr == b""
 
 
 def test_linial_subcommand(capsys):
