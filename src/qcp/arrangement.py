@@ -35,16 +35,31 @@ K of J, g(S) being the gcd of the |S| x |S| minors of S's columns (an exact
 determinant, memoised per walk).  The d_k of the whole coefficient matrix
 divides every d_k of C_J, so once d_k reaches it (1 in the common case) it
 is skipped.  The chain is e_k = d_k / d_(k-1).  Smith runs once on the
-whole coefficient matrix, for those floors, and on A_J once per consistent
-offset choice with a nonzero offset.  When the chosen offsets are all zero
-the stacked chain is the coefficient one, and the stacked basis is the
-coefficient basis with a trailing 0, built only when a nonzero offset
-joins.  Once the coefficient basis has m rows every further class is
-dependent and is not reduced; only its stacked column is, since stacked
-rank m + 1 is a rank jump.  Every subset the walk offers, kept or pruned,
-is charged to WALK_BUDGET; past it the walk raises BudgetExceededError.  A
-central arrangement has no rank jumps, so the budget is what stops a wide
-one.
+whole coefficient matrix, for those floors, and on A_J only for a
+consistent choice with a nonzero offset whose C_J has e_r > 1 (r the
+rank).  When the chosen offsets are all zero the stacked chain is the
+coefficient one, and the stacked basis is the coefficient basis with a
+trailing 0, built only when a nonzero offset joins.  When e_r = 1 every
+d_k(C_J) is 1 and d_k(A_J) divides it (the minors of C_J are minors of
+A_J), so a consistent choice's stacked chain is all ones.  Once the
+coefficient basis has m rows every further class is dependent and is not
+reduced; only its stacked column is, since stacked rank m + 1 is a rank
+jump.
+
+The walk does not descend below a saturated class set J, one whose d_1..d_m
+are those of the whole coefficient matrix.  Then C_J has the whole rank,
+and d_r(C_J) = d_r(whole) makes C_J's column lattice the whole matrix's
+(both have index d_r in the same saturated lattice, one inside the other).
+So every later column c is an integer combination of J's columns, and a
+consistent choice over J extends by c only with the one offset beta that
+the same combination of its offsets gives: the stacked column (c, beta)
+lies in the stacked lattice, which stays the same, and so does every chain.
+The subtree of a choice is thus J + S over the subsets S of the classes
+that extend it, all with J's key, and its signed sum is J's term when no
+later class extends the choice and 0 otherwise.  Every subset the walk
+offers, kept or pruned, is charged to WALK_BUDGET; past it the walk raises
+BudgetExceededError.  A central arrangement has no rank jumps, so the
+budget is what stops a wide one.
 
 The lcm period needs Smith forms of bases only (the basis lemma).  For
 independent column sets I within J, the torsion of I's lattice embeds in
@@ -88,6 +103,7 @@ __all__ = [
     "central_period_summary",
     "CONSTITUENT_BUDGET",
     "WALK_BUDGET",
+    "Q_ZERO_BUDGET",
 ]
 
 # Largest lcm period for which every constituent is materialized.
@@ -95,6 +111,9 @@ CONSTITUENT_BUDGET = 100_000
 
 # Most column subsets the term-table walk may offer, kept or pruned.
 WALK_BUDGET = 200_000
+
+# Most stacked column subsets q_zero may offer, independent or not.
+Q_ZERO_BUDGET = 1_000_000
 
 
 class ArrangementInput(_Value):
@@ -401,7 +420,9 @@ def q_zero(arr: ArrangementInput) -> int:
     subsets J whose stacked rank exceeds the coefficient rank by one.  The
     maximum is attained on subsets with independent stacked columns (again by
     invariant-factor monotonicity under column deletion), so the search walks
-    independent subsets only; their size is at most m + 1.
+    independent subsets only; their size is at most m + 1.  Every subset it
+    offers, independent or not, is charged to Q_ZERO_BUDGET; past it the
+    search raises BudgetExceededError.
     """
     if arr.is_central:
         return 0
@@ -410,11 +431,18 @@ def q_zero(arr: ArrangementInput) -> int:
         dict.fromkeys(c + (b,) for c, b in zip(arr.cmatrix.columns(), arr.offsets))
     )
     best = 0
+    offered = 0
     chosen: list[tuple[int, ...]] = []
 
     def rec(start: int, a_basis, c_basis, jumped: bool) -> None:
-        nonlocal best
+        nonlocal best, offered
         for idx in range(start, len(stacked_cols)):
+            offered += 1
+            if offered > Q_ZERO_BUDGET:
+                raise BudgetExceededError(
+                    f"q_zero offered more than Q_ZERO_BUDGET = {Q_ZERO_BUDGET} "
+                    f"stacked column subsets"
+                )
             col = stacked_cols[idx]
             a_red = _reduce_against(a_basis, col)
             if a_red is None:
@@ -466,9 +494,11 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     of the whole coefficient matrix (one Smith form per walk); g, the gcd of
     the full-size minors of a class set, is memoised for the walk.  The
     chain of C_J is e_k = d_k / d_(k-1), and the echelon rank must equal the
-    number of nonzero d_k.  Past the whole matrix, Smith runs only on the
-    stacked matrix of a choice with a nonzero offset, whose minors depend on
-    the offsets; its rows come from the node's class indices.
+    number of nonzero d_k.  When e_r = 1 a choice with a nonzero offset has
+    the key (r, ()), and its stacked basis must have r rows.  Past the whole
+    matrix, Smith runs only on the stacked matrix of a choice with a nonzero
+    offset over a C_J with e_r > 1; its rows come from the node's class
+    indices.
 
     A node has at most one choice whose offsets are all zero, and it stores
     no stacked basis (None): that basis is the coefficient one with a
@@ -478,12 +508,20 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     is its stacked basis built, once per node, from the node's own
     coefficient basis.
 
+    At a saturated class set (d_1..d_m those of the whole matrix) no choice
+    is kept for descent (see the module docstring): a choice adds its term
+    only when no later class extends it, and that is read off without a
+    walk.  The all-zero choice extends only by offset 0, so it asks whether
+    a later class has offset 0; any other choice reduces the later stacked
+    columns against its stacked basis until one is dependent.
+
     The lcm period is the lcm of the largest divisor e_r = d_r / d_(r-1) of
     C_J over every class set J the walk keeps.  That is exact: every class
     set that is independent has no rank jump for any offset choice, so the
     walk reaches every basis of the distinct coefficient columns, and by the
     basis lemma (module docstring) the lcm over bases is the lcm over all
-    subsets.
+    subsets.  A class set below a saturated one that the walk skips has the
+    saturated one's e_r.
     """
     m = arr.m
     by_class: dict[tuple[int, ...], list[int]] = {}
@@ -500,6 +538,11 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
         if g is None:
             g = memo[key] = _minors_gcd([cols[i] for i in key])
         return g
+
+    # zero_after[i]: some class at index i or later has offset 0
+    zero_after = [False] * (len(classes) + 1)
+    for i in range(len(classes) - 1, -1, -1):
+        zero_after[i] = zero_after[i + 1] or 0 in classes[i][1]
 
     terms: dict = {}
     rho = 1
@@ -543,22 +586,44 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
             now_basis = c_basis if c_red is None else c_basis + [c_red]
             now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
             es = _divisor_chain(now_dets, len(now_basis))
+            rank = len(es)
             now = chosen + (idx,)
             rho = lcm(rho, es[-1])
             sign = -1 if len(now) % 2 else 1
+            saturated = now_dets == floor
+            descend = []
             for offs, a_basis in kept:
+                if not saturated:
+                    descend.append((offs, a_basis))
+                # below a saturated J the subtree is J + S over the subsets S
+                # of the classes that extend the choice, all with J's key: it
+                # sums to J's term when no later class extends it, else to 0
+                elif a_basis is None:  # extended only by a later offset 0
+                    if zero_after[idx + 1]:
+                        continue
+                elif any(
+                    _reduce_against(a_basis, classes[j][0] + (b,)) is None
+                    for j in range(idx + 1, len(classes))
+                    for b in classes[j][1]
+                ):
+                    continue
                 if a_basis is None:
-                    key = (len(es), tuple((e, e) for e in es if e != 1))
+                    key = (rank, tuple((e, e) for e in es if e != 1))
                 else:
-                    rows = [[cols[i][r] for i in now] for r in range(m)] + [list(offs)]
-                    eps = _smith_divisors(rows)
-                    if len(eps) != len(es):
+                    if es[-1] == 1:
+                        # d_k(A_J) divides d_k(C_J) = 1: the stacked chain is all ones
+                        eps = (1,) * len(a_basis)
+                    else:
+                        rows = [[cols[i][r] for i in now] for r in range(m)] + [list(offs)]
+                        eps = _smith_divisors(rows)
+                    if len(eps) != rank:
                         raise InternalConsistencyError(
                             "subset walk reached a subset with a rank jump"
                         )
-                    key = (len(es), tuple(p for p in zip(es, eps) if p != (1, 1)))
+                    key = (rank, tuple(p for p in zip(es, eps) if p != (1, 1)))
                 terms[key] = terms.get(key, 0) + sign
-            stack.append((idx + 1, now_basis, now, now_dets, kept))
+            if descend:
+                stack.append((idx + 1, now_basis, now, now_dets, descend))
     return {key: coef for key, coef in terms.items() if coef}, rho
 
 

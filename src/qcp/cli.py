@@ -200,13 +200,23 @@ def _cmd_verify(args):
     if args.q_window < 1:
         raise ValidationError(f"--q-window must be at least 1, got {args.q_window}")
     arr = _load_arrangement(args.input)
-    # The walk runs under WALK_BUDGET and q_zero under none, so a wide input
-    # stops here, in the walk, before q_zero starts.
+    # The walk runs under WALK_BUDGET and q_zero under Q_ZERO_BUDGET; the walk
+    # goes first, so a wide input stops there, before q_zero starts.
     counting = CountingFormula.of(arr)
     threshold = q_zero(arr)
+    window = range(threshold + 1, threshold + args.q_window + 1)
+    # --budget bounds the whole window: every grid is charged before any count
+    cost = 0
+    for q in window:
+        cost += q**arr.m * arr.n
+        if cost > args.budget:
+            raise BudgetExceededError(
+                f"the window q={window[0]}..{window[-1]} needs at least {cost} point "
+                f"tests, over the budget of {args.budget}"
+            )
     results = []
     ok = True
-    for q in range(threshold + 1, threshold + args.q_window + 1):
+    for q in window:
         formula = counting.count(q)
         brute = brute_force_count(arr, q, budget=args.budget)
         match = formula == brute

@@ -188,6 +188,13 @@ class ScanReport(_Value):
         }
 
 
+def _check_scan_args(m: int, n: int, entry_bound: int, trials: int) -> None:
+    if m < 1 or n < 1 or entry_bound < 1:
+        raise ValidationError("m, n, and entry_bound must be positive")
+    if trials < 0:
+        raise ValidationError("trials must be nonnegative")
+
+
 def generate_central_inputs(
     m: int, n: int, entry_bound: int, trials: int, seed: int
 ) -> list[ArrangementInput]:
@@ -196,10 +203,7 @@ def generate_central_inputs(
     Column entries are uniform in [-entry_bound, entry_bound]; zero columns
     are rejected and redrawn.  Same seed, same sample.
     """
-    if m < 1 or n < 1 or entry_bound < 1:
-        raise ValidationError("m, n, and entry_bound must be positive")
-    if trials < 0:
-        raise ValidationError("trials must be nonnegative")
+    _check_scan_args(m, n, entry_bound, trials)
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
@@ -228,7 +232,14 @@ def central_scan(
     lcm periods random matrices routinely produce.  Any violating
     arrangement is recorded with both periods.
     """
+    _check_scan_args(m, n, entry_bound, trials)
     # Each draw's subset walk offers at most the 2^n - 1 nonempty subsets.
+    # Past the budget's bit length 2^n - 1 alone exceeds the budget, so a
+    # huge n is refused without building 2^n.
+    if trials and n > budget.bit_length():
+        raise BudgetExceededError(
+            f"scan needs up to {trials} * (2^{n} - 1) subsets, over the budget of {budget}"
+        )
     cost = trials * ((1 << n) - 1)
     if cost > budget:
         raise BudgetExceededError(

@@ -262,16 +262,66 @@ def test_pruned_walk_matches_unpruned_walk_on_shi_deletions(type_tag):
 
 @pytest.mark.parametrize(
     "type_tag, rank, k, offered",
-    [("G2", 2, 3, 7344), ("B", 3, 1, 4818), ("A", 3, 2, 6048)],
+    [("G2", 2, 3, 1440), ("B", 3, 1, 1356), ("A", 3, 2, 1688)],
 )
 def test_walk_budget_counts_every_offered_subset(monkeypatch, type_tag, rank, k, offered):
-    # the unpruned walk would offer 117,648, 19,682 and 15,624 subsets
+    # the unpruned walk would offer 117,648, 19,682 and 15,624 subsets; with
+    # no shortcut at saturated class sets this walk offered 7,344, 4,818
+    # and 6,048
     arr = shi_matrix(RootSubset.full(positive_roots(type_tag, rank)), k)
     monkeypatch.setattr(arrangement_module, "WALK_BUDGET", offered)
     _build_term_table(arr)
     monkeypatch.setattr(arrangement_module, "WALK_BUDGET", offered - 1)
     with pytest.raises(BudgetExceededError, match="subset walk"):
         _build_term_table(arr)
+
+
+def test_q_zero_budget_counts_every_offered_subset(monkeypatch):
+    arr = shi_matrix(RootSubset.full(positive_roots("A", 3)), 2)
+    monkeypatch.setattr(arrangement_module, "Q_ZERO_BUDGET", 41746)
+    assert q_zero(arr) == 7
+    monkeypatch.setattr(arrangement_module, "Q_ZERO_BUDGET", 41745)
+    with pytest.raises(BudgetExceededError, match="q_zero"):
+        q_zero(arr)
+
+
+# Class sets whose determinantal divisors are the whole matrix's (saturated)
+# with a nonzero offset choice, checked against the unpruned walk in
+# test_walk_matches_unpruned_walk_on_sublattices.  In the first, (1, 0) and
+# (0, 1) with offsets 1, 1 would need offset 2 on (1, 1), which has only 5:
+# no later class extends the choice, and its own term must stand.  The
+# second has e_r = 2 on even-sum columns: (1, 1) and (1, -1) with offsets
+# 0, 2 are extended by (2, 0) with offset 2 but not 5, and by no offset of
+# (0, 2).
+SATURATED_NONZERO_CHOICES = [
+    arrangement([(1, 0), (0, 1), (1, 1)], (1, 1, 5)),
+    arrangement([(1, 1), (1, -1), (2, 0), (2, 0), (0, 2)], (0, 2, 2, 5, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "arr, smith_calls",
+    [
+        # unimodular: every coefficient chain is all ones, so the one Smith
+        # form is the whole matrix's
+        (shi_matrix(RootSubset.full(positive_roots("A", 3)), 2), 1),
+        # 236 nonzero choices on class sets with e_r > 1, none saturated
+        (shi_matrix(RootSubset.full(positive_roots("G2", 2)), 3), 237),
+        # no choice descends below a saturated class set, whatever its e_r,
+        # and one that a later class extends gets no Smith form
+        (SATURATED_NONZERO_CHOICES[1], 11),
+    ],
+)
+def test_walk_smith_calls(monkeypatch, arr, smith_calls):
+    calls = Counter()
+
+    def counted(rows):
+        calls["smith"] += 1
+        return _smith_divisors(rows)
+
+    monkeypatch.setattr(arrangement_module, "_smith_divisors", counted)
+    _build_term_table(arr)
+    assert calls["smith"] == smith_calls
 
 
 @given(st.one_of(random_arrangements(), random_arrangements(with_offsets=False)))
@@ -393,6 +443,8 @@ EVEN_SUM_4 = arrangement(
 
 @given(sublattice_arrangements())
 @example(EVEN_SUM_4)
+@example(SATURATED_NONZERO_CHOICES[0])
+@example(SATURATED_NONZERO_CHOICES[1])
 @example(arrangement(EVEN_SUM_4.cmatrix.columns(), (1, 0, 0, 2, 0, -1)))
 @settings(max_examples=60, deadline=None)
 def test_walk_matches_unpruned_walk_on_sublattices(arr):

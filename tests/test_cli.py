@@ -184,6 +184,17 @@ def test_scan_central_subcommand(capsys):
     assert payload["generator"]
 
 
+@pytest.mark.parametrize("n, kind", [("1000000000000000000", "budget"), ("-1", "validation")])
+def test_scan_central_refuses_huge_or_negative_n(capsys, n, kind):
+    # 2^n is never built: its bit length alone puts 10^18 over the budget
+    code, payload = run_json(
+        capsys, "scan-central", "--m", "2", "--n", n, "--entry-bound", "2",
+        "--trials", "1", "--seed", "1",
+    )
+    assert code == 1
+    assert payload["kind"] == kind
+
+
 def test_conjecture_scan_subcommand(capsys):
     code, payload = run_json(
         capsys, "conjecture-scan", "--type", "B", "--rank", "2", "--k", "1"
@@ -249,6 +260,22 @@ def test_verify_rejects_empty_window(capsys, tmp_path):
         assert code == 1
         assert payload["kind"] == "validation"
         assert "--q-window" in payload["error"]
+
+
+def test_verify_budget_bounds_the_whole_window(capsys, tmp_path):
+    # q0 = 2, so the window is q = 3, 4, 5 at 3q point tests each: every
+    # grid fits a budget of 15, their total of 36 does not
+    path = tmp_path / "a122.json"
+    path.write_text(json.dumps({"m": 1, "n": 3, "C": [[2, 2, 2]], "b": [0, 1, 2]}))
+    argv = ["verify", "--input", str(path), "--q-window", "3"]
+    code, payload = run_json(capsys, *argv, "--budget", "36")
+    assert code == 0
+    assert payload["pass"] is True
+    code, payload = run_json(capsys, *argv, "--budget", "15")
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "q=3..5" in payload["error"]
+    assert "budget of 15" in payload["error"]
 
 
 def test_text_and_json_numeric_parity(capsys):
@@ -342,9 +369,11 @@ def test_budget_error_exit_one(capsys, tmp_path):
 def test_compute_walk_budget_exit_one(capsys, tmp_path, monkeypatch):
     from qcp import arrangement
 
-    # central with 12 distinct columns: no rank jumps, 4,095 subsets offered
-    cols = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1),
-            (1, 3), (3, 1), (2, 3), (3, 2), (1, -2), (2, -1)]
+    # central with 12 distinct columns: no rank jumps, and every 2 x 2 minor
+    # is even unless it uses (1, 3), the last class, so no class set reaches
+    # the whole matrix's divisors before its last class joins and the walk
+    # offers all 4,095 subsets
+    cols = [(1, 2 * i) for i in range(11)] + [(1, 3)]
     arr = {"m": 2, "n": 12, "C": [[c[i] for c in cols] for i in range(2)], "b": [0] * 12}
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(arr))
@@ -358,7 +387,8 @@ def test_compute_walk_budget_exit_one(capsys, tmp_path, monkeypatch):
 def test_verify_walk_budget_stops_before_q_zero(capsys, tmp_path, monkeypatch):
     from qcp import arrangement, cli
 
-    # non-central, so q_zero would search its subsets; it has no budget
+    # non-central, so q_zero would search its subsets under its own budget;
+    # the walk's budget stops the command first
     cols = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1),
             (1, 3), (3, 1), (2, 3), (3, 2), (1, -2), (2, -1)]
     arr = {"m": 2, "n": 12, "C": [[c[i] for c in cols] for i in range(2)], "b": list(range(12))}
@@ -377,6 +407,17 @@ def test_verify_walk_budget_stops_before_q_zero(capsys, tmp_path, monkeypatch):
     assert payload["kind"] == "budget"
     assert "subset walk" in payload["error"]
     assert calls == []
+
+
+def test_shi_q_zero_budget_exit_one(capsys, monkeypatch):
+    from qcp import arrangement
+
+    # the walk fits its budget; q_zero offers more than 20 stacked subsets
+    monkeypatch.setattr(arrangement, "Q_ZERO_BUDGET", 20)
+    code, payload = run_json(capsys, "shi", "--type", "A", "--rank", "2", "--k", "1")
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "q_zero" in payload["error"]
 
 
 def test_compute_rejects_non_integer_entries(capsys, tmp_path):
