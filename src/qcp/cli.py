@@ -15,12 +15,13 @@ import os
 import re
 import sys
 
-from .arrangement import ArrangementInput, CountingFormula, collapse_report, q_zero
+from .arrangement import WALK_BUDGET, ArrangementInput, CountingFormula, collapse_report, q_zero
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .families import FAMILY_KINDS, FamilyParams, family_matrix
-from .oracle import DEFAULT_BUDGET, brute_force_count, central_scan
+from .oracle import DEFAULT_BUDGET, _charge_point_tests, brute_force_count, central_scan
 from .quasipoly import QuasiPolynomial
-from .rootsys import ROOT_TYPES, RootSubset, linial_matrix, positive_roots, shi_matrix
+from .rootsys import (ROOT_TYPES, RootSubset, _check_type_and_rank, linial_matrix,
+                      positive_roots, shi_matrix)
 
 __all__ = ["main"]
 
@@ -88,8 +89,38 @@ def _cmd_oracle(args):
     return payload, lines, 0
 
 
+def _refuse_wide_walk(rank: int, groups) -> None:
+    """Exit on the walk's budget from the parameters alone, before building
+    an arrangement too wide to walk.  ``groups`` holds (classes, offsets)
+    pairs: that many distinct coefficient columns with that many distinct
+    offsets each, at coefficient rank ``rank``.  Level 1 of the subset walk
+    offers every stacked column once.  At rank 2 or more no single class is
+    saturated, so level 2 offers every pair of stacked columns from two
+    different classes.  Their sum is a lower bound on what the walk offers.
+    A group with no class or no offset builds nothing to walk, or holds a
+    parameter that the builder rejects."""
+    if any(c < 1 or o < 1 for c, o in groups):
+        return
+    least = sum(c * o for c, o in groups)
+    if rank >= 2:
+        least += (least * least - sum(c * o * o for c, o in groups)) // 2
+    if least > WALK_BUDGET:
+        raise BudgetExceededError(
+            f"the subset walk would offer at least {least} column subsets, over "
+            f"WALK_BUDGET = {WALK_BUDGET}"
+        )
+
+
+def _root_classes(rank: int, deleted: int) -> int:
+    """Fewest positive roots, each its own class, left after ``deleted`` are
+    dropped: every type of rank n has at least n(n+1)/2."""
+    return rank * (rank + 1) // 2 - deleted
+
+
 def _cmd_family(args):
     params = FamilyParams(kind=args.kind, m=args.m, p=args.p, s=args.s, a=args.a)
+    # m columns with offset 0 (e_1..e_(m-1) and s e_m) and one with p offsets
+    _refuse_wide_walk(params.m, [(params.m, 1), (1, params.p)])
     arr = family_matrix(params)
     extra = {"kind": params.kind, "m": params.m, "p": params.p, "s": params.s, "a": params.a}
     payload, lines, code = _report_payload(arr, args.format)
@@ -117,13 +148,17 @@ def _parse_root_csv(text: str) -> tuple[int, ...]:
 def _cmd_root_arrangement(args):
     """``shi`` or ``linial``: ``args.builder`` makes the arrangement from the
     root subset and ``args.param`` ("k" or "n") names its parameter."""
-    system = positive_roots(args.type, args.rank)
-    if args.exclude_root is None:
-        excluded, subset = None, RootSubset.full(system)
-    else:
-        excluded = _parse_root_csv(args.exclude_root)
-        subset = RootSubset.excluding(system, excluded)
+    _check_type_and_rank(args.type, args.rank)
+    excluded = None if args.exclude_root is None else _parse_root_csv(args.exclude_root)
     value = getattr(args, args.param)
+    # Shi has the 2k offsets 1-k..k per root, Linial the n offsets 1..n
+    offsets = 2 * value if args.param == "k" else value
+    _refuse_wide_walk(args.rank, [(_root_classes(args.rank, excluded is not None), offsets)])
+    system = positive_roots(args.type, args.rank)
+    if excluded is None:
+        subset = RootSubset.full(system)
+    else:
+        subset = RootSubset.excluding(system, excluded)
     payload, lines, code = _report_payload(args.builder(subset, value), args.format)
     payload[args.command] = {
         "type": args.type,
@@ -158,6 +193,9 @@ def _cmd_scan_central(args):
 
 
 def _cmd_conjecture_scan(args):
+    _check_type_and_rank(args.type, args.rank)
+    # the widest walk of the scan: one root deleted, k = args.k
+    _refuse_wide_walk(args.rank, [(_root_classes(args.rank, 1), 2 * args.k)])
     system = positive_roots(args.type, args.rank)
     rows = []
     all_consistent = True
@@ -206,14 +244,7 @@ def _cmd_verify(args):
     threshold = q_zero(arr)
     window = range(threshold + 1, threshold + args.q_window + 1)
     # --budget bounds the whole window: every grid is charged before any count
-    cost = 0
-    for q in window:
-        cost += q**arr.m * arr.n
-        if cost > args.budget:
-            raise BudgetExceededError(
-                f"the window q={window[0]}..{window[-1]} needs at least {cost} point "
-                f"tests, over the budget of {args.budget}"
-            )
+    _charge_point_tests(arr, window, args.budget, f"the window q={window[0]}..{window[-1]}")
     results = []
     ok = True
     for q in window:

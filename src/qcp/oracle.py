@@ -134,6 +134,21 @@ def _count_scalar(arr: ArrangementInput, q: int) -> int:
     return count
 
 
+def _charge_point_tests(arr: ArrangementInput, window: range, budget: int, what: str) -> None:
+    """Charge q^m * n point tests for every q of ``window`` against
+    ``budget`` before anything is counted; past it, raise
+    BudgetExceededError naming ``what``.  Summing stops there, so a long
+    window is not summed to its end."""
+    cost = 0
+    for q in window:
+        cost += q**arr.m * arr.n
+        if cost > budget:
+            least = "at least " if q != window[-1] else ""
+            raise BudgetExceededError(
+                f"{what} needs {least}{cost} point tests, over the budget of {budget}"
+            )
+
+
 def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Cardinality of the points of (Z/q)^m avoiding every hyperplane.
 
@@ -149,11 +164,7 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     """
     if q < 1:
         raise ValidationError("q must be a positive integer")
-    cost = q**arr.m * arr.n
-    if cost > budget:
-        raise BudgetExceededError(
-            f"counting at q={q} needs {cost} point tests, over the budget of {budget}"
-        )
+    _charge_point_tests(arr, range(q, q + 1), budget, f"counting at q={q}")
     # c_i * z_i with both below q must fit int64
     if q ** (arr.m - 1) <= _NUMPY_CELL_CAP and (q - 1) ** 2 < 1 << 63:
         return _count_vectorized(arr, q)

@@ -1,21 +1,29 @@
-"""Positive-root data for types A, B, C, D, G2, plus deformed-arrangement builders.
+"""Positive roots of types A, B, C, D and G2, plus deformed-arrangement builders.
 
-Roots are stored as exact nonnegative coefficient vectors over the simple
-roots.  The tables are hardcoded from the standard simple-root expansions;
-for types B and G2 the simple roots are labeled so the first one is short,
-which for rank 2 reproduces the conventional displayed coefficient matrices
+Roots are exact nonnegative coefficient vectors over the simple roots, built
+from the Cartan matrix a_ij = <alpha_j, alpha_i^vee> (Bourbaki, Lie Groups,
+Ch. VI).  The simple roots form a chain, except that D's alpha_rank joins
+alpha_(rank-2), the fork; alpha_1 is short in B and G2, alpha_rank long in C.
+For rank 2 this reproduces the conventional coefficient matrices
 
     B2: [[1, 0, 1, 2], [0, 1, 1, 1]]      G2: [[1, 0, 1, 2, 3, 3],
                                                [0, 1, 1, 1, 1, 2]]
 
-column by column.  Roots are ordered by height, then lexicographically
-descending, which matches those displays.
+column by column.  The positive roots are the upward reflection closure of
+the simple roots: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i joins when
+the pairing is negative, and every positive root is reached so.  A new root
+keeps the squared length of the root it came from; the simple roots' come
+from the integer symmetrizer d_i a_ij = d_j a_ji.  The longest roots are
+tagged long and the rest short, so B1 and C1 have none short.  Roots are
+ordered by height, then lexicographically descending, as in those displays.
 
 The extended Shi arrangement of a root subset uses every offset in
 [1-k, k] per root; the extended Linial arrangement uses offsets [1, n].
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .arrangement import ArrangementInput
 from .errors import ValidationError
@@ -91,134 +99,74 @@ class RootSystem(_Value):
         )
 
 
-def _sorted_roots(items):
-    """Order by height, then lexicographically descending; returns two tuples."""
-    items = sorted(items, key=lambda it: (sum(it[0]), tuple(-c for c in it[0])))
-    roots = tuple(root for root, _ in items)
-    lengths = tuple(tag for _, tag in items)
-    return roots, lengths
-
-
-def _interval(rank, lo, hi, value=1):
-    """Vector with ``value`` at 1-based positions lo..hi, zero elsewhere."""
-    vec = [0] * rank
-    for i in range(lo, hi + 1):
-        vec[i - 1] = value
-    return vec
-
-
-def _roots_type_a(rank):
-    items = []
-    for i in range(1, rank + 1):
-        for j in range(i, rank + 1):
-            items.append((tuple(_interval(rank, i, j)), LONG))
-    return items
-
-
-def _roots_type_b(rank):
-    # alpha_1 short; vectors are the standard expansions written in reverse.
-    items = []
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            items.append((tuple(reversed(_interval(rank, i, j - 1))), LONG))
-    for i in range(1, rank + 1):
-        items.append((tuple(reversed(_interval(rank, i, rank))), SHORT))
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            vec = _interval(rank, i, j - 1)
-            for t in range(j, rank + 1):
-                vec[t - 1] = 2
-            items.append((tuple(reversed(vec)), LONG))
-    return items
-
-
-def _roots_type_c(rank):
-    items = []
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            items.append((tuple(_interval(rank, i, j - 1)), SHORT))
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            vec = _interval(rank, i, j - 1)
-            for t in range(j, rank):
-                vec[t - 1] = 2
-            vec[rank - 1] = 1
-            items.append((tuple(vec), SHORT))
-    for i in range(1, rank + 1):
-        vec = [0] * rank
-        for t in range(i, rank):
-            vec[t - 1] = 2
-        vec[rank - 1] = 1
-        items.append((tuple(vec), LONG))
-    return items
-
-
-def _roots_type_d(rank):
-    items = []
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            items.append((tuple(_interval(rank, i, j - 1)), LONG))
-    for i in range(1, rank):
-        vec = _interval(rank, i, rank - 2)
-        vec[rank - 1] = 1
-        items.append((tuple(vec), LONG))
-    for i in range(1, rank):
-        for j in range(i + 1, rank):
-            vec = _interval(rank, i, j - 1)
-            for t in range(j, rank - 1):
-                vec[t - 1] = 2
-            vec[rank - 2] = max(vec[rank - 2], 1)
-            vec[rank - 1] = 1
-            items.append((tuple(vec), LONG))
-    return items
-
-
-_G2_ROOTS = (
-    ((1, 0), SHORT),
-    ((0, 1), LONG),
-    ((1, 1), SHORT),
-    ((2, 1), SHORT),
-    ((3, 1), LONG),
-    ((3, 2), LONG),
-)
-
-
-def positive_roots(type_tag: str, rank: int) -> RootSystem:
-    """Root system data for the requested type and rank."""
+def _check_type_and_rank(type_tag: str, rank: int) -> None:
+    """The checks positive_roots makes before it builds anything."""
     if type_tag not in ROOT_TYPES:
         raise ValidationError(f"type must be one of {ROOT_TYPES}, got {type_tag!r}")
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValidationError(f"rank must be an integer, got {rank!r}")
+    if type_tag == "G2" and rank != 2:
+        raise ValidationError("G2 requires rank 2")
+    if type_tag == "D" and rank < 3:
+        raise ValidationError(
+            "type D requires rank >= 3 (rank 2 is reducible and has no highest root)"
+        )
+    if type_tag in ("A", "B", "C") and rank < 1:
+        raise ValidationError(f"type {type_tag} requires rank >= 1")
+
+
+def _cartan_matrix(type_tag: str, rank: int) -> list[list[int]]:
+    """a[i][j] = <alpha_j, alpha_i^vee>, labelled as in the module docstring."""
     if type_tag == "G2":
-        if rank != 2:
-            raise ValidationError("G2 requires rank 2")
-        items = list(_G2_ROOTS)
-    elif type_tag == "A":
-        if rank < 1:
-            raise ValidationError("type A requires rank >= 1")
-        items = _roots_type_a(rank)
-    elif type_tag == "B":
-        if rank < 1:
-            raise ValidationError("type B requires rank >= 1")
-        items = _roots_type_a(1) if rank == 1 else _roots_type_b(rank)
-    elif type_tag == "C":
-        if rank < 1:
-            raise ValidationError("type C requires rank >= 1")
-        items = _roots_type_a(1) if rank == 1 else _roots_type_c(rank)
-    else:  # D
-        if rank < 3:
-            raise ValidationError(
-                "type D requires rank >= 3 (rank 2 is reducible and has no highest root)"
-            )
-        items = _roots_type_d(rank)
-    roots, lengths = _sorted_roots(items)
-    highest = max(roots, key=sum)
+        return [[2, -3], [-1, 2]]
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank)]
+         for i in range(rank)]
+    if type_tag == "B" and rank > 1:
+        a[0][1] = -2  # alpha_1 short
+    elif type_tag == "C" and rank > 1:
+        a[rank - 2][rank - 1] = -2  # alpha_rank long
+    elif type_tag == "D":  # alpha_rank joins alpha_(rank-2), not alpha_(rank-1)
+        a[rank - 1][rank - 2] = a[rank - 2][rank - 1] = 0
+        a[rank - 1][rank - 3] = a[rank - 3][rank - 1] = -1
+    return a
+
+
+def positive_roots(type_tag: str, rank: int) -> RootSystem:
+    """Root system data for the requested type and rank, by reflection
+    closure of the simple roots (see the module docstring)."""
+    _check_type_and_rank(type_tag, rank)
+    cartan = _cartan_matrix(type_tag, rank)
+    # d_i a_ij = d_j a_ji makes d_i proportional to alpha_i's squared length.
+    # The diagram is a tree in which each alpha_j has an earlier neighbour
+    # alpha_i, so d_j = d_i a_ij / a_ji divides by each off-diagonal entry at
+    # most once, and starting from the product of their |a_ij| keeps d exact.
+    d = [prod(-x for row in cartan for x in row if x < 0)]
+    for j in range(1, rank):
+        i = next(i for i in range(j) if cartan[i][j])
+        d.append(d[i] * cartan[i][j] // cartan[j][i])
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    length = dict(zip(simple, d))  # root -> squared length, up to scale
+    # pairing[beta][i] = <beta, alpha_i^vee>, column j of the matrix for alpha_j
+    pairing = {s: [row[j] for row in cartan] for j, s in enumerate(simple)}
+    todo = list(simple)
+    while todo:
+        beta = todo.pop()
+        pb = pairing[beta]
+        for i, p in enumerate(pb):
+            if p < 0:  # s_i(beta) = beta - p alpha_i is a higher root
+                gamma = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                if gamma not in length:
+                    length[gamma] = length[beta]
+                    pairing[gamma] = [x - p * row[i] for x, row in zip(pb, cartan)]
+                    todo.append(gamma)
+    roots = sorted(length, key=lambda r: (sum(r), tuple(-c for c in r)))
+    longest = max(d)
     return RootSystem(
         type_tag=type_tag,
         rank=rank,
         positive_roots=roots,
-        root_lengths=lengths,
-        highest_root_coeffs=highest,
+        root_lengths=[LONG if length[r] == longest else SHORT for r in roots],
+        highest_root_coeffs=max(roots, key=sum),
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -418,6 +419,71 @@ def test_shi_q_zero_budget_exit_one(capsys, monkeypatch):
     assert code == 1
     assert payload["kind"] == "budget"
     assert "q_zero" in payload["error"]
+
+
+WIDE = {
+    "shi-rank": ("shi", "--type", "A", "--rank", "100000", "--k", "1"),
+    "linial-n": ("linial", "--type", "A", "--rank", "2", "--n", "1000000000"),
+    "family-m": ("family", "--kind", "A", "--m", "20000", "--p", "2"),
+    "shi-k": ("shi", "--type", "A", "--rank", "2", "--k", "1000000"),
+    "conjecture-scan-rank": ("conjecture-scan", "--type", "B", "--rank", "2000", "--k", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", WIDE.values(), ids=WIDE.keys())
+def test_wide_arrangements_refused_before_building(capsys, monkeypatch, argv):
+    from qcp import cli
+
+    # the walk's lower bound from the parameters alone passes WALK_BUDGET, so
+    # neither the roots nor the arrangement may be built
+    def never(*args):
+        raise AssertionError("built an arrangement past the walk's budget")
+
+    monkeypatch.setattr(cli, "positive_roots", never)
+    monkeypatch.setattr(cli, "family_matrix", never)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "would offer at least" in payload["error"]
+
+
+NARROW = [
+    ("shi", "--type", "A", "--rank", "2", "--k", "1"),
+    ("shi", "--type", "A", "--rank", "3", "--k", "1", "--exclude-root", "1,1,0"),
+    ("shi", "--type", "B", "--rank", "2", "--k", "2"),
+    ("shi", "--type", "C", "--rank", "3", "--k", "1"),
+    ("shi", "--type", "D", "--rank", "4", "--k", "1"),
+    ("shi", "--type", "G2", "--rank", "2", "--k", "2", "--exclude-root", "1,1"),
+    ("shi", "--type", "B", "--rank", "1", "--k", "3"),
+    ("linial", "--type", "A", "--rank", "3", "--n", "2"),
+    ("linial", "--type", "G2", "--rank", "2", "--n", "1"),
+    ("conjecture-scan", "--type", "B", "--rank", "3", "--k", "1"),
+    ("conjecture-scan", "--type", "A", "--rank", "2", "--k", "2"),
+    ("family", "--kind", "A", "--m", "3", "--p", "4", "--s", "2"),
+    ("family", "--kind", "B", "--m", "2", "--p", "3"),
+    ("family", "--kind", "Aprime", "--m", "2", "--p", "3", "--s", "3", "--a", "7"),
+    ("family", "--kind", "D", "--m", "1", "--p", "3", "--a", "5"),
+    ("family", "--kind", "A", "--m", "1", "--p", "2", "--s", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", NARROW, ids=lambda argv: " ".join(argv))
+def test_walk_offers_at_least_the_up_front_bound(capsys, monkeypatch, argv):
+    from qcp import arrangement, cli
+
+    # the bound the command refuses on, read off its refusal at a budget of 0
+    monkeypatch.setattr(cli, "WALK_BUDGET", 0)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    least = int(re.search(r"at least (\d+) column subsets", payload["error"])[1])
+    assert least > 0
+    # with that bound allowed up front, the walk itself stops one short of it
+    monkeypatch.setattr(cli, "WALK_BUDGET", least)
+    monkeypatch.setattr(arrangement, "WALK_BUDGET", least - 1)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "subset walk offered more than" in payload["error"]
 
 
 def test_compute_rejects_non_integer_entries(capsys, tmp_path):

@@ -33,22 +33,26 @@ def test_a2_roots():
     assert set(system.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
+# Closed forms at rank n: positive roots, Coxeter number, short roots and
+# highest root, with alpha_1 short in B and G2, alpha_n long in C and D's fork
+# at alpha_(n-2).
+CLOSED_FORMS = {
+    "A": lambda n: (n * (n + 1) // 2, n + 1, 0, (1,) * n),
+    "B": lambda n: (n * n, 2 * n, n if n > 1 else 0, (2,) * (n - 1) + (1,)),
+    "C": lambda n: (n * n, 2 * n, n * (n - 1), (2,) * (n - 1) + (1,)),
+    "D": lambda n: (n * (n - 1), 2 * n - 2, 0, (1,) + (2,) * (n - 3) + (1, 1)),
+    "G2": lambda n: (6, 6, 3, (3, 2)),
+}
+
+
 @pytest.mark.parametrize(
     "type_tag,rank,count,h",
     [
-        ("A", 1, 1, 2),
-        ("A", 2, 3, 3),
-        ("A", 3, 6, 4),
-        ("A", 4, 10, 5),
-        ("B", 2, 4, 4),
-        ("B", 3, 9, 6),
-        ("B", 4, 16, 8),
-        ("C", 2, 4, 4),
-        ("C", 3, 9, 6),
-        ("D", 3, 6, 4),
-        ("D", 4, 12, 6),
-        ("G2", 2, 6, 6),
-    ],
+        (type_tag, rank, *CLOSED_FORMS[type_tag](rank)[:2])
+        for type_tag in "ABCD"
+        for rank in range(3 if type_tag == "D" else 1, 9)
+    ]
+    + [("G2", 2, 6, 6)],
 )
 def test_counts_and_coxeter_numbers(type_tag, rank, count, h):
     system = positive_roots(type_tag, rank)
@@ -56,6 +60,9 @@ def test_counts_and_coxeter_numbers(type_tag, rank, count, h):
     assert len(set(system.positive_roots)) == count
     assert system.coxeter_number == h
     assert system.coxeter_number == 1 + sum(system.highest_root_coeffs)
+    _, _, short, highest = CLOSED_FORMS[type_tag](rank)
+    assert len(system.roots_of_length("short")) == short
+    assert system.highest_root_coeffs == highest
 
 
 @pytest.mark.parametrize("type_tag,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
