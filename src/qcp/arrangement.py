@@ -30,21 +30,24 @@ dropped with its whole subtree.  Integer echelon bases of C_J and A_J decide
 this without a Smith form.  The divisor chain of C_J comes from its
 determinantal divisors d_1..d_m (d_k the gcd of all k x k minors, 0 above
 the rank), carried down the walk: when class c joins J the only new minors
-are those that use c, so d_k <- gcd(d_k, g(K + c)) over the (k-1)-subsets
-K of J, g(S) being the gcd of the |S| x |S| minors of S's columns (an exact
+are those that use c, so d_k <- gcd(d_k, g(K + c)) over the (k-1)-subsets K
+of J, g(S) being the gcd of the |S| x |S| minors of S's columns (an exact
 determinant, memoised per walk).  The d_k of the whole coefficient matrix
 divides every d_k of C_J, so once d_k reaches it (1 in the common case) it
-is skipped.  The chain is e_k = d_k / d_(k-1).  Smith runs once on the
-whole coefficient matrix, for those floors, and on A_J only for a
-consistent choice with a nonzero offset whose C_J has e_r > 1 (r the
-rank).  When the chosen offsets are all zero the stacked chain is the
-coefficient one, and the stacked basis is the coefficient basis with a
-trailing 0, built only when a nonzero offset joins.  When e_r = 1 every
-d_k(C_J) is 1 and d_k(A_J) divides it (the minors of C_J are minors of
-A_J), so a consistent choice's stacked chain is all ones.  Once the
-coefficient basis has m rows every further class is dependent and is not
-reduced; only its stacked column is, since stacked rank m + 1 is a rank
-jump.
+is skipped.  The chain is e_k = d_k / d_(k-1).  Smith runs once on the whole
+coefficient matrix, for those floors, and on A_J only for a consistent
+choice with a nonzero offset whose C_J has e_r > 1 (r the rank).  When the
+chosen offsets are all zero the stacked chain is the coefficient one, and
+the stacked basis is the coefficient basis with a trailing 0, built only
+when a nonzero offset joins.  So the walk carries that all-zero choice in a
+lane of its own, a flag on each node, and a central walk handles no offset
+choice at all.  The chain, and the check that the echelon rank counts the
+nonzero d_k, depend only on the pair (d_1..d_m, rank), so each walk runs
+them once per distinct pair.  When e_r = 1 every d_k(C_J) is 1 and d_k(A_J)
+divides it (the minors of C_J are minors of A_J), so a consistent choice's
+stacked chain is all ones.  Once the coefficient basis has m rows every
+further class is dependent and is not reduced; only its stacked column is,
+since stacked rank m + 1 is a rank jump.
 
 The walk does not descend below a saturated class set J, one whose d_1..d_m
 are those of the whole coefficient matrix.  Then C_J has the whole rank,
@@ -88,7 +91,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
-from .intlinalg import IntMatrix, _smith_divisors, _Value, gcd_all
+from .intlinalg import IntMatrix, _smith_divisors, _Value
 from .quasipoly import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -248,32 +251,45 @@ def _reduce_against(basis, vec):
     (pivot, row) for an independent vector, or None for a dependent one.
     Rows are gcd-normalized to keep entries small.
     """
-    v = list(vec)
+    v = vec
     for piv, row in basis:
-        if v[piv]:
-            a, b = row[piv], v[piv]
+        b = v[piv]
+        if b:
+            a = row[piv]
             g = gcd(a, b)
             fa, fb = a // g, b // g
             v = [fa * x - fb * y for x, y in zip(v, row)]
     for idx, val in enumerate(v):
         if val:
-            g = gcd_all(v)
-            if g > 1:
+            g = gcd(*v) if val > 0 else -gcd(*v)  # the pivot entry ends positive
+            if g != 1:
                 v = [x // g for x in v]
-            if v[idx] < 0:
-                v = [-x for x in v]
             return idx, tuple(v)
     return None
 
 
+def _rank(vectors) -> int:
+    """Rank of a list of integer vectors, from an echelon basis."""
+    basis: list = []
+    for vec in vectors:
+        red = _reduce_against(basis, vec)
+        if red is not None:
+            basis.append(red)
+    return len(basis)
+
+
 def _det(rows) -> int:
-    """Exact determinant of a square integer matrix given as row lists, by
-    fraction-free (Bareiss) elimination; every division is exact."""
+    """Exact determinant of a square integer matrix given as row lists:
+    by cofactor expansion up to size 3, else by fraction-free (Bareiss)
+    elimination, where every division is exact."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -300,7 +316,10 @@ def _det(rows) -> int:
 def _minors_gcd(cols) -> int:
     """gcd of all k x k minors of the matrix whose k columns are ``cols``
     (0 when they are dependent).  One column gives the gcd of its entries
-    and two the gcd of their 2 x 2 minors, with no matrix built."""
+    and two the gcd of their 2 x 2 minors, with no matrix built; m columns
+    of length m give their one determinant.  Otherwise, when the first
+    minor is 0, one echelon reduction of the columns tells whether they are
+    dependent, so a dependent set costs one minor instead of C(m, k)."""
     k = len(cols)
     if k == 1:
         return gcd(*cols[0])
@@ -312,10 +331,23 @@ def _minors_gcd(cols) -> int:
             if g == 1:
                 break
         return g
-    for rows in combinations(range(len(cols[0])), k):
-        g = gcd(g, _det([[c[i] for c in cols] for i in rows]))
+    if k == len(cols[0]):  # one minor, the determinant of the transpose
+        return abs(_det(cols))
+    row_sets = combinations(range(len(cols[0])), k)
+    g = abs(_det([[c[i] for c in cols] for i in next(row_sets)]))
+    if not g:
+        # a zero first minor: when the columns are dependent every minor is
+        # 0, so check that once instead of evaluating all C(m, k) of them
+        basis: list = []
+        for c in cols:
+            red = _reduce_against(basis, c)
+            if red is None:
+                return 0
+            basis.append(red)
+    for rows in row_sets:
         if g == 1:
             break
+        g = gcd(g, _det([[c[i] for c in cols] for i in rows]))
     return g
 
 
@@ -384,12 +416,7 @@ def lcm_period(cmatrix: IntMatrix) -> int:
             raise ValidationError(f"coefficient column {j} is zero")
     cols = list(dict.fromkeys(cmatrix.columns()))
     nrows = cmatrix.rows
-    span: list = []
-    for c in cols:
-        red = _reduce_against(span, c)
-        if red is not None:
-            span.append(red)
-    rank = len(span)
+    rank = _rank(cols)
     acc = 1
     chosen: list[tuple[int, ...]] = []
 
@@ -423,6 +450,10 @@ def q_zero(arr: ArrangementInput) -> int:
     independent subsets only; their size is at most m + 1.  Every subset it
     offers, independent or not, is charged to Q_ZERO_BUDGET; past it the
     search raises BudgetExceededError.
+
+    When the stacked matrix [C; b] has the rank of C, b = yC for some
+    rational y, so b_J = yC_J for every J: no subset jumps, and q0 is 0
+    with no search.
     """
     if arr.is_central:
         return 0
@@ -430,6 +461,8 @@ def q_zero(arr: ArrangementInput) -> int:
     stacked_cols = list(
         dict.fromkeys(c + (b,) for c, b in zip(arr.cmatrix.columns(), arr.offsets))
     )
+    if _rank(stacked_cols) == _rank([c[:m] for c in stacked_cols]):
+        return 0
     best = 0
     offered = 0
     chosen: list[tuple[int, ...]] = []
@@ -484,29 +517,34 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     The walk is an iterative depth-first search over sets of column classes
     that prunes rank jumps (see the module docstring).  A node is a tuple of
     class indices with its live offset choices, those whose stacked system
-    is consistent, each carrying an echelon basis of its stacked columns;
-    the coefficient columns carry one basis and the determinantal divisors
-    d_1..d_m of C_J, shared by every choice.  Once that basis has m rows it
-    spans, so a joining class is dependent without a reduction; its stacked
-    column still reduces, since stacked rank m + 1 is the rank jump that
-    prunes.  When class c joins, d_k becomes gcd(d_k, g(K + c)) over the
-    (k-1)-subsets K of the chosen classes, skipped once d_k reaches the d_k
-    of the whole coefficient matrix (one Smith form per walk); g, the gcd of
-    the full-size minors of a class set, is memoised for the walk.  The
-    chain of C_J is e_k = d_k / d_(k-1), and the echelon rank must equal the
-    number of nonzero d_k.  When e_r = 1 a choice with a nonzero offset has
-    the key (r, ()), and its stacked basis must have r rows.  Past the whole
-    matrix, Smith runs only on the stacked matrix of a choice with a nonzero
-    offset over a C_J with e_r > 1; its rows come from the node's class
-    indices.
+    is consistent; the coefficient columns carry one basis and the
+    determinantal divisors d_1..d_m of C_J, shared by every choice.  Once
+    that basis has m rows it spans, so a joining class is dependent without
+    a reduction; its stacked column still reduces, since stacked rank m + 1
+    is the rank jump that prunes.  When class c joins, d_k becomes
+    gcd(d_k, g(K + c)) over the (k-1)-subsets K of the chosen classes,
+    skipped once d_k reaches the d_k of the whole coefficient matrix (one
+    Smith form per walk); g, the gcd of the full-size minors of a class set,
+    is memoised for the walk.  The chain of C_J is e_k = d_k / d_(k-1), and
+    the echelon rank must equal the number of nonzero d_k.  The chain and
+    that check are pure functions of the pair (d_1..d_m, echelon rank), so
+    they run once per distinct pair in a walk, and so does the lcm with its
+    e_r; every class set the walk keeps looks its pair up.  When e_r = 1 a
+    choice with a nonzero offset has the key (r, ()), and its stacked basis
+    must have r rows.  Past the whole matrix, Smith runs only on the stacked
+    matrix of a choice with a nonzero offset over a C_J with e_r > 1; its
+    rows come from the node's class indices.
 
-    A node has at most one choice whose offsets are all zero, and it stores
-    no stacked basis (None): that basis is the coefficient one with a
-    trailing 0, so adding offset 0 keeps it so, no rank jump can occur, and
-    its stacked chain is the coefficient one, giving the term key
-    (r, ((e, e) for e != 1)).  Only when a nonzero offset joins that choice
-    is its stacked basis built, once per node, from the node's own
-    coefficient basis.
+    The all-zero choice has its own lane: a node carries a flag for it, not
+    an entry among its choices.  It needs no stacked basis, since that basis
+    is the coefficient one with a trailing 0; adding offset 0 keeps it so,
+    no rank jump can occur, and its stacked chain is the coefficient one,
+    giving the term key (r, ((e, e) for e != 1)), made with the pair's
+    chain.  Only when a nonzero offset joins that choice is its stacked
+    basis built, once per node, from the node's own coefficient basis, and
+    the new choice joins the others.  So a node whose only live choice is
+    the all-zero one, joined by a class whose only offset is 0 (every node
+    of a central walk), builds no offsets and no lists of choices.
 
     At a saturated class set (d_1..d_m those of the whole matrix) no choice
     is kept for descent (see the module docstring): a choice adds its term
@@ -527,8 +565,9 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     by_class: dict[tuple[int, ...], list[int]] = {}
     for c, b in dict.fromkeys(zip(arr.cmatrix.columns(), arr.offsets)):
         by_class.setdefault(c, []).append(b)
-    classes = list(by_class.items())
-    cols = [c for c, _ in classes]
+    # (coefficient column, its offsets, its nonzero offsets, whether one is 0)
+    classes = [(c, bs, [b for b in bs if b], 0 in bs) for c, bs in by_class.items()]
+    cols = [c for c, _, _, _ in classes]
 
     floor = _whole_determinantal(cols, m)
     memo: dict[tuple[int, ...], int] = {}
@@ -540,90 +579,95 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
         return g
 
     # zero_after[i]: some class at index i or later has offset 0
-    zero_after = [False] * (len(classes) + 1)
-    for i in range(len(classes) - 1, -1, -1):
-        zero_after[i] = zero_after[i + 1] or 0 in classes[i][1]
+    n_classes = len(classes)
+    zero_after = [False] * (n_classes + 1)
+    for i in range(n_classes - 1, -1, -1):
+        zero_after[i] = zero_after[i + 1] or classes[i][3]
 
     terms: dict = {}
     rho = 1
     offered = 0
+    # (d_1..d_m, echelon rank) -> (chain of C_J, the all-zero choice's key)
+    chains: dict = {}
     # (first class to add, coefficient basis, chosen class indices,
-    #  determinantal divisors of C_J, live choices as (offsets, stacked
-    #  basis), the basis None for the choice whose offsets are all zero)
-    stack = [(0, [], (), (0,) * m, [((), None)])]
+    #  determinantal divisors of C_J, whether the all-zero choice is live,
+    #  the other live choices as (offsets, stacked basis))
+    stack = [(0, [], (), (0,) * m, True, [])]
     while stack:
-        start, c_basis, chosen, dets, live = stack.pop()
+        start, c_basis, chosen, dets, zero, live = stack.pop()
         zero_basis = None  # the all-zero choice's stacked basis, built on demand
-        for idx in range(start, len(classes)):
-            cvec, bs = classes[idx]
-            offered += len(live) * len(bs)
+        width = zero + len(live)
+        spans = len(c_basis) == m
+        sign = 1 if len(chosen) % 2 else -1  # of every class set chosen + (idx,)
+        for idx in range(start, n_classes):
+            cvec, bs, nonzero, has_zero = classes[idx]
+            offered += width * len(bs)
             if offered > WALK_BUDGET:
                 raise BudgetExceededError(
                     f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} "
                     f"column subsets"
                 )
-            c_red = None if len(c_basis) == m else _reduce_against(c_basis, cvec)
-            kept = []
-            for offs, a_basis in live:
-                for b in bs:
-                    if a_basis is None:
-                        if b == 0:  # still all zero, so no rank jump
-                            kept.append((offs + (0,), None))
-                            continue
-                        if zero_basis is None:
-                            zero_basis = [(piv, row + (0,)) for piv, row in c_basis]
-                        stacked = zero_basis
-                    else:
-                        stacked = a_basis
-                    a_red = _reduce_against(stacked, cvec + (b,))
-                    if a_red is None:
-                        kept.append((offs + (b,), stacked))
-                    elif c_red is not None:
-                        kept.append((offs + (b,), stacked + [a_red]))
-                    # else: rank jump, the subtree is dropped
-            if not kept:
-                continue
+            c_red = None if spans else _reduce_against(c_basis, cvec)
+            now_zero = zero and has_zero
+            if live or nonzero:
+                # (offsets, stacked basis, offsets to try) per live choice
+                pending = [(offs, a_basis, bs) for offs, a_basis in live]
+                if zero and nonzero:
+                    if zero_basis is None:
+                        zero_basis = [(piv, row + (0,)) for piv, row in c_basis]
+                    pending.insert(0, ((0,) * len(chosen), zero_basis, nonzero))
+                kept = []
+                for offs, a_basis, offsets in pending:
+                    for b in offsets:
+                        a_red = _reduce_against(a_basis, cvec + (b,))
+                        if a_red is None:
+                            kept.append((offs + (b,), a_basis))
+                        elif c_red is not None:
+                            kept.append((offs + (b,), a_basis + [a_red]))
+                        # else: rank jump, the subtree is dropped
+                if not kept and not now_zero:
+                    continue
+            else:
+                # only the all-zero choice, joined by offset 0 alone
+                kept = ()
             now_basis = c_basis if c_red is None else c_basis + [c_red]
             now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
-            es = _divisor_chain(now_dets, len(now_basis))
-            rank = len(es)
+            rank = len(now_basis)
+            chain = chains.get((now_dets, rank))
+            if chain is None:
+                es = _divisor_chain(now_dets, rank)
+                rho = lcm(rho, es[-1])
+                chain = chains[now_dets, rank] = (es, (rank, tuple((e, e) for e in es if e != 1)))
+            es, zero_key = chain
             now = chosen + (idx,)
-            rho = lcm(rho, es[-1])
-            sign = -1 if len(now) % 2 else 1
             saturated = now_dets == floor
-            descend = []
+            # below a saturated J the subtree of a choice is J + S over the
+            # subsets S of the classes that extend it, all with J's key: it
+            # sums to J's term when no later class extends it, else to 0.
+            # The all-zero choice is extended only by a later offset 0.
+            if now_zero and not (saturated and zero_after[idx + 1]):
+                terms[zero_key] = terms.get(zero_key, 0) + sign
             for offs, a_basis in kept:
-                if not saturated:
-                    descend.append((offs, a_basis))
-                # below a saturated J the subtree is J + S over the subsets S
-                # of the classes that extend the choice, all with J's key: it
-                # sums to J's term when no later class extends it, else to 0
-                elif a_basis is None:  # extended only by a later offset 0
-                    if zero_after[idx + 1]:
-                        continue
-                elif any(
+                if saturated and any(
                     _reduce_against(a_basis, classes[j][0] + (b,)) is None
-                    for j in range(idx + 1, len(classes))
+                    for j in range(idx + 1, n_classes)
                     for b in classes[j][1]
                 ):
                     continue
-                if a_basis is None:
-                    key = (rank, tuple((e, e) for e in es if e != 1))
+                if es[-1] == 1:
+                    # d_k(A_J) divides d_k(C_J) = 1: the stacked chain is all ones
+                    eps = (1,) * len(a_basis)
                 else:
-                    if es[-1] == 1:
-                        # d_k(A_J) divides d_k(C_J) = 1: the stacked chain is all ones
-                        eps = (1,) * len(a_basis)
-                    else:
-                        rows = [[cols[i][r] for i in now] for r in range(m)] + [list(offs)]
-                        eps = _smith_divisors(rows)
-                    if len(eps) != rank:
-                        raise InternalConsistencyError(
-                            "subset walk reached a subset with a rank jump"
-                        )
-                    key = (rank, tuple(p for p in zip(es, eps) if p != (1, 1)))
+                    rows = [[cols[i][r] for i in now] for r in range(m)] + [list(offs)]
+                    eps = _smith_divisors(rows)
+                if len(eps) != rank:
+                    raise InternalConsistencyError(
+                        "subset walk reached a subset with a rank jump"
+                    )
+                key = (rank, tuple(p for p in zip(es, eps) if p != (1, 1)))
                 terms[key] = terms.get(key, 0) + sign
-            if descend:
-                stack.append((idx + 1, now_basis, now, now_dets, descend))
+            if not saturated:  # every choice descends
+                stack.append((idx + 1, now_basis, now, now_dets, now_zero, kept))
     return {key: coef for key, coef in terms.items() if coef}, rho
 
 

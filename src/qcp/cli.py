@@ -193,6 +193,9 @@ def _cmd_scan_central(args):
 
 
 def _cmd_conjecture_scan(args):
+    # a scan of no k checks nothing, so it may not report every row consistent
+    if args.k < 1:
+        raise ValidationError(f"--k must be at least 1, got {args.k}")
     _check_type_and_rank(args.type, args.rank)
     # the widest walk of the scan: one root deleted, k = args.k
     _refuse_wide_walk(args.rank, [(_root_classes(args.rank, 1), 2 * args.k)])

@@ -10,19 +10,9 @@ in the lowest module they all import.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import ValidationError
 
-__all__ = ["IntMatrix", "gcd_all", "divisors_of"]
-
-
-def gcd_all(values) -> int:
-    """Nonnegative gcd of an iterable of integers (0 for an empty/all-zero one)."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
+__all__ = ["IntMatrix", "divisors_of"]
 
 
 def divisors_of(n: int) -> list[int]:

@@ -28,6 +28,7 @@ from qcp import (
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
+    generate_central_inputs,
     lcm_period,
     linial_matrix,
     minimum_period,
@@ -40,6 +41,7 @@ from qcp.arrangement import (
     CONSTITUENT_BUDGET,
     CollapseReport,
     _build_term_table,
+    _det,
     _divisor_chain,
     _extend_determinantal,
     _minors_gcd,
@@ -392,6 +394,86 @@ def test_formula_walks_once(monkeypatch):
     assert calls["_minors_gcd"] == 41
     assert calls["_reduce_against"] == 43
     assert formula.period == formula.minimum_period == 30
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_matches_unpruned_walk_on_central_scan_draws(seed):
+    # every node of a central walk has the all-zero choice alone
+    for arr in generate_central_inputs(3, 6, 5, 60, seed):
+        terms, rho = _build_term_table(arr)
+        assert terms == unpruned_term_table(arr)
+        assert rho == lcm_period(arr.cmatrix)
+
+
+def test_central_walk_checks_each_divisor_chain_once(monkeypatch):
+    # the 60 draws of `qcp scan-central --m 3 --n 6 --entry-bound 5
+    # --trials 60 --seed 1`: every class set the walk visits extends the
+    # determinantal divisors, but only 1,591 distinct (d_1..d_m, rank) pairs
+    # turn up, each walk checking its own once
+    calls = Counter()
+
+    def count_calls(name):
+        inner = getattr(arrangement_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(arrangement_module, name, counted)
+
+    names = ("_extend_determinantal", "_divisor_chain", "_reduce_against", "_minors_gcd",
+             "_smith_divisors")
+    for name in names:
+        count_calls(name)
+    for arr in generate_central_inputs(3, 6, 5, 60, 1):
+        _build_term_table(arr)
+    assert [calls[name] for name in names] == [3485, 1591, 2467, 2460, 60]
+
+
+def test_dependent_minor_set_stops_at_the_first_minor(monkeypatch):
+    calls = Counter()
+
+    def counted(rows):
+        calls["det"] += 1
+        return _det(rows)
+
+    monkeypatch.setattr(arrangement_module, "_det", counted)
+    # the third column is the sum of the first two: one minor, not C(6, 3) = 20
+    u, v = (1, 2, 0, 1, 3, -1), (0, 1, 1, 2, -1, 4)
+    assert _minors_gcd([u, v, tuple(a + b for a, b in zip(u, v))]) == 0
+    assert calls["det"] == 1
+    # independent, with a zero first minor: every minor is still read
+    cols = [(1, 0, 0, 2, 0, 0), (0, 1, 0, 0, 2, 0), (1, 1, 0, 0, 0, 2)]
+    rows = [[c[i] for c in cols] for i in range(6)]
+    assert _minors_gcd(cols) == minors_gcd(rows, 3) == 2
+
+
+@pytest.mark.parametrize(
+    "cols, offsets",
+    [
+        # b = yC for y = (2, -1): a translate of the central arrangement
+        ([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)], (2, -1, 1, 5, -1)),
+        # b = yC for y = (1/2, 1/2) only: b lies in C's rational row space
+        ([(2, 0), (0, 2), (2, 2), (2, -2)], (1, 1, 2, 0)),
+    ],
+)
+def test_q_zero_is_zero_when_offsets_lie_in_the_row_space(monkeypatch, cols, offsets):
+    arr = arrangement(cols, offsets)
+    calls = Counter()
+
+    def counted(rows):
+        calls["smith"] += 1
+        return _smith_divisors(rows)
+
+    monkeypatch.setattr(arrangement_module, "_smith_divisors", counted)
+    # no subset can jump, so the search offers none
+    monkeypatch.setattr(arrangement_module, "Q_ZERO_BUDGET", 0)
+    assert q_zero(arr) == 0
+    assert calls["smith"] == 0
+    monkeypatch.undo()
+    formula = CountingFormula.of(arr)
+    for q in range(1, 13):
+        assert formula.count(q) == brute_force_count(arr, q)
 
 
 @st.composite

@@ -205,6 +205,18 @@ def test_conjecture_scan_subcommand(capsys):
     assert payload["all_consistent"] is True
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_conjecture_scan_rejects_empty_k_range(capsys, k):
+    # a scan of no k checks no row, so it may not report them all consistent
+    argv = ("conjecture-scan", "--type", "A", "--rank", "3", "--k", k)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload == {"error": f"--k must be at least 1, got {k}", "kind": "validation"}
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == f"error (validation): --k must be at least 1, got {k}\n"
+
+
 @pytest.mark.parametrize("type_tag", ["G2", "B"])
 def test_conjecture_scan_needs_no_q0_and_no_constituents(capsys, monkeypatch, type_tag):
     from qcp import arrangement, cli

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_rank, divisors_via_minors, euler_phi, minors_gcd
 from qcp import IntMatrix, ValidationError
-from qcp.intlinalg import _smith_divisors, divisors_of, gcd_all
+from qcp.intlinalg import _smith_divisors, divisors_of
 
 
 def mat(rows):
@@ -125,8 +125,6 @@ def test_matrix_accessors():
 
 
 def test_number_helpers():
-    assert gcd_all([6, -9, 15]) == 3
-    assert gcd_all([]) == 0
     assert divisors_of(12) == [1, 2, 3, 4, 6, 12]
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
