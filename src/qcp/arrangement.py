@@ -74,8 +74,9 @@ basis, since an independent set of coefficient columns has no rank jump
 under any offsets, and it computes the chain of C_J there anyway; so the
 lcm period is read off the walk, as the lcm of the largest divisor
 e_r = d_r / d_(r-1) (r the rank) over every class set it visits.
-lcm_period computes the same number on its own, walking bases only; the
-tests use it as the oracle for the walk's value.
+lcm_period reads it off the walk of the central arrangement on the same
+columns, under the same WALK_BUDGET; the tests keep a walk over bases only
+as the oracle for that value.
 
 CountingFormula expands every term into integer weights on divisibility
 indicators [D | q]; the value at any q, every constituent and the minimum
@@ -227,21 +228,21 @@ class CollapseReport(_Value):
     def from_json_dict(cls, data: dict) -> "CollapseReport":
         """Parse a report; periods and q0 must be JSON integers and the flags
         JSON booleans, and nothing is coerced."""
+        names = ("lcm_period", "minimum_period", "collapse", "q0", "gcd_property",
+                 "quasi_polynomial")
+        try:
+            fields = {name: data[name] for name in names}
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed report object: {exc}") from exc
         for name in ("lcm_period", "minimum_period", "q0"):
-            value = data[name]
+            value = fields[name]
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         for name in ("collapse", "gcd_property"):
-            if not isinstance(data[name], bool):
-                raise ValidationError(f"{name} must be a boolean, got {data[name]!r}")
-        return cls(
-            lcm_period=data["lcm_period"],
-            minimum_period=data["minimum_period"],
-            collapse=data["collapse"],
-            q0=data["q0"],
-            gcd_property=data["gcd_property"],
-            quasi_polynomial=QuasiPolynomial.from_json_dict(data["quasi_polynomial"]),
-        )
+            if not isinstance(fields[name], bool):
+                raise ValidationError(f"{name} must be a boolean, got {fields[name]!r}")
+        fields["quasi_polynomial"] = QuasiPolynomial.from_json_dict(fields["quasi_polynomial"])
+        return cls(**fields)
 
 
 def _reduce_against(basis, vec):
@@ -317,9 +318,11 @@ def _minors_gcd(cols) -> int:
     """gcd of all k x k minors of the matrix whose k columns are ``cols``
     (0 when they are dependent).  One column gives the gcd of its entries
     and two the gcd of their 2 x 2 minors, with no matrix built; m columns
-    of length m give their one determinant.  Otherwise, when the first
-    minor is 0, one echelon reduction of the columns tells whether they are
-    dependent, so a dependent set costs one minor instead of C(m, k)."""
+    of length m give their one determinant.  Otherwise the minors are read
+    until their gcd is 1, unless the first one is 0: then one Smith form of
+    the columns gives the gcd as the product of their elementary divisors,
+    0 when there are fewer than k, so no set reads C(m, k) minors for want
+    of a nonzero one."""
     k = len(cols)
     if k == 1:
         return gcd(*cols[0])
@@ -336,14 +339,8 @@ def _minors_gcd(cols) -> int:
     row_sets = combinations(range(len(cols[0])), k)
     g = abs(_det([[c[i] for c in cols] for i in next(row_sets)]))
     if not g:
-        # a zero first minor: when the columns are dependent every minor is
-        # 0, so check that once instead of evaluating all C(m, k) of them
-        basis: list = []
-        for c in cols:
-            red = _reduce_against(basis, c)
-            if red is None:
-                return 0
-            basis.append(red)
+        chain = _smith_divisors([list(c) for c in cols])
+        return prod(chain) if len(chain) == k else 0
     for rows in row_sets:
         if g == 1:
             break
@@ -399,45 +396,11 @@ def _divisor_chain(dets, rank: int) -> tuple[int, ...]:
 def lcm_period(cmatrix: IntMatrix) -> int:
     """lcm of the largest elementary divisor over all column subsets.
 
-    Every subset's largest divisor divides the largest divisor of some
-    linearly independent subset spanning the same columns (dropping a
-    dependent column can only grow invariant factors), and an independent
-    subset's largest divisor divides that of every independent superset (its
-    lattice's torsion embeds in theirs).  So the lcm is taken over the bases
-    of the distinct columns only: the walk goes through independent subsets
-    and runs Smith only on those of full rank.
-
-    CountingFormula reads the same number off its subset walk; this
-    standalone walk serves callers that need the period alone, and the
-    tests as the oracle for the walk's value.
+    Read off the subset walk of the central arrangement on the same columns
+    (see _build_term_table), so it costs one walk and raises
+    BudgetExceededError where that walk passes WALK_BUDGET.
     """
-    for j in range(cmatrix.cols):
-        if not any(cmatrix.column(j)):
-            raise ValidationError(f"coefficient column {j} is zero")
-    cols = list(dict.fromkeys(cmatrix.columns()))
-    nrows = cmatrix.rows
-    rank = _rank(cols)
-    acc = 1
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(start: int, basis) -> None:
-        nonlocal acc
-        # leave enough columns to complete a basis
-        for idx in range(start, len(cols) - (rank - len(chosen)) + 1):
-            red = _reduce_against(basis, cols[idx])
-            if red is None:
-                continue
-            chosen.append(cols[idx])
-            if len(chosen) == rank:
-                rows = [[c[i] for c in chosen] for i in range(nrows)]
-                top = _smith_divisors(rows)[-1]
-                acc = acc // gcd(acc, top) * top
-            else:
-                rec(idx + 1, basis + [red])
-            chosen.pop()
-
-    rec(0, [])
-    return acc
+    return _build_term_table(ArrangementInput(cmatrix, (0,) * cmatrix.cols))[1]
 
 
 def q_zero(arr: ArrangementInput) -> int:
@@ -775,8 +738,7 @@ class CountingFormula(_Value):
         """Walk the column subsets of ``arr`` once and expand every term.
 
         The one walk gives both the term table and the lcm period, read off
-        the coefficient divisor chains it computes (see _build_term_table);
-        ``lcm_period`` stays the standalone function and the tests' oracle.
+        the coefficient divisor chains it computes (see _build_term_table).
         """
         terms, rho = _build_term_table(arr)
         _check_divisor_chains(terms, rho, arr.is_central)

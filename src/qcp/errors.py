@@ -10,8 +10,9 @@ class ValidationError(QcpError, ValueError):
 
 
 class InternalConsistencyError(QcpError, RuntimeError):
-    """A self-check failed: holdout mismatch, non-integral interpolation,
-    or a broken structural invariant.  Indicates a bug, never bad input."""
+    """A self-check failed: a broken structural invariant, such as a term
+    divisor that does not divide the lcm period.  Indicates a bug, never
+    bad input."""
 
 
 class BudgetExceededError(QcpError, RuntimeError):

@@ -12,22 +12,7 @@ from __future__ import annotations
 
 from .errors import ValidationError
 
-__all__ = ["IntMatrix", "divisors_of"]
-
-
-def divisors_of(n: int) -> list[int]:
-    """Sorted positive divisors of a positive integer."""
-    if n < 1:
-        raise ValidationError("divisors_of expects a positive integer")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+__all__ = ["IntMatrix"]
 
 
 class _Value:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import ValidationError
-from .intlinalg import _Value, divisors_of
+from .intlinalg import _Value
 
 __all__ = [
     "Polynomial",
@@ -79,7 +79,10 @@ class Polynomial(_Value):
     @classmethod
     def from_json_list(cls, data) -> "Polynomial":
         """Parse coefficients written by ``to_json_list``: decimal strings (or
-        JSON integers); floats, bools and other strings are rejected."""
+        JSON integers) in a list; floats, bools and other strings are
+        rejected."""
+        if not isinstance(data, list):
+            raise ValidationError(f"coefficients must be a list, got {data!r}")
         coeffs = []
         for c in data:
             if isinstance(c, str) and c.isascii() and c.removeprefix("-").isdigit():
@@ -143,14 +146,18 @@ class QuasiPolynomial(_Value):
     def from_json_dict(cls, data: dict) -> "QuasiPolynomial":
         """Parse the form written by ``to_json_dict``; ``period`` and each
         ``k`` must be JSON integers and are never coerced."""
-        period = data["period"]
-        classes = [item["k"] for item in data["constituents"]]
+        try:
+            period = data["period"]
+            pairs = [(item["k"], item["coeffs"]) for item in data["constituents"]]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed quasi-polynomial object: {exc}") from exc
+        classes = [k for k, _ in pairs]
         for value in (period, *classes):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"period and classes must be integers, got {value!r}")
         if sorted(classes) != list(range(1, period + 1)):
             raise ValidationError("constituent classes must be exactly 1..period")
-        by_class = {item["k"]: item["coeffs"] for item in data["constituents"]}
+        by_class = dict(pairs)
         return cls(
             period=period,
             constituents=tuple(
@@ -163,10 +170,10 @@ def minimum_period(qp: QuasiPolynomial) -> int:
     """Smallest divisor s of the period with f^k = f^k' whenever k ≡ k' mod s."""
     rho = qp.period
     cons = qp.constituents
-    for s in divisors_of(rho):
-        if all(cons[i] == cons[i % s] for i in range(rho)):
+    for s in range(1, rho):
+        if rho % s == 0 and all(cons[i] == cons[i % s] for i in range(rho)):
             return s
-    return rho  # unreachable: s = rho always matches
+    return rho
 
 
 def has_gcd_property(qp: QuasiPolynomial) -> bool:

@@ -15,7 +15,11 @@ live here, not in qcp: no command runs them, and they stay as oracles.
 ``unpruned_term_table`` checks the pruned subset walk: it offers every
 grouped subset, rank jumps included, and runs both Smith forms on each.
 
-``euler_phi`` and ``with_period`` are small helpers that only tests need.
+``bases_lcm_period`` checks the lcm period that qcp reads off its walk: it
+walks the independent column sets only and runs Smith on bases alone.
+
+``euler_phi``, ``divisors`` and ``with_period`` are small helpers that only
+tests need.
 """
 
 from fractions import Fraction
@@ -28,11 +32,10 @@ from qcp import (
     Polynomial,
     QuasiPolynomial,
     ValidationError,
-    lcm_period,
     q_zero,
 )
-from qcp.arrangement import _build_term_table
-from qcp.intlinalg import _smith_divisors, divisors_of
+from qcp.arrangement import _build_term_table, _rank, _reduce_against
+from qcp.intlinalg import _smith_divisors
 
 
 def euler_phi(n: int) -> int:
@@ -48,6 +51,11 @@ def euler_phi(n: int) -> int:
     if n > 1:
         out -= out // n
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """Sorted positive divisors of a positive integer."""
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def with_period(qp, new_period: int):
@@ -123,6 +131,42 @@ def oracle_lcm_period(columns) -> int:
     return acc
 
 
+def bases_lcm_period(cmatrix) -> int:
+    """The lcm period from the bases of the distinct columns alone.
+
+    Every subset's largest divisor divides the largest divisor of some
+    linearly independent subset spanning the same columns (dropping a
+    dependent column can only grow invariant factors), and an independent
+    subset's largest divisor divides that of every independent superset (its
+    lattice's torsion embeds in theirs).  So the walk goes through
+    independent subsets and runs Smith only on those of full rank.
+    """
+    cols = list(dict.fromkeys(cmatrix.columns()))
+    nrows = cmatrix.rows
+    rank = _rank(cols)
+    acc = 1
+    chosen = []
+
+    def rec(start, basis):
+        nonlocal acc
+        # leave enough columns to complete a basis
+        for idx in range(start, len(cols) - (rank - len(chosen)) + 1):
+            red = _reduce_against(basis, cols[idx])
+            if red is None:
+                continue
+            chosen.append(cols[idx])
+            if len(chosen) == rank:
+                rows = [[c[i] for c in chosen] for i in range(nrows)]
+                top = _smith_divisors(rows)[-1]
+                acc = acc // gcd(acc, top) * top
+            else:
+                rec(idx + 1, basis + [red])
+            chosen.pop()
+
+    rec(0, [])
+    return acc
+
+
 def oracle_q_zero(ccolumns, offsets) -> int:
     """Max largest divisor of stacked subsets with a rank jump, 0 if none."""
     best = 0
@@ -159,14 +203,14 @@ def totient_summary(arr) -> tuple[int, int]:
     expansion gcd(e, q) = sum of phi(d) over d dividing e and q: each
     coefficient becomes a combination of indicators [D | q], and the minimum
     period is the lcm of the moduli left with a nonzero weight."""
-    rho = lcm_period(arr.cmatrix)
+    rho = bases_lcm_period(arr.cmatrix)
     weights = {}
     for (ell, pairs), coef in _build_term_table(arr)[0].items():
         expansion = {1: coef}
         for e, ep in pairs:
             assert e == ep, "central input has equal divisor chains"
             nxt = {}
-            for d in divisors_of(e):
+            for d in divisors(e):
                 f = euler_phi(d)
                 for dd, w in expansion.items():
                     key = dd // gcd(dd, d) * d
@@ -299,7 +343,7 @@ def interpolate_constituents(samples, expected_degree: int):
 def interpolated_quasi_polynomial(arr):
     """Constituents interpolated from naive-enumerator samples above q0:
     m + 1 points per residue class and one holdout that must match."""
-    rho, q0, m = lcm_period(arr.cmatrix), q_zero(arr), arr.m
+    rho, q0, m = bases_lcm_period(arr.cmatrix), q_zero(arr), arr.m
     samples = {}
     for k in range(1, rho + 1):
         first = q0 + 1 + (k - q0 - 1) % rho

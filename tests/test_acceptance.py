@@ -13,7 +13,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import divisor_formula_count_naive, with_period
+from conftest import bases_lcm_period, divisor_formula_count_naive, with_period
 from qcp import (
     ArrangementInput,
     CountingFormula,
@@ -30,7 +30,6 @@ from qcp import (
     family_matrix,
     generate_central_inputs,
     has_gcd_property,
-    lcm_period,
     q_zero,
     reciprocity_A,
     RootSubset,
@@ -116,7 +115,7 @@ def linial_quasi_polynomials():
     cases = []
     for type_tag, rank, n_values in (("A", 2, (1, 2)), ("B", 2, (1, 2, 3)), ("G2", 2, (1, 2))):
         system = positive_roots(type_tag, rank)
-        rho = lcm_period(IntMatrix.from_columns(system.positive_roots))
+        rho = bases_lcm_period(IntMatrix.from_columns(system.positive_roots))
         for n in n_values:
             arr = linial_matrix(RootSubset.full(system), n)
             cases.append((type_tag, n, rho, characteristic_quasi_polynomial(arr)))
@@ -151,7 +150,7 @@ def central_scan_results():
             report = central_scan(m=m, n=n, entry_bound=5, trials=20, seed=seed)
             scans.append(report)
             for arr in generate_central_inputs(m=m, n=n, entry_bound=5, trials=20, seed=seed):
-                if len(audited) < 60 and lcm_period(arr.cmatrix) <= 200:
+                if len(audited) < 60 and bases_lcm_period(arr.cmatrix) <= 200:
                     audited.append(characteristic_quasi_polynomial(arr))
             seed += 1
     return scans, audited

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bases_lcm_period,
     divisor_formula_count_naive,
     evaluate_terms,
     interpolated_quasi_polynomial,
@@ -329,7 +330,7 @@ def test_walk_smith_calls(monkeypatch, arr, smith_calls):
 @given(st.one_of(random_arrangements(), random_arrangements(with_offsets=False)))
 @settings(max_examples=60, deadline=None)
 def test_walk_period_matches_lcm_period(arr):
-    assert _build_term_table(arr)[1] == lcm_period(arr.cmatrix)
+    assert _build_term_table(arr)[1] == bases_lcm_period(arr.cmatrix)
 
 
 @given(matrices_with_dependent_columns(), st.data())
@@ -337,7 +338,7 @@ def test_walk_period_matches_lcm_period(arr):
 def test_walk_period_matches_lcm_period_with_dependent_columns(mat, data):
     offsets = data.draw(st.lists(st.integers(-2, 2), min_size=mat.cols, max_size=mat.cols))
     arr = ArrangementInput(mat, tuple(offsets))
-    assert _build_term_table(arr)[1] == lcm_period(mat)
+    assert _build_term_table(arr)[1] == bases_lcm_period(mat)
 
 
 @given(st.lists(
@@ -348,7 +349,7 @@ def test_walk_period_matches_lcm_period_with_dependent_columns(mat, data):
 def test_walk_period_matches_lcm_period_on_central_scan_draws(cols):
     # the shape of `qcp scan-central --m 3 --n 6 --entry-bound 5`
     arr = arrangement(cols, (0,) * 6)
-    assert _build_term_table(arr)[1] == lcm_period(arr.cmatrix)
+    assert _build_term_table(arr)[1] == bases_lcm_period(arr.cmatrix)
 
 
 @pytest.mark.parametrize("type_tag", ["A", "B", "G2"])
@@ -362,7 +363,7 @@ def test_walk_period_matches_lcm_period_on_root_deletions(type_tag):
         # arrangement of the same roots has only the zero one
         central = ArrangementInput(linial.cmatrix, (0,) * linial.n)
         for arr in (shi_matrix(subset, 1), shi_matrix(subset, 2), linial, central):
-            assert _build_term_table(arr)[1] == lcm_period(arr.cmatrix)
+            assert _build_term_table(arr)[1] == bases_lcm_period(arr.cmatrix)
 
 
 def test_formula_walks_once(monkeypatch):
@@ -402,7 +403,7 @@ def test_walk_matches_unpruned_walk_on_central_scan_draws(seed):
     for arr in generate_central_inputs(3, 6, 5, 60, seed):
         terms, rho = _build_term_table(arr)
         assert terms == unpruned_term_table(arr)
-        assert rho == lcm_period(arr.cmatrix)
+        assert rho == bases_lcm_period(arr.cmatrix)
 
 
 def test_central_walk_checks_each_divisor_chain_once(monkeypatch):
@@ -442,10 +443,28 @@ def test_dependent_minor_set_stops_at_the_first_minor(monkeypatch):
     u, v = (1, 2, 0, 1, 3, -1), (0, 1, 1, 2, -1, 4)
     assert _minors_gcd([u, v, tuple(a + b for a, b in zip(u, v))]) == 0
     assert calls["det"] == 1
-    # independent, with a zero first minor: every minor is still read
+
+
+def test_zero_first_minor_goes_to_smith(monkeypatch):
+    calls = Counter()
+
+    def count_calls(name):
+        inner = getattr(arrangement_module, name)
+
+        def counted(rows):
+            calls[name] += 1
+            return inner(rows)
+
+        monkeypatch.setattr(arrangement_module, name, counted)
+
+    for name in ("_det", "_smith_divisors"):
+        count_calls(name)
+    # independent, with a zero first minor: one Smith form, not C(6, 3) = 20
+    # minors
     cols = [(1, 0, 0, 2, 0, 0), (0, 1, 0, 0, 2, 0), (1, 1, 0, 0, 0, 2)]
     rows = [[c[i] for c in cols] for i in range(6)]
     assert _minors_gcd(cols) == minors_gcd(rows, 3) == 2
+    assert calls == {"_det": 1, "_smith_divisors": 1}
 
 
 @pytest.mark.parametrize(
@@ -532,7 +551,23 @@ EVEN_SUM_4 = arrangement(
 def test_walk_matches_unpruned_walk_on_sublattices(arr):
     terms, rho = _build_term_table(arr)
     assert terms == unpruned_term_table(arr)
-    assert rho == lcm_period(arr.cmatrix)
+    assert rho == bases_lcm_period(arr.cmatrix)
+
+
+@given(st.one_of(random_arrangements(max_m=4, max_n=6, bound=3), sublattice_arrangements()))
+@settings(max_examples=60, deadline=None)
+def test_lcm_period_matches_bases_lcm_period(arr):
+    assert lcm_period(arr.cmatrix) == bases_lcm_period(arr.cmatrix)
+
+
+def test_lcm_period_stops_at_the_walk_budget(monkeypatch):
+    # no pair of the columns (1, 2i) has an odd determinant, so no class set
+    # saturates before (1, 3), the last class, joins: the walk offers every
+    # subset of the first eleven
+    cols = [(1, 2 * i) for i in range(11)] + [(1, 3)]
+    monkeypatch.setattr(arrangement_module, "WALK_BUDGET", 1_000)
+    with pytest.raises(BudgetExceededError, match="WALK_BUDGET"):
+        lcm_period(IntMatrix.from_columns(cols))
 
 
 def test_even_sum_determinantal_divisor_stays_two():
@@ -644,6 +679,13 @@ def test_collapse_report_json_is_strict():
     ):
         with pytest.raises(ValidationError):
             CollapseReport.from_json_dict({**data, key: bad})
+    # a missing field, a non-object and a malformed quasi-polynomial are
+    # refused as invalid, not as a KeyError or TypeError
+    missing = {key: value for key, value in data.items() if key != "q0"}
+    for bad in ({"lcm_period": 1}, missing, [data], "report", None,
+                {**data, "quasi_polynomial": {"period": 1}}):
+        with pytest.raises(ValidationError, match="malformed"):
+            CollapseReport.from_json_dict(bad)
 
 
 def test_central_inputs_never_collapse():

@@ -156,3 +156,18 @@ def test_json_round_trip():
         constituents = [{**data["constituents"][0], "k": bad}, data["constituents"][1]]
         with pytest.raises(ValidationError):
             QuasiPolynomial.from_json_dict({**data, "constituents": constituents})
+    # malformed objects are refused as invalid, not as a KeyError or TypeError
+    first = data["constituents"][0]
+    for bad in (
+        {"period": 1}, {"constituents": data["constituents"]}, [data], "qp", None,
+        {**data, "constituents": 2}, {**data, "constituents": [first, 1]},
+        {**data, "constituents": [first, "k"]}, {**data, "constituents": [first, {"k": 2}]},
+    ):
+        with pytest.raises(ValidationError, match="malformed"):
+            QuasiPolynomial.from_json_dict(bad)
+    # coefficients come as a list; a string is not read digit by digit
+    for bad in ("13", 13, {"0": "1"}):
+        with pytest.raises(ValidationError, match="list"):
+            QuasiPolynomial.from_json_dict(
+                {**data, "constituents": [{"k": 1, "coeffs": bad}, data["constituents"][1]]}
+            )
