@@ -120,6 +120,15 @@ WALK_BUDGET = 200_000
 Q_ZERO_BUDGET = 1_000_000
 
 
+def _require_int(name: str, value, positive: bool = False) -> None:
+    """Refuse a bool, any other non-int and, when ``positive``, a value below
+    1: the library boundary coerces nothing."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if positive and value < 1:
+        raise ValidationError(f"{name} must be a positive integer")
+
+
 class ArrangementInput(_Value):
     """An integral arrangement: coefficient matrix plus offset vector.
 
@@ -174,9 +183,8 @@ class ArrangementInput(_Value):
             b = data["b"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed arrangement object: {exc}") from exc
-        for name, value in (("m", m), ("n", n)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        _require_int("m", m)
+        _require_int("n", n)
         if not isinstance(crows, list) or not all(isinstance(row, list) for row in crows):
             raise ValidationError("C must be a list of rows")
         if not isinstance(b, list):
@@ -235,9 +243,7 @@ class CollapseReport(_Value):
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed report object: {exc}") from exc
         for name in ("lcm_period", "minimum_period", "q0"):
-            value = fields[name]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, fields[name])
         for name in ("collapse", "gcd_property"):
             if not isinstance(fields[name], bool):
                 raise ValidationError(f"{name} must be a boolean, got {fields[name]!r}")
@@ -267,16 +273,6 @@ def _reduce_against(basis, vec):
                 v = [x // g for x in v]
             return idx, tuple(v)
     return None
-
-
-def _rank(vectors) -> int:
-    """Rank of a list of integer vectors, from an echelon basis."""
-    basis: list = []
-    for vec in vectors:
-        red = _reduce_against(basis, vec)
-        if red is not None:
-            basis.append(red)
-    return len(basis)
 
 
 def _det(rows) -> int:
@@ -414,23 +410,30 @@ def q_zero(arr: ArrangementInput) -> int:
     offers, independent or not, is charged to Q_ZERO_BUDGET; past it the
     search raises BudgetExceededError.
 
-    When the stacked matrix [C; b] has the rank of C, b = yC for some
-    rational y, so b_J = yC_J for every J: no subset jumps, and q0 is 0
-    with no search.
+    One echelon basis of A_J finds the jump.  While no row is pivoted on the
+    offset coordinate m, the rows project onto a basis of C_J, so a column
+    reduces to a row pivoted at m exactly when its coefficient part lies in
+    span(C_J) but the stacked column lies outside span(A_J): the rank jump.
+    After it every reduction clears coordinate m.  When the basis of all the
+    stacked columns has no row pivoted at m (central input among others),
+    b = yC for a rational y, no subset jumps, and q0 is 0 with no search.
     """
-    if arr.is_central:
-        return 0
     m = arr.m
     stacked_cols = list(
         dict.fromkeys(c + (b,) for c, b in zip(arr.cmatrix.columns(), arr.offsets))
     )
-    if _rank(stacked_cols) == _rank([c[:m] for c in stacked_cols]):
+    whole: list = []
+    for col in stacked_cols:
+        red = _reduce_against(whole, col)
+        if red is not None:
+            whole.append(red)
+    if all(piv < m for piv, _ in whole):
         return 0
     best = 0
     offered = 0
     chosen: list[tuple[int, ...]] = []
 
-    def rec(start: int, a_basis, c_basis, jumped: bool) -> None:
+    def rec(start: int, basis, jumped: bool) -> None:
         nonlocal best, offered
         for idx in range(start, len(stacked_cols)):
             offered += 1
@@ -440,31 +443,24 @@ def q_zero(arr: ArrangementInput) -> int:
                     f"stacked column subsets"
                 )
             col = stacked_cols[idx]
-            a_red = _reduce_against(a_basis, col)
-            if a_red is None:
+            red = _reduce_against(basis, col)
+            if red is None:
                 continue
-            c_red = _reduce_against(c_basis, col[:m])
-            if c_red is None and jumped:
-                # dropping one row of an independent set loses rank at most 1
+            if red[0] == m and jumped:
                 raise InternalConsistencyError(
-                    "two coefficient-rank drops inside an independent stacked subset"
+                    "two stacked basis rows pivoted on the offset coordinate"
                 )
-            now_jumped = jumped or c_red is None
+            now_jumped = jumped or red[0] == m
             chosen.append(col)
             if now_jumped:
                 rows = [[c[i] for c in chosen] for i in range(m + 1)]
                 top = _smith_divisors(rows)[-1]
                 if top > best:
                     best = top
-            rec(
-                idx + 1,
-                a_basis + [a_red],
-                c_basis if c_red is None else c_basis + [c_red],
-                now_jumped,
-            )
+            rec(idx + 1, basis + [red], now_jumped)
             chosen.pop()
 
-    rec(0, [], [], False)
+    rec(0, [], False)
     return best
 
 
@@ -763,6 +759,7 @@ class CountingFormula(_Value):
     def constituent(self, k: int) -> Polynomial:
         """The monic degree-m polynomial of residue class k >= 1 (k need not
         be reduced modulo the period)."""
+        _require_int("k", k, positive=True)
         m = self.m
         coeffs = [0] * m + [1]
         for ell, dest in self.weights.items():
@@ -772,8 +769,7 @@ class CountingFormula(_Value):
     def count(self, q: int) -> int:
         """Exact value of the counting formula at q >= 1: the constituent of
         q's class evaluated at q."""
-        if q < 1:
-            raise ValidationError("q must be a positive integer")
+        _require_int("q", q, positive=True)
         return self.constituent(q).evaluate(q)
 
     def quasi_polynomial(self) -> QuasiPolynomial:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .arrangement import ArrangementInput, central_period_summary
+from .arrangement import ArrangementInput, _require_int, central_period_summary
 from .errors import BudgetExceededError, ValidationError
 from .intlinalg import IntMatrix, _Value
 
@@ -162,8 +162,7 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     slice of q^(m-1) points exceeds the cap is the grid counted point by
     point.  Both are exact for entries of any size.
     """
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
+    _require_int("q", q, positive=True)
     _charge_point_tests(arr, range(q, q + 1), budget, f"counting at q={q}")
     # c_i * z_i with both below q must fit int64
     if q ** (arr.m - 1) <= _NUMPY_CELL_CAP and (q - 1) ** 2 < 1 << 63:
@@ -200,6 +199,8 @@ class ScanReport(_Value):
 
 
 def _check_scan_args(m: int, n: int, entry_bound: int, trials: int) -> None:
+    for name, value in (("m", m), ("n", n), ("entry_bound", entry_bound), ("trials", trials)):
+        _require_int(name, value)
     if m < 1 or n < 1 or entry_bound < 1:
         raise ValidationError("m, n, and entry_bound must be positive")
     if trials < 0:

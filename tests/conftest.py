@@ -16,7 +16,9 @@ live here, not in qcp: no command runs them, and they stay as oracles.
 grouped subset, rank jumps included, and runs both Smith forms on each.
 
 ``bases_lcm_period`` checks the lcm period that qcp reads off its walk: it
-walks the independent column sets only and runs Smith on bases alone.
+walks the independent column sets only and runs Smith on bases alone.  It
+keeps its own ``_rank``, an echelon rank over the library's
+``_reduce_against``; qcp itself needs none.
 
 ``euler_phi``, ``divisors`` and ``with_period`` are small helpers that only
 tests need.
@@ -34,7 +36,7 @@ from qcp import (
     ValidationError,
     q_zero,
 )
-from qcp.arrangement import _build_term_table, _rank, _reduce_against
+from qcp.arrangement import _build_term_table, _reduce_against
 from qcp.intlinalg import _smith_divisors
 
 
@@ -129,6 +131,16 @@ def oracle_lcm_period(columns) -> int:
                 top = chain[-1]
                 acc = acc // gcd(acc, top) * top
     return acc
+
+
+def _rank(vectors) -> int:
+    """Rank of a list of integer vectors, from an echelon basis."""
+    basis = []
+    for vec in vectors:
+        red = _reduce_against(basis, vec)
+        if red is not None:
+            basis.append(red)
+    return len(basis)
 
 
 def bases_lcm_period(cmatrix) -> int:

@@ -21,6 +21,7 @@ from qcp import (
     ArrangementInput,
     BudgetExceededError,
     CountingFormula,
+    FamilyParams,
     IntMatrix,
     RootSubset,
     ValidationError,
@@ -29,6 +30,7 @@ from qcp import (
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
+    family_matrix,
     generate_central_inputs,
     lcm_period,
     linial_matrix,
@@ -46,6 +48,7 @@ from qcp.arrangement import (
     _divisor_chain,
     _extend_determinantal,
     _minors_gcd,
+    _reduce_against,
     _whole_determinantal,
 )
 from qcp.intlinalg import _smith_divisors
@@ -155,25 +158,53 @@ def test_lcm_period_matches_full_enumeration_dimension_three(mat):
     assert lcm_period(mat) == oracle_lcm_period(cols)
 
 
-@given(random_arrangements(max_m=2, max_n=5, bound=3))
-@settings(max_examples=40, deadline=None)
-def test_q_zero_matches_full_enumeration(arr):
-    cols = [list(arr.cmatrix.column(j)) for j in range(arr.n)]
-    assert q_zero(arr) == oracle_q_zero(cols, arr.offsets)
-
-
-@given(random_arrangements(max_m=3, max_n=6, bound=3))
-@settings(max_examples=15, deadline=None)
-def test_q_zero_matches_full_enumeration_dimension_three(arr):
-    cols = [list(arr.cmatrix.column(j)) for j in range(arr.n)]
-    assert q_zero(arr) == oracle_q_zero(cols, arr.offsets)
-
-
 def test_q_zero_examples():
     central = arrangement([(1, 2), (3, -1)], (0, 0))
     assert q_zero(central) == 0
     assert q_zero(FAMILY_A_122) == 2
     assert q_zero(FAMILY_D_222) == 2
+
+
+def test_offset_pivot_marks_the_rank_jump():
+    # against the stacked basis of (1, 0 | 0) and (0, 1 | 0), (1, 1 | 1) has
+    # its coefficient part in the span but not its stacked column: it
+    # reduces to a row pivoted on the offset coordinate 2
+    basis = [(0, (1, 0, 0)), (1, (0, 1, 0))]
+    assert _reduce_against(basis, (1, 1, 1)) == (2, (0, 0, 1))
+    assert _reduce_against(basis, (1, 1, 0)) is None
+
+
+# q0 of every input the benchmark's workloads build (perfbench/workloads.py):
+# the full Shi arrangements, every root deletion it may draw, and the
+# families.  Kind A's q0 is the same for every s, so s = 2 stands for all.
+BENCHMARK_Q_ZERO = [
+    (("G2", 2, 2, None), 15), (("A", 3, 1, None), 3), (("G2", 2, 1, None), 6),
+    (("A", 3, 2, (1, 0, 0)), 6), (("A", 3, 2, (0, 1, 0)), 6), (("A", 3, 2, (0, 0, 1)), 6),
+    (("A", 3, 2, (1, 1, 0)), 7), (("A", 3, 2, (0, 1, 1)), 7), (("A", 3, 2, (1, 1, 1)), 6),
+    (("G2", 2, 2, (1, 0)), 15), (("G2", 2, 2, (0, 1)), 10), (("G2", 2, 2, (1, 1)), 15),
+    (("G2", 2, 2, (2, 1)), 15), (("G2", 2, 2, (3, 1)), 11), (("G2", 2, 2, (3, 2)), 9),
+    (("Aprime", 2, 3, 3, 997), 1994), (("Aprime", 2, 4, 3, 997), 2991),
+    (("Aprime", 2, 5, 3, 997), 3988),
+    (("D", 2, 3, 1, 1009), 2018), (("D", 2, 4, 1, 1009), 3027), (("D", 2, 5, 1, 1009), 4036),
+    (("A", 3, 24, 2, 1), 552), (("A", 2, 20, 2, 1), 380), (("A", 3, 10, 2, 1), 90),
+    (("A", 2, 10, 2, 1), 90),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, q0", BENCHMARK_Q_ZERO, ids=[" ".join(map(str, spec)) for spec, _ in BENCHMARK_Q_ZERO]
+)
+def test_q_zero_of_benchmark_inputs(spec, q0):
+    if len(spec) == 4:
+        type_tag, rank, k, excluded = spec
+        system = positive_roots(type_tag, rank)
+        subset = (RootSubset.full(system) if excluded is None
+                  else RootSubset.excluding(system, excluded))
+        arr = shi_matrix(subset, k)
+    else:
+        kind, m, p, s, a = spec
+        arr = family_matrix(FamilyParams(kind, m, p, s=s, a=a))
+    assert q_zero(arr) == q0
 
 
 def test_lcm_period_invariance_under_permutation_and_negation():
@@ -191,6 +222,18 @@ def test_formula_count_examples():
     assert divisor_formula_count(FAMILY_D_222, 4) == 5
     with pytest.raises(ValidationError):
         divisor_formula_count(FAMILY_A_122, 0)
+    # nothing is coerced: a bool or a float is no q, and classes start at 1
+    arr = family_matrix(FamilyParams("A", 2, 4, s=2))
+    formula = CountingFormula.of(arr)
+    for bad in (3.5, 2.0, True):
+        for call in (formula.count, formula.constituent,
+                     lambda q: divisor_formula_count(arr, q)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                call(bad)
+    for bad in (0, -1):
+        for call in (formula.count, formula.constituent):
+            with pytest.raises(ValidationError, match="positive integer"):
+                call(bad)
 
 
 def test_formula_equals_brute_force_above_threshold():
@@ -552,6 +595,32 @@ def test_walk_matches_unpruned_walk_on_sublattices(arr):
     terms, rho = _build_term_table(arr)
     assert terms == unpruned_term_table(arr)
     assert rho == bases_lcm_period(arr.cmatrix)
+
+
+@st.composite
+def rank_deficient_arrangements(draw, max_m=4, max_n=6, bound=3):
+    """Coefficient matrices whose last row is the sum of the others."""
+    m = draw(st.integers(2, max_m))
+    free = st.lists(st.integers(-bound, bound), min_size=m - 1, max_size=m - 1).filter(any)
+    cols = [(*c, sum(c)) for c in draw(st.lists(free, min_size=1, max_size=max_n))]
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+    return arrangement(cols, offsets)
+
+
+@given(st.one_of(random_arrangements(max_m=2, max_n=5, bound=3), sublattice_arrangements(),
+                 rank_deficient_arrangements()))
+@settings(max_examples=60, deadline=None)
+def test_q_zero_matches_full_enumeration(arr):
+    cols = [list(arr.cmatrix.column(j)) for j in range(arr.n)]
+    assert q_zero(arr) == oracle_q_zero(cols, arr.offsets)
+
+
+@given(st.one_of(random_arrangements(max_m=3, max_n=6, bound=3),
+                 sublattice_arrangements(max_n=6), rank_deficient_arrangements(max_m=3)))
+@settings(max_examples=25, deadline=None)
+def test_q_zero_matches_full_enumeration_dimension_three(arr):
+    cols = [list(arr.cmatrix.column(j)) for j in range(arr.n)]
+    assert q_zero(arr) == oracle_q_zero(cols, arr.offsets)
 
 
 @given(st.one_of(random_arrangements(max_m=4, max_n=6, bound=3), sublattice_arrangements()))

@@ -63,6 +63,10 @@ def test_rejects_nonpositive_q():
     arr = arrangement([(1,)], (0,))
     with pytest.raises(ValidationError):
         brute_force_count(arr, 0)
+    # nothing is coerced: a bool or a float is no q
+    for bad in (True, 2.0, 3.5):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            brute_force_count(arr, bad)
 
 
 def test_vectorized_and_scalar_paths_agree():
@@ -281,6 +285,27 @@ def test_scan_summary_matches_interpolation_on_small_periods():
         assert summary == (qp.period, minimum_period(qp))
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "name, bad, match",
+    [
+        ("m", True, "must be an integer"),
+        ("n", 3.0, "must be an integer"),
+        ("entry_bound", "2", "must be an integer"),
+        ("trials", 2.0, "must be an integer"),
+        ("trials", False, "must be an integer"),
+        ("m", 0, "must be positive"),
+        ("entry_bound", -1, "must be positive"),
+        ("trials", -1, "nonnegative"),
+    ],
+)
+def test_central_scan_rejects_bad_arguments(name, bad, match):
+    args = {"m": 2, "n": 3, "entry_bound": 2, "trials": 2, "seed": 1, name: bad}
+    with pytest.raises(ValidationError, match=match):
+        central_scan(**args)
+    with pytest.raises(ValidationError, match=match):
+        generate_central_inputs(**args)
 
 
 def test_central_scan_budget_guard():
