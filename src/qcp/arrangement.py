@@ -26,28 +26,29 @@ over Q (rank A_J > rank C_J) contributes nothing, and neither does any
 superset, since adding equations to an inconsistent system keeps it
 inconsistent.  So when a class is added whose coefficient column depends on
 the columns chosen so far but whose stacked column does not, that choice is
-dropped with its whole subtree.  Integer echelon bases of C_J and A_J decide
-this without a Smith form.  The divisor chain of C_J comes from its
-determinantal divisors d_1..d_m (d_k the gcd of all k x k minors, 0 above
-the rank), carried down the walk: when class c joins J the only new minors
-are those that use c, so d_k <- gcd(d_k, g(K + c)) over the (k-1)-subsets K
-of J, g(S) being the gcd of the |S| x |S| minors of S's columns (an exact
-determinant, memoised per walk).  The d_k of the whole coefficient matrix
-divides every d_k of C_J, so once d_k reaches it (1 in the common case) it
-is skipped.  The chain is e_k = d_k / d_(k-1).  Smith runs once on the whole
-coefficient matrix, for those floors, and on A_J only for a consistent
-choice with a nonzero offset whose C_J has e_r > 1 (r the rank).  When the
-chosen offsets are all zero the stacked chain is the coefficient one, and
-the stacked basis is the coefficient basis with a trailing 0, built only
-when a nonzero offset joins.  So the walk carries that all-zero choice in a
-lane of its own, a flag on each node, and a central walk handles no offset
-choice at all.  The chain, and the check that the echelon rank counts the
-nonzero d_k, depend only on the pair (d_1..d_m, rank), so each walk runs
-them once per distinct pair.  When e_r = 1 every d_k(C_J) is 1 and d_k(A_J)
-divides it (the minors of C_J are minors of A_J), so a consistent choice's
-stacked chain is all ones.  Once the coefficient basis has m rows every
-further class is dependent and is not reduced; only its stacked column is,
-since stacked rank m + 1 is a rank jump.
+dropped with its whole subtree.  An echelon basis of A_J per choice decides
+this without a Smith form: while no row is pivoted on the offset coordinate
+m, its rows project onto a basis of C_J, so a joining stacked column reduces
+to a row pivoted at m exactly when its coefficient part lies in span(C_J)
+and the stacked column lies outside span(A_J), the rank jump.  The divisor
+chain of C_J comes from its determinantal divisors d_1..d_m (d_k the gcd of
+all k x k minors, 0 above the rank), carried down the walk: when class c
+joins J the only new minors are those that use c, so d_k <- gcd(d_k,
+g(K + c)) over the (k-1)-subsets K of J, g(S) being the gcd of the
+|S| x |S| minors of S's columns (an exact determinant, memoised per walk).
+The d_k of the whole coefficient matrix divides every d_k of C_J, so once
+d_k reaches it (1 in the common case, 0 only above the whole rank) it is
+skipped, and the rank of C_J is the number of nonzero d_k.  The chain is
+e_k = d_k / d_(k-1), computed once per distinct d_1..d_m in a walk.  Smith
+runs once on the whole coefficient matrix, for those floors, and on A_J
+only for a consistent choice with a nonzero offset whose C_J has e_r > 1
+(r the rank).  When the chosen offsets are all zero the stacked chain is
+the coefficient one, and the stacked basis, the echelon basis of the chosen
+columns with a trailing 0, is built only when a nonzero offset joins.  So
+the walk carries that all-zero choice in a lane of its own, a flag on each
+node, and a central walk reduces no vector.  When e_r = 1 every d_k(C_J) is
+1 and d_k(A_J) divides it (the minors of C_J are minors of A_J), so a
+consistent choice's stacked chain is all ones.
 
 The walk does not descend below a saturated class set J, one whose d_1..d_m
 are those of the whole coefficient matrix.  Then C_J has the whole rank,
@@ -92,7 +93,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
-from .intlinalg import IntMatrix, _smith_divisors, _Value
+from .intlinalg import IntMatrix, _require_int, _smith_divisors, _Value
 from .quasipoly import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -120,15 +121,6 @@ WALK_BUDGET = 200_000
 Q_ZERO_BUDGET = 1_000_000
 
 
-def _require_int(name: str, value, positive: bool = False) -> None:
-    """Refuse a bool, any other non-int and, when ``positive``, a value below
-    1: the library boundary coerces nothing."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if positive and value < 1:
-        raise ValidationError(f"{name} must be a positive integer")
-
-
 class ArrangementInput(_Value):
     """An integral arrangement: coefficient matrix plus offset vector.
 
@@ -139,8 +131,7 @@ class ArrangementInput(_Value):
     def __init__(self, cmatrix: IntMatrix, offsets):
         offsets = tuple(offsets)
         for b in offsets:
-            if not isinstance(b, int) or isinstance(b, bool):
-                raise ValidationError(f"offsets must be integers, got {b!r}")
+            _require_int("offset", b)
         if len(offsets) != cmatrix.cols:
             raise ValidationError(
                 f"offset vector has {len(offsets)} entries for {cmatrix.cols} hyperplanes"
@@ -275,6 +266,17 @@ def _reduce_against(basis, vec):
     return None
 
 
+def _echelon(vectors) -> list:
+    """Integer echelon basis of ``vectors`` as (pivot, row) pairs: each
+    vector reduced against the rows kept before it, dependent ones dropped."""
+    basis: list = []
+    for vec in vectors:
+        red = _reduce_against(basis, vec)
+        if red is not None:
+            basis.append(red)
+    return basis
+
+
 def _det(rows) -> int:
     """Exact determinant of a square integer matrix given as row lists:
     by cofactor expansion up to size 3, else by fraction-free (Bareiss)
@@ -378,13 +380,14 @@ def _extend_determinantal(dets, chosen, idx, minor_gcd, floor):
     return tuple(out)
 
 
-def _divisor_chain(dets, rank: int) -> tuple[int, ...]:
+def _divisor_chain(dets) -> tuple[int, ...]:
     """Elementary divisors e_k = d_k / d_(k-1) (d_0 = 1) from determinantal
-    divisors; ``rank``, from an echelon basis of the same columns, must be
-    the number of nonzero d_k."""
-    if not all(dets[:rank]) or any(dets[rank:]):
+    divisors, one per nonzero d_k; those must come first, since d_k is 0
+    exactly above the rank."""
+    rank = len(dets) - dets.count(0)
+    if not all(dets[:rank]):
         raise InternalConsistencyError(
-            f"determinantal divisors {dets} disagree with the echelon rank {rank}"
+            f"determinantal divisors {dets} have a zero before a nonzero one"
         )
     return tuple(dets[k] // (dets[k - 1] if k else 1) for k in range(rank))
 
@@ -422,12 +425,7 @@ def q_zero(arr: ArrangementInput) -> int:
     stacked_cols = list(
         dict.fromkeys(c + (b,) for c, b in zip(arr.cmatrix.columns(), arr.offsets))
     )
-    whole: list = []
-    for col in stacked_cols:
-        red = _reduce_against(whole, col)
-        if red is not None:
-            whole.append(red)
-    if all(piv < m for piv, _ in whole):
+    if all(piv < m for piv, _ in _echelon(stacked_cols)):
         return 0
     best = 0
     offered = 0
@@ -476,34 +474,31 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     The walk is an iterative depth-first search over sets of column classes
     that prunes rank jumps (see the module docstring).  A node is a tuple of
     class indices with its live offset choices, those whose stacked system
-    is consistent; the coefficient columns carry one basis and the
-    determinantal divisors d_1..d_m of C_J, shared by every choice.  Once
-    that basis has m rows it spans, so a joining class is dependent without
-    a reduction; its stacked column still reduces, since stacked rank m + 1
-    is the rank jump that prunes.  When class c joins, d_k becomes
-    gcd(d_k, g(K + c)) over the (k-1)-subsets K of the chosen classes,
-    skipped once d_k reaches the d_k of the whole coefficient matrix (one
-    Smith form per walk); g, the gcd of the full-size minors of a class set,
-    is memoised for the walk.  The chain of C_J is e_k = d_k / d_(k-1), and
-    the echelon rank must equal the number of nonzero d_k.  The chain and
-    that check are pure functions of the pair (d_1..d_m, echelon rank), so
-    they run once per distinct pair in a walk, and so does the lcm with its
-    e_r; every class set the walk keeps looks its pair up.  When e_r = 1 a
-    choice with a nonzero offset has the key (r, ()), and its stacked basis
-    must have r rows.  Past the whole matrix, Smith runs only on the stacked
-    matrix of a choice with a nonzero offset over a C_J with e_r > 1; its
-    rows come from the node's class indices.
+    is consistent, each with an echelon basis of its stacked columns, in
+    which a joining column pivoted on the offset coordinate m is a rank
+    jump.  C_J is held once, as its determinantal divisors d_1..d_m: when
+    class c joins, d_k becomes gcd(d_k, g(K + c)) over the (k-1)-subsets K
+    of the chosen classes, skipped once d_k reaches the d_k of the whole
+    coefficient matrix (one Smith form per walk); g, the gcd of the
+    full-size minors of a class set, is memoised for the walk.  The rank r
+    of C_J is the number of nonzero d_k and its chain is e_k = d_k / d_(k-1),
+    computed once per distinct d_1..d_m in a walk, and so is the lcm with
+    its e_r.  When e_r = 1 a choice with a nonzero offset has the key
+    (r, ()), and its stacked basis must have r rows.  Past the whole
+    matrix, Smith runs only on the stacked matrix of a choice with a
+    nonzero offset over a C_J with e_r > 1; its rows come from the node's
+    class indices.
 
     The all-zero choice has its own lane: a node carries a flag for it, not
-    an entry among its choices.  It needs no stacked basis, since that basis
-    is the coefficient one with a trailing 0; adding offset 0 keeps it so,
-    no rank jump can occur, and its stacked chain is the coefficient one,
-    giving the term key (r, ((e, e) for e != 1)), made with the pair's
+    an entry among its choices.  Its stacked basis is the echelon basis of
+    the chosen columns with a trailing 0; adding offset 0 keeps it so, no
+    rank jump can occur, and its stacked chain is the coefficient one,
+    giving the term key (r, ((e, e) for e != 1)), made with the node's
     chain.  Only when a nonzero offset joins that choice is its stacked
-    basis built, once per node, from the node's own coefficient basis, and
-    the new choice joins the others.  So a node whose only live choice is
-    the all-zero one, joined by a class whose only offset is 0 (every node
-    of a central walk), builds no offsets and no lists of choices.
+    basis built, once per node, and the new choice joins the others.  So a
+    node whose only live choice is the all-zero one, joined by a class
+    whose only offset is 0 (every node of a central walk), reduces no
+    vector and builds no offsets and no lists of choices.
 
     At a saturated class set (d_1..d_m those of the whole matrix) no choice
     is kept for descent (see the module docstring): a choice adds its term
@@ -546,17 +541,16 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     terms: dict = {}
     rho = 1
     offered = 0
-    # (d_1..d_m, echelon rank) -> (chain of C_J, the all-zero choice's key)
+    # d_1..d_m -> (chain of C_J, the all-zero choice's key)
     chains: dict = {}
-    # (first class to add, coefficient basis, chosen class indices,
-    #  determinantal divisors of C_J, whether the all-zero choice is live,
-    #  the other live choices as (offsets, stacked basis))
-    stack = [(0, [], (), (0,) * m, True, [])]
+    # (first class to add, chosen class indices, determinantal divisors of
+    #  C_J, whether the all-zero choice is live, the other live choices as
+    #  (offsets, stacked basis))
+    stack = [(0, (), (0,) * m, True, [])]
     while stack:
-        start, c_basis, chosen, dets, zero, live = stack.pop()
+        start, chosen, dets, zero, live = stack.pop()
         zero_basis = None  # the all-zero choice's stacked basis, built on demand
         width = zero + len(live)
-        spans = len(c_basis) == m
         sign = 1 if len(chosen) % 2 else -1  # of every class set chosen + (idx,)
         for idx in range(start, n_classes):
             cvec, bs, nonzero, has_zero = classes[idx]
@@ -566,14 +560,13 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
                     f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} "
                     f"column subsets"
                 )
-            c_red = None if spans else _reduce_against(c_basis, cvec)
             now_zero = zero and has_zero
             if live or nonzero:
                 # (offsets, stacked basis, offsets to try) per live choice
                 pending = [(offs, a_basis, bs) for offs, a_basis in live]
                 if zero and nonzero:
                     if zero_basis is None:
-                        zero_basis = [(piv, row + (0,)) for piv, row in c_basis]
+                        zero_basis = _echelon(cols[i] + (0,) for i in chosen)
                     pending.insert(0, ((0,) * len(chosen), zero_basis, nonzero))
                 kept = []
                 for offs, a_basis, offsets in pending:
@@ -581,23 +574,22 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
                         a_red = _reduce_against(a_basis, cvec + (b,))
                         if a_red is None:
                             kept.append((offs + (b,), a_basis))
-                        elif c_red is not None:
+                        elif a_red[0] < m:
                             kept.append((offs + (b,), a_basis + [a_red]))
-                        # else: rank jump, the subtree is dropped
+                        # else: pivot m, the offset row: rank jump, subtree dropped
                 if not kept and not now_zero:
                     continue
             else:
                 # only the all-zero choice, joined by offset 0 alone
                 kept = ()
-            now_basis = c_basis if c_red is None else c_basis + [c_red]
             now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
-            rank = len(now_basis)
-            chain = chains.get((now_dets, rank))
+            chain = chains.get(now_dets)
             if chain is None:
-                es = _divisor_chain(now_dets, rank)
+                es = _divisor_chain(now_dets)
                 rho = lcm(rho, es[-1])
-                chain = chains[now_dets, rank] = (es, (rank, tuple((e, e) for e in es if e != 1)))
+                chain = chains[now_dets] = (es, (len(es), tuple((e, e) for e in es if e != 1)))
             es, zero_key = chain
+            rank = len(es)
             now = chosen + (idx,)
             saturated = now_dets == floor
             # below a saturated J the subtree of a choice is J + S over the
@@ -621,12 +613,12 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
                     eps = _smith_divisors(rows)
                 if len(eps) != rank:
                     raise InternalConsistencyError(
-                        "subset walk reached a subset with a rank jump"
+                        f"stacked rank {len(eps)} disagrees with the coefficient rank {rank}"
                     )
                 key = (rank, tuple(p for p in zip(es, eps) if p != (1, 1)))
                 terms[key] = terms.get(key, 0) + sign
             if not saturated:  # every choice descends
-                stack.append((idx + 1, now_basis, now, now_dets, now_zero, kept))
+                stack.append((idx + 1, now, now_dets, now_zero, kept))
     return {key: coef for key, coef in terms.items() if coef}, rho
 
 

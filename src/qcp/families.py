@@ -23,7 +23,7 @@ from math import comb, gcd
 
 from .arrangement import ArrangementInput
 from .errors import ValidationError
-from .intlinalg import IntMatrix, _Value
+from .intlinalg import IntMatrix, _require_int, _Value
 from .quasipoly import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -46,8 +46,7 @@ class FamilyParams(_Value):
         if kind not in FAMILY_KINDS:
             raise ValidationError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
         for name, v in (("m", m), ("p", p), ("s", s), ("a", a)):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+            _require_int(name, v, positive=True)
         if kind in ("A", "B"):
             if p % s:
                 raise ValidationError(f"kind {kind} requires s | p, got s={s}, p={p}")
@@ -131,8 +130,7 @@ def ehrhart_form_A(m: int, p: int, s: int, q: int) -> int:
         + (-1)^m * p.
     """
     FamilyParams(kind="A", m=m, p=p, s=s)
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
+    _require_int("q", q, positive=True)
     inner = _open_cube_count(m - 1, q)
     for k in range(1, m):
         term = p * _open_cube_count(m - 1 - k, q)
@@ -150,8 +148,7 @@ def reciprocity_A(m: int, p: int, s: int, q: int) -> int:
     with gcd taken at |q|.
     """
     FamilyParams(kind="A", m=m, p=p, s=s)
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
+    _require_int("q", q, positive=True)
     inner = _closed_cube_count(m - 1, q)
     for k in range(1, m):
         inner += p * _closed_cube_count(m - 1 - k, q)
@@ -165,8 +162,8 @@ def correction_term(a: int, p: int, q: int) -> int:
     Equals p when a = 1, and when a = p with q >= 2p; no closed form is
     claimed for other parameters, the count is enumerated directly.
     """
-    if a < 1 or p < 1:
-        raise ValidationError("a and p must be positive integers")
+    for name, v in (("a", a), ("p", p), ("q", q)):
+        _require_int(name, v, positive=True)
     if q <= p:
         raise ValidationError(f"correction term requires q > p, got q={q}, p={p}")
     count = 0

@@ -4,8 +4,9 @@
 held as row lists, r being its rank; the subset walk calls it directly.  All
 arithmetic is on Python integers, so every result is exact.
 
-``_Value`` is the immutable base of every value class in qcp; it lives here,
-in the lowest module they all import.
+``_Value`` is the immutable base of every value class in qcp, and
+``_require_int`` the one integer check at every library boundary; they live
+here, in the lowest module they all import.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
 
+def _require_int(name: str, value, positive: bool = False) -> None:
+    """Refuse a bool, any other non-int and, when ``positive``, a value below
+    1: the library boundary coerces nothing."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if positive and value < 1:
+        raise ValidationError(f"{name} must be a positive integer")
+
+
 class IntMatrix(_Value):
     """Immutable dense integer matrix, entries stored row-major.
 
@@ -59,13 +69,12 @@ class IntMatrix(_Value):
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
-        if rows < 1 or cols < 1:
-            raise ValidationError("matrix must have at least one row and one column")
+        _require_int("rows", rows, positive=True)
+        _require_int("cols", cols, positive=True)
         if len(entries) != rows * cols:
             raise ValidationError(f"expected {rows * cols} entries, got {len(entries)}")
         for e in entries:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValidationError(f"matrix entries must be integers, got {e!r}")
+            _require_int("matrix entry", e)
         self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @classmethod

@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .arrangement import ArrangementInput, _require_int, central_period_summary
+from .arrangement import ArrangementInput, central_period_summary
 from .errors import BudgetExceededError, ValidationError
-from .intlinalg import IntMatrix, _Value
+from .intlinalg import IntMatrix, _require_int, _Value
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -163,6 +163,7 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     point.  Both are exact for entries of any size.
     """
     _require_int("q", q, positive=True)
+    _require_int("budget", budget)
     _charge_point_tests(arr, range(q, q + 1), budget, f"counting at q={q}")
     # c_i * z_i with both below q must fit int64
     if q ** (arr.m - 1) <= _NUMPY_CELL_CAP and (q - 1) ** 2 < 1 << 63:
@@ -198,8 +199,9 @@ class ScanReport(_Value):
         }
 
 
-def _check_scan_args(m: int, n: int, entry_bound: int, trials: int) -> None:
-    for name, value in (("m", m), ("n", n), ("entry_bound", entry_bound), ("trials", trials)):
+def _check_scan_args(m: int, n: int, entry_bound: int, trials: int, seed: int) -> None:
+    for name, value in (("m", m), ("n", n), ("entry_bound", entry_bound), ("trials", trials),
+                        ("seed", seed)):
         _require_int(name, value)
     if m < 1 or n < 1 or entry_bound < 1:
         raise ValidationError("m, n, and entry_bound must be positive")
@@ -215,7 +217,7 @@ def generate_central_inputs(
     Column entries are uniform in [-entry_bound, entry_bound]; zero columns
     are rejected and redrawn.  Same seed, same sample.
     """
-    _check_scan_args(m, n, entry_bound, trials)
+    _check_scan_args(m, n, entry_bound, trials, seed)
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
@@ -244,7 +246,8 @@ def central_scan(
     lcm periods random matrices routinely produce.  Any violating
     arrangement is recorded with both periods.
     """
-    _check_scan_args(m, n, entry_bound, trials)
+    _check_scan_args(m, n, entry_bound, trials, seed)
+    _require_int("budget", budget)
     # Each draw's subset walk offers at most the 2^n - 1 nonempty subsets.
     # Past the budget's bit length 2^n - 1 alone exceeds the budget, so a
     # huge n is refused without building 2^n.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import ValidationError
-from .intlinalg import _Value
+from .intlinalg import _require_int, _Value
 
 __all__ = [
     "Polynomial",
@@ -31,8 +31,7 @@ class Polynomial(_Value):
     def __init__(self, coeffs):
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValidationError(f"polynomial coefficients must be integers, got {c!r}")
+            _require_int("polynomial coefficient", c)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.__dict__.update(coeffs=tuple(coeffs))
@@ -87,8 +86,7 @@ class Polynomial(_Value):
         for c in data:
             if isinstance(c, str) and c.isascii() and c.removeprefix("-").isdigit():
                 c = int(c)
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValidationError(f"coefficients must be decimal integers, got {c!r}")
+            _require_int("coefficient", c)
             coeffs.append(c)
         return cls(tuple(coeffs))
 
@@ -102,8 +100,7 @@ class QuasiPolynomial(_Value):
 
     def __init__(self, period: int, constituents):
         constituents = tuple(constituents)
-        if period < 1:
-            raise ValidationError("period must be a positive integer")
+        _require_int("period", period, positive=True)
         if len(constituents) != period:
             raise ValidationError("need exactly one constituent per residue class")
         for p in constituents:
@@ -121,14 +118,14 @@ class QuasiPolynomial(_Value):
         return self.constituents[0].degree
 
     def constituent_for_class(self, k: int) -> Polynomial:
+        _require_int("k", k)
         if not 1 <= k <= self.period:
             raise ValidationError(f"residue class {k} out of range 1..{self.period}")
         return self.constituents[k - 1]
 
     def evaluate(self, q: int) -> int:
         """Value at a positive integer q, using the constituent of q's class."""
-        if q < 1:
-            raise ValidationError("evaluation point must be a positive integer")
+        _require_int("q", q, positive=True)
         return self.constituents[(q - 1) % self.period].evaluate(q)
 
     def to_json_dict(self) -> dict:
@@ -153,8 +150,7 @@ class QuasiPolynomial(_Value):
             raise ValidationError(f"malformed quasi-polynomial object: {exc}") from exc
         classes = [k for k, _ in pairs]
         for value in (period, *classes):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"period and classes must be integers, got {value!r}")
+            _require_int("period or class k", value)
         if sorted(classes) != list(range(1, period + 1)):
             raise ValidationError("constituent classes must be exactly 1..period")
         by_class = dict(pairs)

@@ -27,7 +27,7 @@ from math import prod
 
 from .arrangement import ArrangementInput
 from .errors import ValidationError
-from .intlinalg import IntMatrix, _Value
+from .intlinalg import IntMatrix, _require_int, _Value
 
 __all__ = [
     "ROOT_TYPES",
@@ -82,8 +82,8 @@ class RootSystem(_Value):
         """Position of a positive root given by its integer coefficients;
         entries are never coerced, so floats, strings and bools are rejected."""
         coeffs = tuple(coeffs)
-        if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
-            raise ValidationError(f"root coefficients must be integers, got {coeffs!r}")
+        for c in coeffs:
+            _require_int("root coefficient", c)
         try:
             return self.positive_roots.index(coeffs)
         except ValueError:
@@ -103,8 +103,7 @@ def _check_type_and_rank(type_tag: str, rank: int) -> None:
     """The checks positive_roots makes before it builds anything."""
     if type_tag not in ROOT_TYPES:
         raise ValidationError(f"type must be one of {ROOT_TYPES}, got {type_tag!r}")
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise ValidationError(f"rank must be an integer, got {rank!r}")
+    _require_int("rank", rank)
     if type_tag == "G2" and rank != 2:
         raise ValidationError("G2 requires rank 2")
     if type_tag == "D" and rank < 3:
@@ -176,6 +175,8 @@ class RootSubset(_Value):
     def __init__(self, parent: RootSystem, included):
         total = len(parent.positive_roots)
         idx = tuple(included)
+        for i in idx:
+            _require_int("subset index", i)
         if len(set(idx)) != len(idx) or any(i < 0 or i >= total for i in idx):
             raise ValidationError("subset indices must be distinct and in range")
         self.__dict__.update(parent=parent, included=tuple(sorted(idx)))
@@ -212,6 +213,7 @@ def shi_matrix(subset: RootSubset, k: int) -> ArrangementInput:
     """Extended Shi arrangement: every root of the subset with each offset in
     [1-k, k].  Needs k >= 1; the k = 0 arrangement has no hyperplanes and its
     count is simply q^rank."""
+    _require_int("k", k)
     if k < 1:
         raise ValidationError("shi_matrix requires k >= 1 (k = 0 has no hyperplanes)")
     return _offset_arrangement(subset, range(1 - k, k + 1))
@@ -219,6 +221,7 @@ def shi_matrix(subset: RootSubset, k: int) -> ArrangementInput:
 
 def linial_matrix(subset: RootSubset, n_param: int) -> ArrangementInput:
     """Extended Linial arrangement: offsets [1, n_param] per root."""
+    _require_int("n", n_param)
     if n_param < 1:
         raise ValidationError("linial_matrix requires n >= 1")
     return _offset_arrangement(subset, range(1, n_param + 1))

@@ -16,17 +16,21 @@ live here, not in qcp: no command runs them, and they stay as oracles.
 grouped subset, rank jumps included, and runs both Smith forms on each.
 
 ``bases_lcm_period`` checks the lcm period that qcp reads off its walk: it
-walks the independent column sets only and runs Smith on bases alone.  It
-keeps its own ``_rank``, an echelon rank over the library's
-``_reduce_against``; qcp itself needs none.
+walks the independent column sets only and runs Smith on bases alone.  Its
+rank is the length of the library's ``_echelon`` basis; qcp itself takes
+ranks from determinantal divisors.
 
 ``euler_phi``, ``divisors`` and ``with_period`` are small helpers that only
-tests need.
+tests need, and the ``count_calls`` fixture counts calls to library
+functions, for tests that pin work counts.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+import pytest
 
 from qcp import (
     BudgetExceededError,
@@ -36,8 +40,30 @@ from qcp import (
     ValidationError,
     q_zero,
 )
-from qcp.arrangement import _build_term_table, _reduce_against
+from qcp.arrangement import _build_term_table, _echelon, _reduce_against
 from qcp.intlinalg import _smith_divisors
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, *names)`` replaces each named function of
+    ``module`` by one that counts its calls, and returns the Counter, keyed
+    by name, that every call of the test adds to; monkeypatch restores the
+    functions after the test."""
+    calls = Counter()
+
+    def watch(module, *names):
+        for name in names:
+            inner = getattr(module, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return watch
 
 
 def euler_phi(n: int) -> int:
@@ -133,16 +159,6 @@ def oracle_lcm_period(columns) -> int:
     return acc
 
 
-def _rank(vectors) -> int:
-    """Rank of a list of integer vectors, from an echelon basis."""
-    basis = []
-    for vec in vectors:
-        red = _reduce_against(basis, vec)
-        if red is not None:
-            basis.append(red)
-    return len(basis)
-
-
 def bases_lcm_period(cmatrix) -> int:
     """The lcm period from the bases of the distinct columns alone.
 
@@ -155,7 +171,7 @@ def bases_lcm_period(cmatrix) -> int:
     """
     cols = list(dict.fromkeys(cmatrix.columns()))
     nrows = cmatrix.rows
-    rank = _rank(cols)
+    rank = len(_echelon(cols))
     acc = 1
     chosen = []
 

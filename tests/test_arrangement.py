@@ -1,7 +1,5 @@
 """Counting formula, periods, threshold, and report assembly."""
 
-from collections import Counter
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +21,7 @@ from qcp import (
     CountingFormula,
     FamilyParams,
     IntMatrix,
+    InternalConsistencyError,
     RootSubset,
     ValidationError,
     brute_force_count,
@@ -276,20 +275,27 @@ def shi_like_arrangements(draw, max_m=3, max_classes=5, bound=2):
     return arrangement(cols, offsets)
 
 
-# (1, 0) and (0, 1) with offset 0 span, so (1, 1) with offset 0 joins them
-# with no coefficient reduction; (1, -1) with offset 2 follows, and its
-# stacked column must still reduce, against the all-zero choice's stacked
-# basis: the spanning node's own coefficient basis with a trailing 0.  The
-# choice (1, 0), (0, 1), (1, 1) with offsets 0, 1, 1 is consistent, and the
-# walk keeps it only if the stacked basis built at node (1, 0) holds
-# (1, 0, 0).
+# (1, 0) and (0, 1) with offset 0 span, and (1, 1) with offset 0 joins them
+# in the all-zero lane; (1, -1) with offset 2 follows, and its stacked
+# column reduces against the all-zero choice's stacked basis, the echelon
+# basis of the chosen columns with a trailing 0.  The choice (1, 0), (0, 1),
+# (1, 1) with offsets 0, 1, 1 is consistent, and the walk keeps it only if
+# the stacked basis built at node (1, 0) holds (1, 0, 0).
 SPANNING_ZERO_CHOICE = arrangement(
     [(1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (1, -1), (1, -1)], (0, 0, 1, 0, 1, 0, 2)
+)
+# e1, e2 and e1 + e2 with offset 0 put a dependent class in the all-zero
+# lane.  e1 + e2 with offset 1 over e1, e2 is a rank jump, seen only if the
+# lane's stacked basis, built when that nonzero offset joins, ends in the
+# offset 0; e3 with offset 1 then joins the lane over all three classes.
+DEPENDENT_ZERO_LANE = arrangement(
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 0), (0, 0, 1)], (0, 0, 0, 1, 1)
 )
 
 
 @given(shi_like_arrangements())
 @example(SPANNING_ZERO_CHOICE)
+@example(DEPENDENT_ZERO_LANE)
 @settings(max_examples=40, deadline=None)
 def test_pruned_walk_matches_unpruned_walk(arr):
     assert _build_term_table(arr)[0] == unpruned_term_table(arr)
@@ -358,16 +364,10 @@ SATURATED_NONZERO_CHOICES = [
         (SATURATED_NONZERO_CHOICES[1], 11),
     ],
 )
-def test_walk_smith_calls(monkeypatch, arr, smith_calls):
-    calls = Counter()
-
-    def counted(rows):
-        calls["smith"] += 1
-        return _smith_divisors(rows)
-
-    monkeypatch.setattr(arrangement_module, "_smith_divisors", counted)
+def test_walk_smith_calls(count_calls, arr, smith_calls):
+    calls = count_calls(arrangement_module, "_smith_divisors")
     _build_term_table(arr)
-    assert calls["smith"] == smith_calls
+    assert calls["_smith_divisors"] == smith_calls
 
 
 @given(st.one_of(random_arrangements(), random_arrangements(with_offsets=False)))
@@ -409,34 +409,23 @@ def test_walk_period_matches_lcm_period_on_root_deletions(type_tag):
             assert _build_term_table(arr)[1] == bases_lcm_period(arr.cmatrix)
 
 
-def test_formula_walks_once(monkeypatch):
-    # 63 subsets of six distinct central columns: one coefficient reduction
-    # each except the 20 of the 22 larger than three whose first three
-    # columns already span (columns 0, 1 and 3 do not), one Smith form in
-    # all (on the whole matrix; the chains come from determinantal
-    # divisors), the minor gcd of each of the 6 + 15 + 20 column sets of
-    # size at most 3 once, and no separate lcm_period walk
+def test_formula_walks_once(count_calls):
+    # 63 subsets of six distinct central columns: no reduction (the ranks
+    # come from determinantal divisors, and a central walk builds no stacked
+    # basis), one Smith form in all (on the whole matrix; the chains come
+    # from determinantal divisors), the minor gcd of each of the 6 + 15 + 20
+    # column sets of size at most 3 once, and no separate lcm_period walk
     arr = arrangement(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)], (0,) * 6
     )
-    calls = Counter()
-
-    def count_calls(name):
-        inner = getattr(arrangement_module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(arrangement_module, name, counted)
-
-    for name in ("lcm_period", "_smith_divisors", "_reduce_against", "_minors_gcd"):
-        count_calls(name)
+    calls = count_calls(
+        arrangement_module, "lcm_period", "_smith_divisors", "_reduce_against", "_minors_gcd"
+    )
     formula = CountingFormula.of(arr)
     assert calls["lcm_period"] == 0
     assert calls["_smith_divisors"] == 1
     assert calls["_minors_gcd"] == 41
-    assert calls["_reduce_against"] == 43
+    assert calls["_reduce_against"] == 0
     assert formula.period == formula.minimum_period == 30
 
 
@@ -449,59 +438,29 @@ def test_walk_matches_unpruned_walk_on_central_scan_draws(seed):
         assert rho == bases_lcm_period(arr.cmatrix)
 
 
-def test_central_walk_checks_each_divisor_chain_once(monkeypatch):
+def test_central_walk_checks_each_divisor_chain_once(count_calls):
     # the 60 draws of `qcp scan-central --m 3 --n 6 --entry-bound 5
     # --trials 60 --seed 1`: every class set the walk visits extends the
-    # determinantal divisors, but only 1,591 distinct (d_1..d_m, rank) pairs
-    # turn up, each walk checking its own once
-    calls = Counter()
-
-    def count_calls(name):
-        inner = getattr(arrangement_module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(arrangement_module, name, counted)
-
+    # determinantal divisors, but only 1,591 distinct d_1..d_m turn up, each
+    # walk reading its own chain once; no walk reduces a vector
     names = ("_extend_determinantal", "_divisor_chain", "_reduce_against", "_minors_gcd",
              "_smith_divisors")
-    for name in names:
-        count_calls(name)
+    calls = count_calls(arrangement_module, *names)
     for arr in generate_central_inputs(3, 6, 5, 60, 1):
         _build_term_table(arr)
-    assert [calls[name] for name in names] == [3485, 1591, 2467, 2460, 60]
+    assert [calls[name] for name in names] == [3485, 1591, 0, 2460, 60]
 
 
-def test_dependent_minor_set_stops_at_the_first_minor(monkeypatch):
-    calls = Counter()
-
-    def counted(rows):
-        calls["det"] += 1
-        return _det(rows)
-
-    monkeypatch.setattr(arrangement_module, "_det", counted)
+def test_dependent_minor_set_stops_at_the_first_minor(count_calls):
+    calls = count_calls(arrangement_module, "_det")
     # the third column is the sum of the first two: one minor, not C(6, 3) = 20
     u, v = (1, 2, 0, 1, 3, -1), (0, 1, 1, 2, -1, 4)
     assert _minors_gcd([u, v, tuple(a + b for a, b in zip(u, v))]) == 0
-    assert calls["det"] == 1
+    assert calls["_det"] == 1
 
 
-def test_zero_first_minor_goes_to_smith(monkeypatch):
-    calls = Counter()
-
-    def count_calls(name):
-        inner = getattr(arrangement_module, name)
-
-        def counted(rows):
-            calls[name] += 1
-            return inner(rows)
-
-        monkeypatch.setattr(arrangement_module, name, counted)
-
-    for name in ("_det", "_smith_divisors"):
-        count_calls(name)
+def test_zero_first_minor_goes_to_smith(count_calls):
+    calls = count_calls(arrangement_module, "_det", "_smith_divisors")
     # independent, with a zero first minor: one Smith form, not C(6, 3) = 20
     # minors
     cols = [(1, 0, 0, 2, 0, 0), (0, 1, 0, 0, 2, 0), (1, 1, 0, 0, 0, 2)]
@@ -519,19 +478,15 @@ def test_zero_first_minor_goes_to_smith(monkeypatch):
         ([(2, 0), (0, 2), (2, 2), (2, -2)], (1, 1, 2, 0)),
     ],
 )
-def test_q_zero_is_zero_when_offsets_lie_in_the_row_space(monkeypatch, cols, offsets):
+def test_q_zero_is_zero_when_offsets_lie_in_the_row_space(
+    monkeypatch, count_calls, cols, offsets
+):
     arr = arrangement(cols, offsets)
-    calls = Counter()
-
-    def counted(rows):
-        calls["smith"] += 1
-        return _smith_divisors(rows)
-
-    monkeypatch.setattr(arrangement_module, "_smith_divisors", counted)
+    calls = count_calls(arrangement_module, "_smith_divisors")
     # no subset can jump, so the search offers none
     monkeypatch.setattr(arrangement_module, "Q_ZERO_BUDGET", 0)
     assert q_zero(arr) == 0
-    assert calls["smith"] == 0
+    assert calls["_smith_divisors"] == 0
     monkeypatch.undo()
     formula = CountingFormula.of(arr)
     for q in range(1, 13):
@@ -653,7 +608,14 @@ def test_even_sum_determinantal_divisor_stays_two():
             dets = _extend_determinantal(dets, chosen, idx, minor_gcd, low)
             chosen += (idx,)
         assert dets == (1, 1, 1, 2)
-        assert _divisor_chain(dets, 4) == (1, 1, 1, 2)
+        assert _divisor_chain(dets) == (1, 1, 1, 2)
+
+
+def test_divisor_chain_refuses_a_zero_before_a_nonzero_divisor():
+    # d_k is 0 exactly above the rank, so no nonzero d_k follows a zero one
+    assert _divisor_chain((2, 4, 0)) == (2, 2)
+    with pytest.raises(InternalConsistencyError, match="zero before a nonzero"):
+        _divisor_chain((1, 0, 2))
 
 
 @given(st.integers(1, 4).flatmap(lambda m: st.one_of(
@@ -681,7 +643,7 @@ def test_chains_from_determinantal_divisors_match_smith(cols):
                 now = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
                 now_chosen = chosen + (idx,)
                 smith = _smith_divisors([[cols[j][i] for j in now_chosen] for i in range(m)])
-                assert _divisor_chain(now, len(smith)) == tuple(smith)
+                assert _divisor_chain(now) == tuple(smith)
                 stack.append((now_chosen, now))
 
 

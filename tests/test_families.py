@@ -109,6 +109,10 @@ def test_ehrhart_form_values():
     assert ehrhart_form_A(1, 2, 2, 6) == 2
     arr = a_family(2, 2, 1)
     assert ehrhart_form_A(2, 2, 1, 4) == divisor_formula_count(arr, 4)
+    # q is never coerced: a float is refused as invalid, not as a TypeError
+    for form in (ehrhart_form_A, reciprocity_A):
+        with pytest.raises(ValidationError, match="q must be an integer"):
+            form(2, 4, 2, 3.0)
 
 
 def test_ehrhart_form_matches_formula_everywhere():
@@ -144,6 +148,11 @@ def test_correction_term_special_cases():
     assert correction_term(2, 2, 4) == 2
     with pytest.raises(ValidationError):
         correction_term(2, 3, 3)
+    # nothing is coerced: q = 3.5 counts no pairs, and True is no a = 1
+    with pytest.raises(ValidationError, match="q must be an integer"):
+        correction_term(1, 2, 3.5)
+    with pytest.raises(ValidationError, match="a must be an integer"):
+        correction_term(True, 2, 3)
 
 
 def _open_cube(d, q):

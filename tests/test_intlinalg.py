@@ -112,6 +112,11 @@ def test_matrix_validation():
         IntMatrix(rows=1, cols=1, entries=(1.5,))
     with pytest.raises(ValidationError):
         IntMatrix(rows=1, cols=2, entries=(1, True))  # never coerced to (1, 1)
+    # nor is the shape: a float or a bool is no row count
+    with pytest.raises(ValidationError, match="rows must be an integer"):
+        IntMatrix(2.0, 2, (1, 2, 3, 4))
+    with pytest.raises(ValidationError, match="rows must be an integer"):
+        IntMatrix(True, 2, (1, 2))
     with pytest.raises(ValidationError):
         IntMatrix.from_rows([[1, 2], [3]])
 

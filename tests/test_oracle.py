@@ -57,6 +57,10 @@ def test_budget_error_names_budget():
     arr = arrangement([(1, 0), (0, 1)], (0, 0))
     with pytest.raises(BudgetExceededError, match="budget of 10"):
         brute_force_count(arr, 5, budget=10)
+    # the budget is an integer too: never a string, a bool or a float
+    for bad in ("x", True, 1e8):
+        with pytest.raises(ValidationError, match="budget must be an integer"):
+            brute_force_count(arr, 5, budget=bad)
 
 
 def test_rejects_nonpositive_q():
@@ -201,19 +205,13 @@ def test_vectorized_count_peak_memory_per_cell(m, q, bytes_per_cell):
     assert peak / q**m <= bytes_per_cell
 
 
-def test_scalar_count_only_past_a_slice(monkeypatch):
+def test_scalar_count_only_past_a_slice(monkeypatch, count_calls):
     # m = 3, q = 4: one slice holds 16 cells, past a cap of 12
     monkeypatch.setattr(oracle_module, "_NUMPY_CELL_CAP", 12)
     arr = arrangement(_BLOCK_COLUMNS[3], (0, 1, -4, 5))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _count_scalar(*args)
-
-    monkeypatch.setattr(oracle_module, "_count_scalar", counted)
+    calls = count_calls(oracle_module, "_count_scalar")
     assert brute_force_count(arr, 4) == _count_scalar(arr, 4)
-    assert len(calls) == 1
+    assert calls["_count_scalar"] == 1
 
 
 def test_count_invariant_under_hyperplane_permutation():
@@ -295,6 +293,9 @@ def test_scan_summary_matches_interpolation_on_small_periods():
         ("entry_bound", "2", "must be an integer"),
         ("trials", 2.0, "must be an integer"),
         ("trials", False, "must be an integer"),
+        # True would draw the sample of seed 1 and report "seed": true
+        ("seed", True, "must be an integer"),
+        ("seed", 2.5, "must be an integer"),
         ("m", 0, "must be positive"),
         ("entry_bound", -1, "must be positive"),
         ("trials", -1, "nonnegative"),
@@ -311,6 +312,8 @@ def test_central_scan_rejects_bad_arguments(name, bad, match):
 def test_central_scan_budget_guard():
     with pytest.raises(BudgetExceededError):
         central_scan(m=2, n=30, entry_bound=2, trials=10, seed=0)
+    with pytest.raises(ValidationError, match="budget must be an integer"):
+        central_scan(m=2, n=3, entry_bound=2, trials=2, seed=1, budget=2.5e9)
 
 
 def test_central_scan_budget_charges_nonempty_subsets():

@@ -67,6 +67,8 @@ def test_quasi_polynomial_validation():
         qp(poly(3, 2))  # not monic
     with pytest.raises(ValidationError):
         QuasiPolynomial(period=2, constituents=(poly(-3, 1),))
+    with pytest.raises(ValidationError, match="period must be an integer"):
+        QuasiPolynomial(2.0, (poly(-3, 1), poly(-3, 1)))  # never coerced to 2
 
 
 def test_interpolation_line():

@@ -118,15 +118,19 @@ def test_subset_construction():
         RootSubset(parent=system, included=(0, 0))
     with pytest.raises(ValidationError):
         RootSubset(parent=system, included=(9,))
+    # indices are never coerced: True is no index 1, nor 0.0 index 0
+    for included in ([True, 2], [0.0]):
+        with pytest.raises(ValidationError, match="subset index must be an integer"):
+            RootSubset(system, included)
 
 
 @pytest.mark.parametrize("coeffs", [(1.9, 0.2), ("1", "0"), (True, False), (1.0, 0)])
 def test_root_coefficients_are_never_coerced(coeffs):
     # int() would turn each of these into (1, 0) and drop that root silently
     g2 = positive_roots("G2", 2)
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="root coefficient must be an integer"):
         RootSubset.excluding(g2, coeffs)
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="root coefficient must be an integer"):
         g2.index_of(coeffs)
 
 
@@ -164,6 +168,10 @@ def test_shi_rejects_k_zero_and_empty_subset():
         shi_matrix(RootSubset.full(b2), 0)
     with pytest.raises(ValidationError):
         shi_matrix(RootSubset(parent=b2, included=()), 1)
+    # k is never coerced: True is no k = 1, and 1.5 is refused as invalid
+    for k in (True, 1.5):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            shi_matrix(RootSubset.full(b2), k)
 
 
 def test_linial_matrix_shapes():
@@ -177,6 +185,9 @@ def test_linial_matrix_shapes():
     assert linial_matrix(RootSubset.full(g2), 3).n == 18
     with pytest.raises(ValidationError):
         linial_matrix(RootSubset.full(b2), 0)
+    for n_param in (True, 2.0):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            linial_matrix(RootSubset.full(b2), n_param)
 
 
 def _assert_oracle_window(arr):
