@@ -189,29 +189,32 @@ class ArrangementInput(_Value):
 
 
 class CollapseReport(_Value):
-    """Periods, collapse flag, threshold, and the quasi-polynomial itself."""
+    """Periods, threshold, and the quasi-polynomial itself; the collapse flag
+    is read off the periods.  Reports are output only: nothing parses one."""
+
+    # by construction: one constituent per gcd(k, lcm period)
+    gcd_property = True
 
     def __init__(
         self,
         lcm_period: int,
         minimum_period: int,
-        collapse: bool,
         q0: int,
-        gcd_property: bool,
         quasi_polynomial: QuasiPolynomial,
     ):
         if lcm_period % minimum_period:
             raise ValidationError("minimum period must divide the lcm period")
-        if collapse != (minimum_period < lcm_period):
-            raise ValidationError("collapse flag inconsistent with the periods")
         self.__dict__.update(
             lcm_period=lcm_period,
             minimum_period=minimum_period,
-            collapse=collapse,
             q0=q0,
-            gcd_property=gcd_property,
             quasi_polynomial=quasi_polynomial,
         )
+
+    @property
+    def collapse(self) -> bool:
+        """Period collapse: the minimum period is below the lcm period."""
+        return self.minimum_period < self.lcm_period
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,24 +225,6 @@ class CollapseReport(_Value):
             "gcd_property": self.gcd_property,
             "quasi_polynomial": self.quasi_polynomial.to_json_dict(),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CollapseReport":
-        """Parse a report; periods and q0 must be JSON integers and the flags
-        JSON booleans, and nothing is coerced."""
-        names = ("lcm_period", "minimum_period", "collapse", "q0", "gcd_property",
-                 "quasi_polynomial")
-        try:
-            fields = {name: data[name] for name in names}
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed report object: {exc}") from exc
-        for name in ("lcm_period", "minimum_period", "q0"):
-            _require_int(name, fields[name])
-        for name in ("collapse", "gcd_property"):
-            if not isinstance(fields[name], bool):
-                raise ValidationError(f"{name} must be a boolean, got {fields[name]!r}")
-        fields["quasi_polynomial"] = QuasiPolynomial.from_json_dict(fields["quasi_polynomial"])
-        return cls(**fields)
 
 
 def _reduce_against(basis, vec):
@@ -279,13 +264,9 @@ def _echelon(vectors) -> list:
 
 def _det(rows) -> int:
     """Exact determinant of a square integer matrix given as row lists:
-    by cofactor expansion up to size 3, else by fraction-free (Bareiss)
+    by cofactor expansion at size 3, else by fraction-free (Bareiss)
     elimination, where every division is exact."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -807,14 +788,11 @@ def characteristic_quasi_polynomial(arr: ArrangementInput) -> QuasiPolynomial:
 def collapse_report(arr: ArrangementInput) -> CollapseReport:
     """Full period analysis: lcm period, minimum period, collapse flag, q0."""
     formula = CountingFormula.of(arr)
-    qp = formula.quasi_polynomial()
-    minp = formula.minimum_period
+    qp = formula.quasi_polynomial()  # refuses a period past the budget before q_zero runs
     return CollapseReport(
         lcm_period=formula.period,
-        minimum_period=minp,
-        collapse=minp < formula.period,
+        minimum_period=formula.minimum_period,
         q0=q_zero(arr),
-        gcd_property=True,  # by construction: one constituent per gcd(k, period)
         quasi_polynomial=qp,
     )
 

@@ -285,7 +285,8 @@ def _build_parser() -> _Parser:
                         help="brute-force complement count at one q")
     p.add_argument("--input", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most point tests to run, q^m * n at each q")
     _add_format(p)
     p.set_defaults(handler=_cmd_oracle)
 
@@ -325,7 +326,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--entry-bound", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most column subsets to offer, trials * (2^n - 1)")
     _add_format(p)
     p.set_defaults(handler=_cmd_scan_central)
 
@@ -342,7 +344,8 @@ def _build_parser() -> _Parser:
                         help="formula vs brute force over a window above q0")
     p.add_argument("--input", required=True)
     p.add_argument("--q-window", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most point tests in the whole window, q^m * n at each q")
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 

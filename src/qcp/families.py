@@ -112,17 +112,6 @@ def closed_form_A(m: int, p: int, s: int) -> QuasiPolynomial:
     return QuasiPolynomial(period=s, constituents=tuple(constituents))
 
 
-def _open_cube_count(d: int, q: int) -> int:
-    """Lattice points of q times the open unit d-cube: (q-1)^d, with the
-    empty product equal to 1."""
-    return (q - 1) ** d if d >= 1 else 1
-
-
-def _closed_cube_count(d: int, q: int) -> int:
-    """Lattice points of q times the closed unit d-cube: (q+1)^d."""
-    return (q + 1) ** d
-
-
 def ehrhart_form_A(m: int, p: int, s: int, q: int) -> int:
     """Product form of the kind-A count via open-cube lattice counts:
 
@@ -131,9 +120,9 @@ def ehrhart_form_A(m: int, p: int, s: int, q: int) -> int:
     """
     FamilyParams(kind="A", m=m, p=p, s=s)
     _require_int("q", q, positive=True)
-    inner = _open_cube_count(m - 1, q)
+    inner = (q - 1) ** (m - 1)
     for k in range(1, m):
-        term = p * _open_cube_count(m - 1 - k, q)
+        term = p * (q - 1) ** (m - 1 - k)
         inner += -term if k % 2 else term
     tail = p if m % 2 == 0 else -p
     return (q - gcd(q, s)) * inner + tail
@@ -149,9 +138,9 @@ def reciprocity_A(m: int, p: int, s: int, q: int) -> int:
     """
     FamilyParams(kind="A", m=m, p=p, s=s)
     _require_int("q", q, positive=True)
-    inner = _closed_cube_count(m - 1, q)
+    inner = (q + 1) ** (m - 1)
     for k in range(1, m):
-        inner += p * _closed_cube_count(m - 1 - k, q)
+        inner += p * (q + 1) ** (m - 1 - k)
     return (q + gcd(q, s)) * inner + p
 
 

@@ -139,6 +139,7 @@ def _charge_point_tests(arr: ArrangementInput, window: range, budget: int, what:
     ``budget`` before anything is counted; past it, raise
     BudgetExceededError naming ``what``.  Summing stops there, so a long
     window is not summed to its end."""
+    _require_int("budget", budget, positive=True)
     cost = 0
     for q in window:
         cost += q**arr.m * arr.n
@@ -163,7 +164,6 @@ def brute_force_count(arr: ArrangementInput, q: int, budget: int = DEFAULT_BUDGE
     point.  Both are exact for entries of any size.
     """
     _require_int("q", q, positive=True)
-    _require_int("budget", budget)
     _charge_point_tests(arr, range(q, q + 1), budget, f"counting at q={q}")
     # c_i * z_i with both below q must fit int64
     if q ** (arr.m - 1) <= _NUMPY_CELL_CAP and (q - 1) ** 2 < 1 << 63:
@@ -247,7 +247,7 @@ def central_scan(
     arrangement is recorded with both periods.
     """
     _check_scan_args(m, n, entry_bound, trials, seed)
-    _require_int("budget", budget)
+    _require_int("budget", budget, positive=True)
     # Each draw's subset walk offers at most the 2^n - 1 nonempty subsets.
     # Past the budget's bit length 2^n - 1 alone exceeds the budget, so a
     # huge n is refused without building 2^n.

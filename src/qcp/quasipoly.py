@@ -75,21 +75,6 @@ class Polynomial(_Value):
     def to_json_list(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json_list(cls, data) -> "Polynomial":
-        """Parse coefficients written by ``to_json_list``: decimal strings (or
-        JSON integers) in a list; floats, bools and other strings are
-        rejected."""
-        if not isinstance(data, list):
-            raise ValidationError(f"coefficients must be a list, got {data!r}")
-        coeffs = []
-        for c in data:
-            if isinstance(c, str) and c.isascii() and c.removeprefix("-").isdigit():
-                c = int(c)
-            _require_int("coefficient", c)
-            coeffs.append(c)
-        return cls(tuple(coeffs))
-
 
 class QuasiPolynomial(_Value):
     """Periodic family of monic integer polynomials of a common degree.
@@ -138,28 +123,6 @@ class QuasiPolynomial(_Value):
                 listed = coeffs[id(poly)] = poly.to_json_list()
             items.append({"k": k, "coeffs": listed})
         return {"period": self.period, "constituents": items}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QuasiPolynomial":
-        """Parse the form written by ``to_json_dict``; ``period`` and each
-        ``k`` must be JSON integers and are never coerced."""
-        try:
-            period = data["period"]
-            pairs = [(item["k"], item["coeffs"]) for item in data["constituents"]]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed quasi-polynomial object: {exc}") from exc
-        classes = [k for k, _ in pairs]
-        for value in (period, *classes):
-            _require_int("period or class k", value)
-        if sorted(classes) != list(range(1, period + 1)):
-            raise ValidationError("constituent classes must be exactly 1..period")
-        by_class = dict(pairs)
-        return cls(
-            period=period,
-            constituents=tuple(
-                Polynomial.from_json_list(by_class[k]) for k in range(1, period + 1)
-            ),
-        )
 
 
 def minimum_period(qp: QuasiPolynomial) -> int:

@@ -73,11 +73,6 @@ class RootSystem(_Value):
             highest_root_coeffs=highest_root_coeffs,
         )
 
-    @property
-    def coxeter_number(self) -> int:
-        """1 plus the sum of the highest root's coefficients."""
-        return 1 + sum(self.highest_root_coeffs)
-
     def index_of(self, coeffs) -> int:
         """Position of a positive root given by its integer coefficients;
         entries are never coerced, so floats, strings and bools are rejected."""

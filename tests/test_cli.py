@@ -11,7 +11,6 @@ import pytest
 
 import qcp
 from qcp import ArrangementInput, RootSubset, collapse_report, positive_roots, shi_matrix
-from qcp.arrangement import CollapseReport
 from qcp.cli import main
 
 
@@ -311,10 +310,9 @@ def test_report_with_shared_constituents_round_trips(capsys):
     argv = ("family", "--kind", "Aprime", "--m", "2", "--p", "3", "--s", "3", "--a", "997")
     code, payload = run_json(capsys, *argv)
     assert code == 0
-    report = CollapseReport.from_json_dict(payload["report"])
-    assert report.lcm_period == 2991
-    arr = ArrangementInput.from_json_dict(payload["arrangement"])
-    assert report == collapse_report(arr)
+    assert payload["report"]["lcm_period"] == 2991
+    report = collapse_report(ArrangementInput.from_json_dict(payload["arrangement"]))
+    assert payload["report"] == report.to_json_dict()
     code, text = run(capsys, *argv)
     assert code == 0
     lines = text.splitlines()
@@ -377,6 +375,27 @@ def test_budget_error_exit_one(capsys, tmp_path):
     assert code == 1
     assert payload["kind"] == "budget"
     assert "budget of 10" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--q", "3", "--budget", "0"),
+    ("verify", "--q-window", "2", "--budget", "-1"),
+    ("verify", "--q-window", "2", "--budget", "0"),
+    ("scan-central", "--m", "2", "--n", "3", "--entry-bound", "2", "--trials", "0",
+     "--seed", "1", "--budget", "-5"),
+    ("scan-central", "--m", "2", "--n", "3", "--entry-bound", "2", "--trials", "0",
+     "--seed", "1", "--budget", "0"),
+], ids=lambda argv: " ".join(argv))
+def test_budget_below_one_is_invalid(capsys, tmp_path, argv):
+    # a budget that allows no work is bad input, not an exhausted budget
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"m": 1, "n": 2, "C": [[1, 2]], "b": [0, 1]}))
+    if argv[0] != "scan-central":
+        argv = (argv[0], "--input", str(path), *argv[1:])
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["kind"] == "validation"
+    assert "budget must be a positive integer" in payload["error"]
 
 
 def test_compute_walk_budget_exit_one(capsys, tmp_path, monkeypatch):

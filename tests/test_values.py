@@ -26,10 +26,7 @@ def _quasi(last=1):
 
 
 def _report(q0=0):
-    return CollapseReport(
-        lcm_period=2, minimum_period=2, collapse=False, q0=q0, gcd_property=True,
-        quasi_polynomial=_quasi(),
-    )
+    return CollapseReport(lcm_period=2, minimum_period=2, q0=q0, quasi_polynomial=_quasi())
 
 
 def _root_system(type_tag="A"):
@@ -51,7 +48,7 @@ CASES = [
      lambda: ArrangementInput(IntMatrix.from_rows([[1, 2]]), (0, 1)),
      lambda: ArrangementInput(IntMatrix.from_rows([[1, 2]]), (0, 2))),
     (CollapseReport,
-     ("lcm_period", "minimum_period", "collapse", "q0", "gcd_property", "quasi_polynomial"),
+     ("lcm_period", "minimum_period", "q0", "quasi_polynomial"),
      _report, lambda: _report(q0=1)),
     (CountingFormula, ("m", "period", "minimum_period", "weights"),
      lambda: CountingFormula(m=1, period=2, minimum_period=2, weights={1: {1: -1, 2: 1}}),
@@ -105,3 +102,15 @@ def test_value_semantics(cls, fields, make, changed):
     body = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
     assert repr(value) == f"{cls.__name__}({body})"
 
+
+def test_collapse_report_flags_are_derived():
+    # collapse is read off the periods and gcd_property holds by
+    # construction: neither is stored, and neither can be assigned
+    report = _report()
+    assert report.collapse is False and report.gcd_property is True
+    collapsed = CollapseReport(lcm_period=2, minimum_period=1, q0=0, quasi_polynomial=_quasi())
+    assert collapsed.collapse is True
+    for name in ("collapse", "gcd_property"):
+        assert name not in vars(report)
+        with pytest.raises(AttributeError):
+            setattr(report, name, not getattr(report, name))
