@@ -693,6 +693,11 @@ class CountingFormula(_Value):
     walk plus the divisors of the term divisors, never the period or its
     divisors; only ``quasi_polynomial`` is linear in the period.
 
+    A central arrangement never collapses (the paper's second main result):
+    its minimum period is its lcm period.  ``of`` checks that on every
+    central input, as it checks the divisor chains, and raises
+    InternalConsistencyError when it fails.
+
     Build one with ``CountingFormula.of``; ``weights`` maps each coefficient
     rank ell to its moduli and nonzero integer weights.
     """
@@ -726,6 +731,11 @@ class CountingFormula(_Value):
         if rho % minp:
             raise InternalConsistencyError(
                 f"minimum period {minp} does not divide the lcm period {rho}"
+            )
+        if arr.is_central and minp != rho:
+            raise InternalConsistencyError(
+                f"central arrangement {arr.to_json_dict()} collapses: minimum period "
+                f"{minp}, lcm period {rho}"
             )
         return cls(m=arr.m, period=rho, minimum_period=minp, weights=weights)
 
@@ -803,7 +813,9 @@ def central_period_summary(arr: ArrangementInput) -> tuple[int, int]:
 
     Both are read off the counting formula (see CountingFormula), whose cost
     does not grow with the period, so lcm periods far beyond the
-    materialization budget remain exact.
+    materialization budget remain exact.  The formula raises
+    InternalConsistencyError unless the two are equal, so a returned pair
+    always is.
     """
     if not arr.is_central:
         raise ValidationError("central_period_summary requires a central arrangement")

@@ -18,6 +18,7 @@ import sys
 from .arrangement import WALK_BUDGET, ArrangementInput, CountingFormula, collapse_report, q_zero
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .families import FAMILY_KINDS, FamilyParams, family_matrix
+from .intlinalg import _require_int
 from .oracle import DEFAULT_BUDGET, _charge_point_tests, brute_force_count, central_scan
 from .quasipoly import QuasiPolynomial
 from .rootsys import (ROOT_TYPES, RootSubset, _check_type_and_rank, linial_matrix,
@@ -187,8 +188,6 @@ def _cmd_scan_central(args):
         f"generator: {report.generator}",
         f"violations: {len(report.violations)}",
     ]
-    for arr, lcm, minp in report.violations:
-        lines.append(f"  violation: lcm={lcm} min={minp} arrangement={arr.to_json_dict()}")
     return payload, lines, 0
 
 
@@ -240,6 +239,7 @@ def _cmd_conjecture_scan(args):
 def _cmd_verify(args):
     if args.q_window < 1:
         raise ValidationError(f"--q-window must be at least 1, got {args.q_window}")
+    _require_int("budget", args.budget, positive=True)
     arr = _load_arrangement(args.input)
     # The walk runs under WALK_BUDGET and q_zero under Q_ZERO_BUDGET; the walk
     # goes first, so a wide input stops there, before q_zero starts.
@@ -368,10 +368,13 @@ def _requested_format(argv: list[str]) -> str:
 def _join_exclude_root(argv: list[str]) -> list[str]:
     """``--exclude-root -1,1,1`` as ``--exclude-root=-1,1,1``: argparse takes
     a value that starts with ``-`` and a digit for an option, so it would
-    never reach root validation."""
+    never reach root validation.  Like argparse, it takes any prefix of
+    ``--exclude-root`` from ``--e`` on, as ``_requested_format`` does."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--exclude-root" and token[:1] == "-" and token[1:2].isdigit():
+        name = out[-1] if out else ""
+        if (len(name) >= 3 and "--exclude-root".startswith(name)
+                and token[:1] == "-" and token[1:2].isdigit()):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -98,10 +98,6 @@ class QuasiPolynomial(_Value):
             raise ValidationError("every constituent must be monic")
         self.__dict__.update(period=period, constituents=constituents)
 
-    @property
-    def degree(self) -> int:
-        return self.constituents[0].degree
-
     def constituent_for_class(self, k: int) -> Polynomial:
         _require_int("k", k)
         if not 1 <= k <= self.period:

@@ -86,13 +86,6 @@ class RootSystem(_Value):
                 f"{coeffs} is not a positive root of {self.type_tag}{self.rank}"
             ) from None
 
-    def roots_of_length(self, length: str) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            root
-            for root, tag in zip(self.positive_roots, self.root_lengths)
-            if tag == length
-        )
-
 
 def _check_type_and_rank(type_tag: str, rank: int) -> None:
     """The checks positive_roots makes before it builds anything."""

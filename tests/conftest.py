@@ -20,9 +20,9 @@ walks the independent column sets only and runs Smith on bases alone.  Its
 rank is the length of the library's ``_echelon`` basis; qcp itself takes
 ranks from determinantal divisors.
 
-``euler_phi``, ``divisors`` and ``with_period`` are small helpers that only
-tests need, and the ``count_calls`` fixture counts calls to library
-functions, for tests that pin work counts.
+``euler_phi``, ``divisors``, ``with_period`` and ``roots_of_length`` are
+small helpers that only tests need, and the ``count_calls`` fixture counts
+calls to library functions, for tests that pin work counts.
 """
 
 from collections import Counter
@@ -91,6 +91,10 @@ def with_period(qp, new_period: int):
     assert new_period % qp.period == 0, "new period must be a multiple of the current one"
     reps = tuple(qp.constituents[k % qp.period] for k in range(new_period))
     return QuasiPolynomial(period=new_period, constituents=reps)
+
+
+def roots_of_length(system, length: str) -> tuple:
+    return tuple(r for r, tag in zip(system.positive_roots, system.root_lengths) if tag == length)
 
 
 def det(rows) -> int:

@@ -13,7 +13,8 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import bases_lcm_period, divisor_formula_count_naive, with_period
+from conftest import (bases_lcm_period, divisor_formula_count_naive, roots_of_length,
+                      with_period)
 from qcp import (
     ArrangementInput,
     CountingFormula,
@@ -97,13 +98,13 @@ def root_system_reports():
         # still takes seconds, mostly in q_zero; out of suite budget
         for k in ks:
             add((system.type_tag, system.rank, "full", k), shi_matrix(RootSubset.full(system), k))
-    for root in b2.roots_of_length("short"):
+    for root in roots_of_length(b2, "short"):
         for k in (1, 2):
             add(("B2-short", root, k), shi_matrix(RootSubset.excluding(b2, root), k))
-    for root in b2.roots_of_length("long"):
+    for root in roots_of_length(b2, "long"):
         for k in (1, 2):
             add(("B2-long", root, k), shi_matrix(RootSubset.excluding(b2, root), k))
-    for root in g2.roots_of_length("short"):
+    for root in roots_of_length(g2, "short"):
         add(("G2-short", root, 1), shi_matrix(RootSubset.excluding(g2, root), 1))
     for k in (1, 3):
         add(("G2-alpha2", k), shi_matrix(RootSubset.excluding(g2, (0, 1)), k))

@@ -1,6 +1,7 @@
 """Counting formula, periods, threshold, and report assembly."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,6 +94,9 @@ def test_json_round_trip():
     ):
         with pytest.raises(ValidationError):
             ArrangementInput.from_json_dict({**data, key: bad})
+    for bad in ({"m": 2, "n": 4, "C": data["C"]}, [data]):  # no "b"; not an object
+        with pytest.raises(ValidationError, match="malformed arrangement object"):
+            ArrangementInput.from_json_dict(bad)
 
 
 def test_lcm_period_identity_columns():
@@ -801,6 +805,18 @@ def test_central_summary_agrees_with_pipeline(arr):
     if rho <= INTERPOLATION_PERIOD_CAP:
         qp = interpolated_quasi_polynomial(arr)
         assert (qp.period, minimum_period(qp)) == (rho, minp)
+
+
+def test_central_collapse_is_an_internal_error(monkeypatch):
+    # a central arrangement never collapses (the paper's second main result);
+    # weights {1: 1} give every formula minimum period 1, a collapse at rho = 2
+    monkeypatch.setattr(arrangement_module, "_indicator_weights", lambda pairs: {1: 1})
+    arr = arrangement([(2,)], (0,))
+    message = f"central arrangement {arr.to_json_dict()} collapses: minimum period 1, lcm period 2"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        CountingFormula.of(arr)
+    # a non-central arrangement may collapse
+    assert CountingFormula.of(FAMILY_A_122).minimum_period == 1
 
 
 def test_central_summary_rejects_non_central():

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import qcp
-from qcp import ArrangementInput, RootSubset, collapse_report, positive_roots, shi_matrix
+from qcp import (ArrangementInput, FamilyParams, RootSubset, collapse_report, family_matrix,
+                 positive_roots, shi_matrix)
 from qcp.cli import main
 
 
@@ -95,17 +96,20 @@ def test_exclude_root_reads_negative_entries(capsys):
 
 @pytest.mark.parametrize("command,param", [("shi", "--k"), ("linial", "--n")])
 def test_exclude_root_takes_negative_value_after_space(capsys, command, param):
-    # argparse alone reads "-1,1,1" as a second option with no value
-    code, payload = run_json(
-        capsys, command, "--type", "A", "--rank", "3", param, "1", "--exclude-root", "-1,1,1"
-    )
-    assert code == 1
-    assert payload == {"error": "(-1, 1, 1) is not a positive root of A3", "kind": "validation"}
-    code, payload = run_json(
-        capsys, command, "--type", "A", "--rank", "3", param, "1", "--exclude-root"
-    )
-    assert code == 1
-    assert "--exclude-root: expected one argument" in payload["error"]
+    # argparse alone reads "-1,1,1" as a second option with no value; like
+    # argparse, the join takes any prefix of --exclude-root from --e on
+    for option in ("--exclude-root", "--excl", "--e"):
+        code, payload = run_json(
+            capsys, command, "--type", "A", "--rank", "3", param, "1", option, "-1,1,1"
+        )
+        assert code == 1
+        assert payload == {"error": "(-1, 1, 1) is not a positive root of A3",
+                           "kind": "validation"}
+        code, payload = run_json(
+            capsys, command, "--type", "A", "--rank", "3", param, "1", option
+        )
+        assert code == 1
+        assert "--exclude-root: expected one argument" in payload["error"]
 
 
 @pytest.mark.parametrize(
@@ -182,6 +186,35 @@ def test_scan_central_subcommand(capsys):
     assert payload["violations"] == []
     assert payload["seed"] == 11
     assert payload["generator"]
+
+
+def test_scan_central_collapse_exits_internal(capsys, monkeypatch):
+    from qcp import arrangement
+
+    # every formula's minimum period becomes 1: the first draw with rho > 1 stops the scan
+    monkeypatch.setattr(arrangement, "_indicator_weights", lambda pairs: {1: 1})
+    code, payload = run_json(
+        capsys, "scan-central", "--m", "3", "--n", "6", "--entry-bound", "5",
+        "--trials", "60", "--seed", "1",
+    )
+    assert code == 2
+    assert payload["kind"] == "internal"
+    assert re.search(r"central arrangement \{'m': 3, 'n': 6, .* collapses", payload["error"])
+
+
+def test_compute_central_collapse_exits_internal(capsys, tmp_path, monkeypatch):
+    from qcp import arrangement
+
+    monkeypatch.setattr(arrangement, "_indicator_weights", lambda pairs: {1: 1})
+    path = tmp_path / "central.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "C": [[2]], "b": [0]}))
+    code, payload = run_json(capsys, "compute", "--input", str(path))
+    assert code == 2
+    assert payload == {
+        "error": "central arrangement {'m': 1, 'n': 1, 'C': [[2]], 'b': [0]} collapses: "
+                 "minimum period 1, lcm period 2",
+        "kind": "internal",
+    }
 
 
 @pytest.mark.parametrize("n, kind", [("1000000000000000000", "budget"), ("-1", "validation")])
@@ -386,10 +419,19 @@ def test_budget_error_exit_one(capsys, tmp_path):
     ("scan-central", "--m", "2", "--n", "3", "--entry-bound", "2", "--trials", "0",
      "--seed", "1", "--budget", "0"),
 ], ids=lambda argv: " ".join(argv))
-def test_budget_below_one_is_invalid(capsys, tmp_path, argv):
-    # a budget that allows no work is bad input, not an exhausted budget
+def test_budget_below_one_is_invalid(capsys, tmp_path, monkeypatch, argv):
+    from qcp import cli
+
+    # a budget that allows no work is bad input, not an exhausted budget, and
+    # is refused before any work: q_zero alone takes about half a second here
     path = tmp_path / "arr.json"
-    path.write_text(json.dumps({"m": 1, "n": 2, "C": [[1, 2]], "b": [0, 1]}))
+    path.write_text(json.dumps(family_matrix(FamilyParams("A", 3, 40, 20)).to_json_dict()))
+
+    def boom(*args):
+        raise AssertionError("ran the walk or q_zero before checking --budget")
+
+    monkeypatch.setattr(cli.CountingFormula, "of", boom)
+    monkeypatch.setattr(cli, "q_zero", boom)
     if argv[0] != "scan-central":
         argv = (argv[0], "--input", str(path), *argv[1:])
     code, payload = run_json(capsys, *argv)

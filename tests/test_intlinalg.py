@@ -119,6 +119,10 @@ def test_matrix_validation():
         IntMatrix(True, 2, (1, 2))
     with pytest.raises(ValidationError):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValidationError, match="at least one row and one column"):
+        IntMatrix.from_rows([])
+    with pytest.raises(ValidationError, match="at least one column"):
+        IntMatrix.from_columns([])
 
 
 def test_matrix_accessors():

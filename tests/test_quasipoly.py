@@ -69,6 +69,11 @@ def test_quasi_polynomial_validation():
         QuasiPolynomial(period=2, constituents=(poly(-3, 1),))
     with pytest.raises(ValidationError, match="period must be an integer"):
         QuasiPolynomial(2.0, (poly(-3, 1), poly(-3, 1)))  # never coerced to 2
+    with pytest.raises(ValidationError, match="must be Polynomial values"):
+        QuasiPolynomial(period=1, constituents=((-3, 1),))
+    for k in (0, 3):
+        with pytest.raises(ValidationError, match=f"residue class {k} out of range 1..2"):
+            qp(poly(-3, 1), poly(-1, 1)).constituent_for_class(k)
 
 
 def test_interpolation_line():

@@ -2,9 +2,11 @@
 
 import pytest
 
+from conftest import roots_of_length
 from qcp import (
     CountingFormula,
     RootSubset,
+    RootSystem,
     ValidationError,
     brute_force_count,
     linial_matrix,
@@ -60,7 +62,7 @@ def test_counts_and_coxeter_numbers(type_tag, rank, count, h):
     assert len(set(system.positive_roots)) == count
     assert 1 + sum(system.highest_root_coeffs) == h
     _, _, short, highest = CLOSED_FORMS[type_tag](rank)
-    assert len(system.roots_of_length("short")) == short
+    assert len(roots_of_length(system, "short")) == short
     assert system.highest_root_coeffs == highest
 
 
@@ -86,6 +88,21 @@ def test_unsupported_combinations():
         positive_roots("A", 0)
 
 
+def test_root_system_validation():
+    a2 = positive_roots("A", 2)
+    good = (a2.positive_roots, a2.root_lengths, a2.highest_root_coeffs)
+    for roots, lengths, high, message in (
+        (good[0], good[1][:2], good[2], "one length tag per positive root"),
+        (good[0] + ((1, 1, 0),), good[1] + ("long",), good[2], "must have rank entries"),
+        (good[0] + ((0, 0),), good[1] + ("long",), good[2], "nonzero with nonnegative"),
+        (good[0] + ((2, -1),), good[1] + ("long",), good[2], "nonzero with nonnegative"),
+        (good[0], good[1], (2, 2), "highest root must be a positive root"),
+        (good[0] + ((2, 1),), good[1] + ("long",), good[2], "must dominate every"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            RootSystem("A", 2, roots, lengths, high)
+
+
 def test_b3_root_set():
     # e_i - e_j, e_i, e_i + e_j written short-root-first
     system = positive_roots("B", 3)
@@ -100,7 +117,7 @@ def test_b3_root_set():
         (2, 1, 1),
         (2, 1, 0),
     }
-    shorts = set(system.roots_of_length("short"))
+    shorts = set(roots_of_length(system, "short"))
     assert shorts == {(1, 1, 1), (1, 1, 0), (1, 0, 0)}
 
 
@@ -213,7 +230,7 @@ def test_g2_short_root_deletion_collapses_for_k_two():
     from qcp import collapse_report
 
     g2 = positive_roots("G2", 2)
-    for root in g2.roots_of_length("short"):
+    for root in roots_of_length(g2, "short"):
         report = collapse_report(shi_matrix(RootSubset.excluding(g2, root), 2))
         assert report.lcm_period == 6
         assert report.minimum_period == 1

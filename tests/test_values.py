@@ -17,6 +17,7 @@ from qcp import (
     RootSubset,
     RootSystem,
     ScanReport,
+    ValidationError,
     positive_roots,
 )
 
@@ -55,9 +56,8 @@ CASES = [
      lambda: CountingFormula(m=1, period=2, minimum_period=2, weights={1: {1: -1, 2: 2}})),
     (FamilyParams, ("kind", "m", "p", "s", "a"),
      lambda: FamilyParams("A", 2, 4, 2), lambda: FamilyParams("A", 2, 4)),
-    (ScanReport, ("trials", "violations", "seed"),
-     lambda: ScanReport(trials=3, violations=(), seed=1),
-     lambda: ScanReport(trials=3, violations=(), seed=2)),
+    (ScanReport, ("trials", "seed"),
+     lambda: ScanReport(trials=3, seed=1), lambda: ScanReport(trials=3, seed=2)),
     (RootSystem, ("type_tag", "rank", "positive_roots", "root_lengths", "highest_root_coeffs"),
      _root_system, lambda: _root_system("X")),
     (RootSubset, ("parent", "included"),
@@ -110,6 +110,8 @@ def test_collapse_report_flags_are_derived():
     assert report.collapse is False and report.gcd_property is True
     collapsed = CollapseReport(lcm_period=2, minimum_period=1, q0=0, quasi_polynomial=_quasi())
     assert collapsed.collapse is True
+    with pytest.raises(ValidationError, match="minimum period must divide the lcm period"):
+        CollapseReport(lcm_period=2, minimum_period=3, q0=0, quasi_polynomial=_quasi())
     for name in ("collapse", "gcd_property"):
         assert name not in vars(report)
         with pytest.raises(AttributeError):
