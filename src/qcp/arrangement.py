@@ -39,10 +39,11 @@ g(K + c)) over the (k-1)-subsets K of J, g(S) being the gcd of the
 The d_k of the whole coefficient matrix divides every d_k of C_J, so once
 d_k reaches it (1 in the common case, 0 only above the whole rank) it is
 skipped, and the rank of C_J is the number of nonzero d_k.  The chain is
-e_k = d_k / d_(k-1), computed once per distinct d_1..d_m in a walk.  Smith
-runs once on the whole coefficient matrix, for those floors, and on A_J
-only for a consistent choice with a nonzero offset whose C_J has e_r > 1
-(r the rank).  When the chosen offsets are all zero the stacked chain is
+e_k = d_k / d_(k-1), computed once per distinct d_1..d_m in a table that
+the formulas of one batch share (see _formulas).  Smith runs once on the
+whole coefficient matrix, for those floors, and on A_J only for a
+consistent choice with a nonzero offset whose C_J has e_r > 1 (r the
+rank).  When the chosen offsets are all zero the stacked chain is
 the coefficient one, and the stacked basis, the echelon basis of the chosen
 columns with a trailing 0, is built only when a nonzero offset joins.  So
 the walk carries that all-zero choice in a lane of its own, a flag on each
@@ -119,6 +120,12 @@ WALK_BUDGET = 200_000
 
 # Most stacked column subsets q_zero may offer, independent or not.
 Q_ZERO_BUDGET = 1_000_000
+
+# Most trial divisors one CountingFormula may try factoring its term divisors.
+_FACTOR_BUDGET = 10_000_000
+
+# Entries at which a table shared by the formulas of one batch is emptied.
+_TABLE_CAP = 1024
 
 
 class ArrangementInput(_Value):
@@ -443,7 +450,7 @@ def q_zero(arr: ArrangementInput) -> int:
     return best
 
 
-def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
+def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tuple[dict, int]:
     """Aggregate subset contributions of the counting formula, and the lcm
     period.
 
@@ -463,12 +470,14 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     coefficient matrix (one Smith form per walk); g, the gcd of the
     full-size minors of a class set, is memoised for the walk.  The rank r
     of C_J is the number of nonzero d_k and its chain is e_k = d_k / d_(k-1),
-    computed once per distinct d_1..d_m in a walk, and so is the lcm with
-    its e_r.  When e_r = 1 a choice with a nonzero offset has the key
-    (r, ()), and its stacked basis must have r rows.  Past the whole
-    matrix, Smith runs only on the stacked matrix of a choice with a
-    nonzero offset over a C_J with e_r > 1; its rows come from the node's
-    class indices.
+    computed once per distinct d_1..d_m in ``chains``, a table the walks of
+    one batch share (see _formulas; a walk of its own when omitted) and
+    emptied at _TABLE_CAP entries.  A chain may come from an earlier walk,
+    so the lcm with its e_r is taken at every class set kept.  When e_r = 1
+    a choice with a nonzero offset has the key (r, ()), and its stacked
+    basis must have r rows.  Past the whole matrix, Smith runs only on the
+    stacked matrix of a choice with a nonzero offset over a C_J with
+    e_r > 1; its rows come from the node's class indices.
 
     The all-zero choice has its own lane: a node carries a flag for it, not
     an entry among its choices.  Its stacked basis is the echelon basis of
@@ -522,8 +531,8 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     terms: dict = {}
     rho = 1
     offered = 0
-    # d_1..d_m -> (chain of C_J, the all-zero choice's key)
-    chains: dict = {}
+    if chains is None:  # d_1..d_m -> (chain of C_J, the all-zero choice's key)
+        chains = {}
     # (first class to add, chosen class indices, determinantal divisors of
     #  C_J, whether the all-zero choice is live, the other live choices as
     #  (offsets, stacked basis))
@@ -566,10 +575,13 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
             now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
             chain = chains.get(now_dets)
             if chain is None:
+                if len(chains) >= _TABLE_CAP:
+                    chains.clear()
                 es = _divisor_chain(now_dets)
-                rho = lcm(rho, es[-1])
                 chain = chains[now_dets] = (es, (len(es), tuple((e, e) for e in es if e != 1)))
             es, zero_key = chain
+            if rho % es[-1]:  # a hit may come from an earlier walk of the batch
+                rho = lcm(rho, es[-1])
             rank = len(es)
             now = chosen + (idx,)
             saturated = now_dets == floor
@@ -603,11 +615,25 @@ def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     return {key: coef for key, coef in terms.items() if coef}, rho
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of a positive integer, by trial division."""
+def _prime_powers(n: int, spent: list[int]) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of a positive integer, by trial division.
+
+    ``spent[0]`` counts the trial divisors one CountingFormula has tried so
+    far; each one tried here adds 1, and past _FACTOR_BUDGET this raises
+    BudgetExceededError, so a term divisor with two large prime factors
+    fails fast instead of stalling.
+    """
     out = []
     p = 2
+    whole = n
+    tried = spent[0]
     while p * p <= n:
+        tried += 1
+        if tried > _FACTOR_BUDGET:
+            raise BudgetExceededError(
+                f"factoring the term divisor {whole} by trial division tried "
+                f"{tried} divisors, over the factoring budget of {_FACTOR_BUDGET}"
+            )
         if n % p == 0:
             a = 0
             while n % p == 0:
@@ -615,12 +641,13 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
                 a += 1
             out.append((p, a))
         p += 1
+    spent[0] = tried
     if n > 1:
         out.append((n, 1))
     return out
 
 
-def _indicator_weights(pairs) -> dict[int, int]:
+def _indicator_weights(pairs, spent: list[int]) -> dict[int, int]:
     """Nonzero weights w with, for every q >= 1,
 
         F(q) = prod over (e, e') in pairs of [gcd(e, q) = gcd(e', q)] * gcd(e, q)
@@ -631,10 +658,11 @@ def _indicator_weights(pairs) -> dict[int, int]:
     over the primes of L.  So are its weights (the Moebius inversion of F),
     and at a prime power they are the difference F(p^a) - F(p^(a-1)).  For a
     single pair with e = e' that is Euler's totient, the identity
-    gcd(e, q) = sum of phi(D) over D dividing both.
+    gcd(e, q) = sum of phi(D) over D dividing both.  L is factored by trial
+    division, charged to ``spent`` (see _prime_powers).
     """
     weights = {1: 1}
-    for p, top in _prime_powers(lcm(*(x for pair in pairs for x in pair))):
+    for p, top in _prime_powers(lcm(*(x for pair in pairs for x in pair)), spent):
         local = [(1, 1)]
         prev = 1
         for a in range(1, top + 1):
@@ -690,8 +718,10 @@ class CountingFormula(_Value):
     independent, and a periodic function of gcd(q, period) is a function of
     gcd(q, s) for each of its periods s, so ``minimum_period`` is the lcm of
     the moduli with a nonzero weight.  Building the formula costs the subset
-    walk plus the divisors of the term divisors, never the period or its
-    divisors; only ``quasi_polynomial`` is linear in the period.
+    walk plus the trial-division factoring of the term divisors, at most
+    _FACTOR_BUDGET divisors tried, never the period or its divisors; only
+    ``quasi_polynomial`` is linear in the period.  Formulas built in one
+    batch share their divisor chains and indicator weights (see _formulas).
 
     A central arrangement never collapses (the paper's second main result):
     its minimum period is its lcm period.  ``of`` checks that on every
@@ -713,31 +743,9 @@ class CountingFormula(_Value):
 
         The one walk gives both the term table and the lcm period, read off
         the coefficient divisor chains it computes (see _build_term_table).
+        This is a batch of one, with tables of its own (see _formulas).
         """
-        terms, rho = _build_term_table(arr)
-        _check_divisor_chains(terms, rho, arr.is_central)
-        by_pairs: dict[tuple, dict[int, int]] = {}  # one expansion per distinct pairs
-        weights: dict[int, dict[int, int]] = {}
-        for (ell, pairs), coef in terms.items():
-            if pairs not in by_pairs:
-                by_pairs[pairs] = _indicator_weights(pairs)
-            dest = weights.setdefault(ell, {})
-            for dmod, w in by_pairs[pairs].items():
-                dest[dmod] = dest.get(dmod, 0) + coef * w
-        weights = {
-            ell: {dmod: w for dmod, w in dest.items() if w} for ell, dest in weights.items()
-        }
-        minp = lcm(*(dmod for dest in weights.values() for dmod in dest))
-        if rho % minp:
-            raise InternalConsistencyError(
-                f"minimum period {minp} does not divide the lcm period {rho}"
-            )
-        if arr.is_central and minp != rho:
-            raise InternalConsistencyError(
-                f"central arrangement {arr.to_json_dict()} collapses: minimum period "
-                f"{minp}, lcm period {rho}"
-            )
-        return cls(m=arr.m, period=rho, minimum_period=minp, weights=weights)
+        return next(_formulas([arr]))
 
     def constituent(self, k: int) -> Polynomial:
         """The monic degree-m polynomial of residue class k >= 1 (k need not
@@ -772,6 +780,55 @@ class CountingFormula(_Value):
                 shared[g] = self.constituent(g)
             constituents.append(shared[g])
         return QuasiPolynomial(period=rho, constituents=tuple(constituents))
+
+
+def _formulas(arrs):
+    """The CountingFormula of each arrangement of ``arrs``, in order.
+
+    The formulas of one batch share two tables, and each table's values
+    depend on its keys alone: the walk's divisor chains and all-zero term
+    keys, keyed by d_1..d_m (see _build_term_table), and the indicator
+    weights of each tuple of divisor pairs.  Draws of one shape meet the
+    same keys again and again: the 60 draws of ``qcp scan-central --m 3
+    --n 6 --entry-bound 5 --trials 60 --seed 1`` compute 252 chains and 219
+    expansions, where walks of their own would compute 1,591 and 1,246.
+    Each table is emptied when it holds _TABLE_CAP entries, so a long batch
+    of large entries, which meets a new key at most nodes, holds a bounded
+    amount.
+    The trial divisions of each formula are charged to _FACTOR_BUDGET.
+    Every formula checks its divisor chains and, for central input, that
+    its minimum period is its lcm period.
+    """
+    chains: dict = {}
+    by_pairs: dict[tuple, dict[int, int]] = {}
+    for arr in arrs:
+        terms, rho = _build_term_table(arr, chains)
+        _check_divisor_chains(terms, rho, arr.is_central)
+        spent = [0]  # trial divisors tried for this formula
+        weights: dict[int, dict[int, int]] = {}
+        for (ell, pairs), coef in terms.items():
+            expansion = by_pairs.get(pairs)
+            if expansion is None:
+                if len(by_pairs) >= _TABLE_CAP:
+                    by_pairs.clear()
+                expansion = by_pairs[pairs] = _indicator_weights(pairs, spent)
+            dest = weights.setdefault(ell, {})
+            for dmod, w in expansion.items():
+                dest[dmod] = dest.get(dmod, 0) + coef * w
+        weights = {
+            ell: {dmod: w for dmod, w in dest.items() if w} for ell, dest in weights.items()
+        }
+        minp = lcm(*(dmod for dest in weights.values() for dmod in dest))
+        if rho % minp:
+            raise InternalConsistencyError(
+                f"minimum period {minp} does not divide the lcm period {rho}"
+            )
+        if arr.is_central and minp != rho:
+            raise InternalConsistencyError(
+                f"central arrangement {arr.to_json_dict()} collapses: minimum period "
+                f"{minp}, lcm period {rho}"
+            )
+        yield CountingFormula(m=arr.m, period=rho, minimum_period=minp, weights=weights)
 
 
 def divisor_formula_count(arr: ArrangementInput, q: int) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .arrangement import ArrangementInput, central_period_summary
+from .arrangement import ArrangementInput, _formulas
 from .errors import BudgetExceededError, ValidationError
 from .intlinalg import IntMatrix, _require_int, _Value
 
@@ -232,9 +232,12 @@ def central_scan(
 ) -> ScanReport:
     """Check minimum period == lcm period on random central arrangements.
 
-    Each draw runs central_period_summary, which is exact for the huge lcm
-    periods random matrices routinely produce; its counting formula raises
-    InternalConsistencyError, naming the arrangement, on a central collapse.
+    Every draw's counting formula is built in one batch, which shares the
+    divisor chains and indicator weights that earlier draws computed (see
+    arrangement._formulas).  The formula reads both periods off its weights,
+    exactly for the huge lcm periods random matrices routinely produce, and
+    raises InternalConsistencyError, naming the arrangement, on a central
+    collapse.
     """
     _check_scan_args(m, n, entry_bound, trials, seed)
     _require_int("budget", budget, positive=True)
@@ -250,6 +253,6 @@ def central_scan(
         raise BudgetExceededError(
             f"scan needs up to {cost} subsets, over the budget of {budget}"
         )
-    for arr in generate_central_inputs(m, n, entry_bound, trials, seed):
-        central_period_summary(arr)
+    for _ in _formulas(generate_central_inputs(m, n, entry_bound, trials, seed)):
+        pass  # building a formula checks minimum period == lcm period
     return ScanReport(trials=trials, seed=seed)

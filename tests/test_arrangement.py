@@ -49,6 +49,7 @@ from qcp.arrangement import (
     _det,
     _divisor_chain,
     _extend_determinantal,
+    _formulas,
     _minors_gcd,
     _reduce_against,
     _whole_determinantal,
@@ -458,6 +459,40 @@ def test_central_walk_checks_each_divisor_chain_once(count_calls):
     assert [calls[name] for name in names] == [3485, 1591, 0, 2460, 60]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batch_matches_standalone_formulas(seed):
+    # a batch shares chains and weights across draws, so a chain may come
+    # from an earlier draw and must still raise the lcm period to its e_r
+    draws = generate_central_inputs(3, 6, 5, 60, seed)
+    assert list(_formulas(draws)) == [CountingFormula.of(arr) for arr in draws]
+
+
+def test_batch_past_the_table_cap_matches(monkeypatch, count_calls):
+    draws = generate_central_inputs(3, 6, 5, 60, 1)
+    standalone = [CountingFormula.of(arr) for arr in draws]
+    calls = count_calls(arrangement_module, "_divisor_chain", "_indicator_weights")
+    monkeypatch.setattr(arrangement_module, "_TABLE_CAP", 16)
+    assert list(_formulas(draws)) == standalone
+    # emptied tables are filled again: more than an uncapped batch's 252 and 219
+    assert calls["_divisor_chain"] > 252
+    assert calls["_indicator_weights"] > 219
+
+
+def test_factoring_is_charged_per_formula(monkeypatch):
+    # diag(10007, 10009) tries 99 + 99 + 10,006 trial divisors, the last
+    # for its term divisor 10007 * 10009; diag(10037, 10039) tries 10,234
+    first = arrangement([(10007, 0), (0, 10009)], (0, 0))
+    second = arrangement([(10037, 0), (0, 10039)], (0, 0))
+    monkeypatch.setattr(arrangement_module, "_FACTOR_BUDGET", 10203)
+    message = "tried 10204 divisors, over the factoring budget of 10203"
+    with pytest.raises(BudgetExceededError, match=message):
+        CountingFormula.of(first)
+    # each formula of a batch has the whole budget
+    monkeypatch.setattr(arrangement_module, "_FACTOR_BUDGET", 10234)
+    formulas = list(_formulas([first, second]))
+    assert [f.period for f in formulas] == [10007 * 10009, 10037 * 10039]
+
+
 @given(st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
                        min_size=n, max_size=n)))
@@ -810,7 +845,7 @@ def test_central_summary_agrees_with_pipeline(arr):
 def test_central_collapse_is_an_internal_error(monkeypatch):
     # a central arrangement never collapses (the paper's second main result);
     # weights {1: 1} give every formula minimum period 1, a collapse at rho = 2
-    monkeypatch.setattr(arrangement_module, "_indicator_weights", lambda pairs: {1: 1})
+    monkeypatch.setattr(arrangement_module, "_indicator_weights", lambda pairs, spent: {1: 1})
     arr = arrangement([(2,)], (0,))
     message = f"central arrangement {arr.to_json_dict()} collapses: minimum period 1, lcm period 2"
     with pytest.raises(InternalConsistencyError, match=re.escape(message)):

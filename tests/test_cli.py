@@ -192,7 +192,7 @@ def test_scan_central_collapse_exits_internal(capsys, monkeypatch):
     from qcp import arrangement
 
     # every formula's minimum period becomes 1: the first draw with rho > 1 stops the scan
-    monkeypatch.setattr(arrangement, "_indicator_weights", lambda pairs: {1: 1})
+    monkeypatch.setattr(arrangement, "_indicator_weights", lambda pairs, spent: {1: 1})
     code, payload = run_json(
         capsys, "scan-central", "--m", "3", "--n", "6", "--entry-bound", "5",
         "--trials", "60", "--seed", "1",
@@ -205,7 +205,7 @@ def test_scan_central_collapse_exits_internal(capsys, monkeypatch):
 def test_compute_central_collapse_exits_internal(capsys, tmp_path, monkeypatch):
     from qcp import arrangement
 
-    monkeypatch.setattr(arrangement, "_indicator_weights", lambda pairs: {1: 1})
+    monkeypatch.setattr(arrangement, "_indicator_weights", lambda pairs, spent: {1: 1})
     path = tmp_path / "central.json"
     path.write_text(json.dumps({"m": 1, "n": 1, "C": [[2]], "b": [0]}))
     code, payload = run_json(capsys, "compute", "--input", str(path))
@@ -215,6 +215,30 @@ def test_compute_central_collapse_exits_internal(capsys, tmp_path, monkeypatch):
                  "minimum period 1, lcm period 2",
         "kind": "internal",
     }
+
+
+def test_scan_central_with_large_entries_finishes(capsys):
+    # each draw's whole-matrix Smith form once grew its entries without bound
+    code, payload = run_json(
+        capsys, "scan-central", "--m", "3", "--n", "6", "--entry-bound", "1000",
+        "--trials", "60", "--seed", "1",
+    )
+    assert code == 0
+    assert payload["violations"] == []
+
+
+def test_factoring_past_its_budget_exits_budget(capsys, tmp_path):
+    # two primes near 10^11: factoring their product takes about 10^11 divisions
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "C": [[100000000003, 0], [0, 100000000019]],
+                                "b": [0, 0]}))
+    scan = ["scan-central", "--m", "3", "--n", "6", "--entry-bound", "1000000", "--trials", "1",
+            "--seed", "1"]
+    for command in (scan, ["compute", "--input", str(path)]):
+        code, payload = run_json(capsys, *command)
+        assert code == 1
+        assert payload["kind"] == "budget"
+        assert "by trial division tried 10000001 divisors" in payload["error"]
 
 
 @pytest.mark.parametrize("n, kind", [("1000000000000000000", "budget"), ("-1", "validation")])

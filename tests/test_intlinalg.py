@@ -59,7 +59,25 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
-@given(small_matrices)
+@st.composite
+def large_matrices(draw):
+    """Entries up to 10^12, where a row step that ran before the column
+    below the pivot was clear once grew entries without bound; about half
+    of those with two or more rows end with a row that combines two others."""
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 6))
+    entry = st.integers(-10**12, 10**12)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    if r >= 2 and draw(st.booleans()):
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [s * a + t * b for a, b in zip(rows[0], rows[-2])]
+    return rows
+
+
+matrices = st.one_of(small_matrices, large_matrices())
+
+
+@given(matrices)
 @settings(max_examples=60, deadline=None)
 def test_divisor_products_match_minor_gcds(rows):
     divisors = smith(rows)
@@ -70,13 +88,26 @@ def test_divisor_products_match_minor_gcds(rows):
         assert prod == minors_gcd(rows, k)
 
 
-@given(small_matrices)
+@given(matrices)
 @settings(max_examples=40, deadline=None)
 def test_divisor_chain_matches_minor_chain(rows):
     assert smith(rows) == divisors_via_minors(rows)
 
 
-@given(small_matrices)
+def test_swapped_out_row_does_not_grow():
+    # the whole coefficient matrix of the first draw of
+    # generate_central_inputs(3, 6, 10**6, 1, 1): when the row step ran with
+    # a swapped-out row still holding a pivot-column entry, that entry was
+    # multiplied into its row, and the entries passed 4,000 digits
+    rows = [
+        [-718218, 682471, -465082, 595853, 366489, -559693],
+        [193707, 601751, -752707, -57349, -203890, -803163],
+        [777197, -867656, 39002, -9630, 654072, 23109],
+    ]
+    assert smith(rows) == divisors_via_minors(rows) == [1, 1, 1]
+
+
+@given(matrices)
 @settings(max_examples=40, deadline=None)
 def test_rank_invariant_under_transpose(rows):
     transposed = [list(col) for col in zip(*rows)]

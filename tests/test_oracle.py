@@ -21,6 +21,7 @@ from qcp import (
     minimum_period,
     q_zero,
 )
+from qcp import arrangement as arrangement_module
 from qcp import oracle as oracle_module
 from qcp.oracle import _count_scalar, _count_vectorized
 
@@ -263,6 +264,15 @@ def test_central_scan_no_violations():
     assert report.violations == ()
     report = central_scan(m=3, n=5, entry_bound=3, trials=100, seed=7)
     assert report.violations == ()
+
+
+def test_central_scan_shares_chains_and_weights(count_calls):
+    # the 60 draws of `qcp scan-central --m 3 --n 6 --entry-bound 5 --trials
+    # 60 --seed 1`: walks of their own read 1,591 chains and expand 1,246
+    # weight sets, but only 252 and 219 are distinct
+    calls = count_calls(arrangement_module, "_divisor_chain", "_indicator_weights")
+    central_scan(3, 6, 5, 60, 1)
+    assert calls == {"_divisor_chain": 252, "_indicator_weights": 219}
 
 
 def test_central_scan_reproducible():
