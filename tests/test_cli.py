@@ -12,6 +12,8 @@ import pytest
 import qcp
 from qcp import (ArrangementInput, FamilyParams, RootSubset, collapse_report, family_matrix,
                  positive_roots, shi_matrix)
+from qcp import cli as cli_module
+from qcp import oracle as oracle_module
 from qcp.cli import main
 
 
@@ -345,6 +347,18 @@ def test_verify_budget_bounds_the_whole_window(capsys, tmp_path):
     assert payload["kind"] == "budget"
     assert "q=3..5" in payload["error"]
     assert "budget of 15" in payload["error"]
+
+
+def test_verify_charges_its_window_once(capsys, tmp_path, count_calls):
+    # the whole window is charged up front, and no count charges its q again
+    path = tmp_path / "a122.json"
+    path.write_text(json.dumps({"m": 1, "n": 3, "C": [[2, 2, 2]], "b": [0, 1, 2]}))
+    calls = count_calls(cli_module, "_charge_point_tests")
+    count_calls(oracle_module, "_charge_point_tests")
+    code, payload = run_json(capsys, "verify", "--input", str(path), "--q-window", "8")
+    assert code == 0
+    assert len(payload["results"]) == 8
+    assert calls == {"_charge_point_tests": 1}
 
 
 def test_text_and_json_numeric_parity(capsys):

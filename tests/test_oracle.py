@@ -1,6 +1,7 @@
 """Brute-force counter and randomized central scans."""
 
 import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,23 +12,34 @@ from qcp import (
     ArrangementInput,
     BudgetExceededError,
     CountingFormula,
+    FamilyParams,
     IntMatrix,
+    RootSubset,
     ValidationError,
     brute_force_count,
     central_period_summary,
     central_scan,
+    family_matrix,
     generate_central_inputs,
     lcm_period,
     minimum_period,
+    positive_roots,
     q_zero,
+    shi_matrix,
 )
 from qcp import arrangement as arrangement_module
 from qcp import oracle as oracle_module
-from qcp.oracle import _count_scalar, _count_vectorized
+from qcp.oracle import (_classes_mod, _count_scalar, _count_vectorized, _count_window,
+                        _exact_classes)
 
 
 def arrangement(columns, offsets):
     return ArrangementInput(IntMatrix.from_columns(columns), tuple(offsets))
+
+
+def vectorized(arr, q):
+    """The vectorized count at q alone, whatever the grid's size."""
+    return _count_vectorized(_exact_classes(arr), arr.m, q)
 
 
 def test_single_hyperplane():
@@ -77,7 +89,7 @@ def test_rejects_nonpositive_q():
 def test_vectorized_and_scalar_paths_agree():
     arr = arrangement([(1, 2), (3, -1), (2, 2), (1, 2)], (0, 1, -2, 3))
     for q in range(1, 12):
-        assert _count_vectorized(arr, q) == _count_scalar(arr, q)
+        assert vectorized(arr, q) == _count_scalar(arr, q)
 
 
 def test_huge_entries_take_the_big_integer_path():
@@ -89,7 +101,7 @@ def test_huge_entries_take_the_big_integer_path():
     assert brute_force_count(arr, 4) == 0  # 2^61 is 0 mod 4, the plane is everything
     big = arrangement([(2**63 + 5, -(2**64) - 1), (3 * 2**70, 1), (2**63, 2**63)], (2**65, -1, 7))
     for q in range(1, 10):
-        assert _count_vectorized(big, q) == _count_scalar(big, q)
+        assert vectorized(big, q) == _count_scalar(big, q)
 
 
 _ENTRIES = st.one_of(
@@ -97,12 +109,16 @@ _ENTRIES = st.one_of(
 )
 
 
+# the largest q drawn for each m, so that the scalar count stays small
+_Q_BOUND = {1: 24, 2: 9, 3: 5}
+
+
 @st.composite
 def grouped_arrangements(draw):
     """Columns from a pool of at most three, so coefficient classes repeat,
     and offsets base + k*q, so offsets of a class coincide mod q."""
     m = draw(st.integers(1, 3))
-    q = draw(st.integers(1, (24, 9, 5)[m - 1]))
+    q = draw(st.integers(1, _Q_BOUND[m]))
     pool = draw(
         st.lists(st.lists(_ENTRIES, min_size=m, max_size=m).filter(any), min_size=1, max_size=3)
     )
@@ -130,7 +146,46 @@ def grouped_arrangements(draw):
 @settings(max_examples=150, deadline=None)
 def test_vectorized_matches_scalar_on_grouped_classes(case):
     arr, q = case
-    assert _count_vectorized(arr, q) == _count_scalar(arr, q)
+    assert vectorized(arr, q) == _count_scalar(arr, q)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_COMPOSITES = (4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 22, 24)
+
+
+@st.composite
+def grouped_windows(draw):
+    """A grouped arrangement with several q to count it at: the draw's own
+    q, a prime, a composite and up to three more, in any order."""
+    arr, q = draw(grouped_arrangements())
+    bound = _Q_BOUND[arr.m]
+    prime = draw(st.sampled_from([p for p in _PRIMES if p <= bound]))
+    composite = draw(st.sampled_from([c for c in _COMPOSITES if c <= bound]))
+    more = draw(st.lists(st.integers(1, bound), max_size=3))
+    return arr, [q, prime, composite, *more]
+
+
+@given(grouped_windows())
+# last coefficient 3, a unit other than 1 mod 7: the class is rescaled by 5
+@example((arrangement([(1, 3), (2, 1)], (2, 4)), [7]))
+# every axis has a coefficient 2, no unit mod 4 or 8: (1, 2) and (2, 2)
+# gather the last axis
+@example((arrangement([(1, 2), (2, 1), (2, 2)], (1, 3, 0)), [4, 8]))
+# last coefficient 0 on both classes
+@example((arrangement([(1, 0), (2, 0)], (1, 3)), [4, 5]))
+# (1, 3) and (2, 6) are both (5, 1) once rescaled mod 7, with offsets 0 and 6
+@example((arrangement([(1, 3), (2, 6)], (0, 1)), [7]))
+@example((arrangement([(3,), (-2,), (6,)], (1, 0, 5)), [7, 12, 1]))  # m = 1
+# m = 3: mod 8 the third axis has no unit or 0, so the second becomes the last
+@example((arrangement([(1, 1, 2), (3, 1, 4), (0, 1, 6)], (0, 5, 3)), [8, 4, 5]))
+@settings(max_examples=150, deadline=None)
+def test_window_matches_scalar_at_every_q(case):
+    arr, qs = case
+    assert _count_window(arr, qs) == [_count_scalar(arr, q) for q in qs]
+    # a last coefficient that is a unit is rescaled to 1, so it needs no gather
+    for q in qs:
+        for col in _classes_mod(_exact_classes(arr), arr.m, q):
+            assert col[-1] == 1 % q or gcd(col[-1], q) != 1, (q, col)
 
 
 # columns with a repeat, so one class has two offsets
@@ -188,22 +243,39 @@ def test_blocked_count_matches_scalar_past_the_cap(monkeypatch, m, cap, block, q
             brute_force_count(arr, q, budget=q**m * 4 - 1)
 
 
-@pytest.mark.parametrize("m, q, bytes_per_cell", [(2, 400, 5), (3, 40, 5), (1, 1 << 16, 34.1)])
+@pytest.mark.parametrize(
+    "m, q, bytes_per_cell", [(2, 400, 5), (3, 40, 5), (1, 1 << 16, 34.1), (3, 41, 2.6)]
+)
 def test_vectorized_count_peak_memory_per_cell(m, q, bytes_per_cell):
     # numpy reports its allocations to tracemalloc, so the traced peak covers
-    # every array the count builds.  For m >= 2 a block holds three bool
-    # arrays and u, about 3.2 bytes a cell here; an int64 c.z over the grid
-    # alone would be 8.  For m = 1 the first-axis residues are int64 and the
-    # count reads 21 bytes a cell; building c.z over the grid read 34.0.
+    # every array the count builds.  For m >= 2 a block holds at most three
+    # bool arrays and u; an int64 c.z over the grid alone would be 8 bytes a
+    # cell.  For m = 1 the first-axis residues are int64 and the count reads
+    # about 20 bytes a cell; building c.z over the grid read 34.0.  At the
+    # prime 41 every last coefficient is 0 or a unit, so no class gathers
+    # the last axis: 2.3 bytes a cell, where a gather per class read 3.1.
     arr = arrangement(_BLOCK_COLUMNS[m], (0, 1, -4, 5))
-    _count_vectorized(arr, 5)  # the first call imports numpy; keep that out of the peak
+    vectorized(arr, 5)  # the first call imports numpy; keep that out of the peak
     tracemalloc.start()
     try:
-        _count_vectorized(arr, q)
+        vectorized(arr, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / q**m <= bytes_per_cell
+
+
+@pytest.mark.parametrize("q", [997, 1000, 2000, 2003])
+@pytest.mark.parametrize(
+    "arr",
+    [shi_matrix(RootSubset.full(positive_roots("G2", 2)), 1),
+     family_matrix(FamilyParams("A", 2, 10, 5))],
+    ids=["shi-G2-k1", "family-A-2-10-5"],
+)
+def test_formula_matches_brute_force_on_large_grids(arr, q):
+    # grids of 10^6 to 4*10^6 cells, counted in many blocks, far above q0
+    assert q > q_zero(arr)
+    assert CountingFormula.of(arr).count(q) == brute_force_count(arr, q)
 
 
 def test_scalar_count_only_past_a_slice(monkeypatch, count_calls):
