@@ -16,9 +16,11 @@ from .arrangement import (
     CollapseReport,
     CountingFormula,
     central_period_summary,
+    central_scan,
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
+    generate_central_inputs,
     lcm_period,
     q_zero,
 )
@@ -37,7 +39,7 @@ from .families import (
     reciprocity_A,
 )
 from .intlinalg import IntMatrix
-from .oracle import ScanReport, brute_force_count, central_scan, generate_central_inputs
+from .oracle import brute_force_count
 from .quasipoly import (
     Polynomial,
     QuasiPolynomial,
@@ -67,7 +69,6 @@ __all__ = [
     "QuasiPolynomial",
     "RootSubset",
     "RootSystem",
-    "ScanReport",
     "ValidationError",
     "brute_force_count",
     "central_period_summary",

@@ -66,6 +66,10 @@ offers, kept or pruned, is charged to WALK_BUDGET; past it the walk raises
 BudgetExceededError.  A central arrangement has no rank jumps, so the
 budget is what stops a wide one.
 
+Before it offers the first subset, the walk bounds from its classes alone
+what it must offer (see _least_offered) and refuses at once past
+WALK_BUDGET: the central positive roots of A12 need at least 5.3 * 10^13.
+
 The lcm period needs Smith forms of bases only (the basis lemma).  For
 independent column sets I within J, the torsion of I's lattice embeds in
 that of J's: if x = l + k.v (l in L_I, v in J minus I) lies in span(L_I),
@@ -90,8 +94,9 @@ collapse_report states it without comparing constituents.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .intlinalg import IntMatrix, _require_int, _smith_divisors, _Value
@@ -107,6 +112,8 @@ __all__ = [
     "characteristic_quasi_polynomial",
     "collapse_report",
     "central_period_summary",
+    "generate_central_inputs",
+    "central_scan",
     "CONSTITUENT_BUDGET",
     "WALK_BUDGET",
     "Q_ZERO_BUDGET",
@@ -450,6 +457,37 @@ def q_zero(arr: ArrangementInput) -> int:
     return best
 
 
+def _least_offered(rank: int, groups, zeros: int = 0) -> int:
+    """A lower bound on the column subsets the walk offers; past WALK_BUDGET
+    summing stops and BudgetExceededError is raised instead.
+
+    ``groups`` holds (classes, offsets) pairs at whole coefficient rank
+    ``rank``, and ``zeros`` classes hold offset 0.  Level 1 offers every
+    stacked column; at rank 2 or more no class is saturated, so level 2
+    offers every pair from two classes.  Below the rank no class set is
+    saturated and the all-zero choice is live, so every set of 3 to
+    ``rank`` classes that hold offset 0 is offered too.  A group with no
+    class or no offset holds a parameter the builder rejects: bound 0.
+    """
+    if any(c < 1 or o < 1 for c, o in groups):
+        return 0
+    least = sum(c * o for c, o in groups)
+    if rank >= 2:
+        least += (least * least - sum(c * o * o for c, o in groups)) // 2
+    size = comb(zeros, 2)  # C(zeros, k) for k = 2, 3, ...
+    for k in range(3, rank + 1):
+        size = size * (zeros - k + 1) // k
+        if not size or least > WALK_BUDGET:
+            break
+        least += size
+    if least > WALK_BUDGET:
+        raise BudgetExceededError(
+            f"the subset walk would offer at least {least} column subsets, over "
+            f"WALK_BUDGET = {WALK_BUDGET}"
+        )
+    return least
+
+
 def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tuple[dict, int]:
     """Aggregate subset contributions of the counting formula, and the lcm
     period.
@@ -503,7 +541,8 @@ def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tupl
     walk reaches every basis of the distinct coefficient columns, and by the
     basis lemma (module docstring) the lcm over bases is the lcm over all
     subsets.  A class set below a saturated one that the walk skips has the
-    saturated one's e_r.
+    saturated one's e_r.  Once the whole matrix's Smith form gives its rank,
+    _least_offered refuses a walk past WALK_BUDGET before its first subset.
     """
     m = arr.m
     by_class: dict[tuple[int, ...], list[int]] = {}
@@ -514,6 +553,8 @@ def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tupl
     cols = [c for c, _, _, _ in classes]
 
     floor = _whole_determinantal(cols, m)
+    _least_offered(m - floor.count(0), [(1, len(bs)) for _, bs, _, _ in classes],
+                   sum(has_zero for _, _, _, has_zero in classes))
     memo: dict[tuple[int, ...], int] = {}
 
     def minor_gcd(key: tuple[int, ...]) -> int:
@@ -624,7 +665,7 @@ def _prime_powers(n: int, spent: list[int]) -> list[tuple[int, int]]:
     fails fast instead of stalling.
     """
     out = []
-    p = 2
+    p, step = 2, 1  # 2, then odd p only
     whole = n
     tried = spent[0]
     while p * p <= n:
@@ -640,7 +681,8 @@ def _prime_powers(n: int, spent: list[int]) -> list[tuple[int, int]]:
                 n //= p
                 a += 1
             out.append((p, a))
-        p += 1
+        p += step
+        step = 2
     spent[0] = tried
     if n > 1:
         out.append((n, 1))
@@ -878,3 +920,80 @@ def central_period_summary(arr: ArrangementInput) -> tuple[int, int]:
         raise ValidationError("central_period_summary requires a central arrangement")
     formula = CountingFormula.of(arr)
     return formula.period, formula.minimum_period
+
+
+# Default budget of central_scan, in column subsets its walks may offer.
+_SCAN_BUDGET = 10**8
+
+
+def _check_scan_args(m: int, n: int, entry_bound: int, trials: int, seed: int) -> None:
+    for name, value in (("m", m), ("n", n), ("entry_bound", entry_bound), ("trials", trials),
+                        ("seed", seed)):
+        _require_int(name, value)
+    if m < 1 or n < 1 or entry_bound < 1:
+        raise ValidationError("m, n, and entry_bound must be positive")
+    if trials < 0:
+        raise ValidationError("trials must be nonnegative")
+
+
+def _central_draws(m: int, n: int, entry_bound: int, trials: int, seed: int) -> list:
+    """The sample of generate_central_inputs, unchecked."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        cols = []
+        for _ in range(n):
+            while True:
+                col = [rng.randint(-entry_bound, entry_bound) for _ in range(m)]
+                if any(col):
+                    break
+            cols.append(col)
+        out.append(ArrangementInput(IntMatrix.from_columns(cols), (0,) * n))
+    return out
+
+
+def generate_central_inputs(
+    m: int, n: int, entry_bound: int, trials: int, seed: int
+) -> list[ArrangementInput]:
+    """Deterministic sample of random central arrangements.
+
+    Column entries are uniform in [-entry_bound, entry_bound]; zero columns
+    are rejected and redrawn.  Same seed, same sample.
+    """
+    _check_scan_args(m, n, entry_bound, trials, seed)
+    return _central_draws(m, n, entry_bound, trials, seed)
+
+
+def central_scan(
+    m: int,
+    n: int,
+    entry_bound: int,
+    trials: int,
+    seed: int,
+    budget: int = _SCAN_BUDGET,
+) -> None:
+    """Check minimum period == lcm period on generate_central_inputs' draws.
+
+    Every draw's counting formula is built in one batch, which shares the
+    divisor chains and indicator weights that earlier draws computed (see
+    _formulas).  The formula reads both periods off its weights, exactly
+    for the huge lcm periods random matrices routinely produce, and raises
+    InternalConsistencyError, naming the arrangement, on a central
+    collapse; a scan that returns (None) found none.
+    """
+    _check_scan_args(m, n, entry_bound, trials, seed)
+    _require_int("budget", budget, positive=True)
+    # Each draw's subset walk offers at most the 2^n - 1 nonempty subsets.
+    # Past the budget's bit length 2^n - 1 alone exceeds the budget, so a
+    # huge n is refused without building 2^n.
+    if trials and n > budget.bit_length():
+        raise BudgetExceededError(
+            f"scan needs up to {trials} * (2^{n} - 1) subsets, over the budget of {budget}"
+        )
+    cost = trials * ((1 << n) - 1)
+    if cost > budget:
+        raise BudgetExceededError(
+            f"scan needs up to {cost} subsets, over the budget of {budget}"
+        )
+    for _ in _formulas(_central_draws(m, n, entry_bound, trials, seed)):
+        pass  # building a formula checks minimum period == lcm period

@@ -15,12 +15,12 @@ import os
 import re
 import sys
 
-from .arrangement import WALK_BUDGET, ArrangementInput, CountingFormula, collapse_report, q_zero
+from .arrangement import (_SCAN_BUDGET, ArrangementInput, CountingFormula, _least_offered,
+                          central_scan, collapse_report, q_zero)
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .families import FAMILY_KINDS, FamilyParams, family_matrix
 from .intlinalg import _require_int
-from .oracle import (DEFAULT_BUDGET, _charge_point_tests, _count_window, brute_force_count,
-                     central_scan)
+from .oracle import DEFAULT_BUDGET, _charge_point_tests, _count_window, brute_force_count
 from .quasipoly import QuasiPolynomial
 from .rootsys import (ROOT_TYPES, RootSubset, _check_type_and_rank, linial_matrix,
                       positive_roots, shi_matrix)
@@ -91,28 +91,6 @@ def _cmd_oracle(args):
     return payload, lines, 0
 
 
-def _refuse_wide_walk(rank: int, groups) -> None:
-    """Exit on the walk's budget from the parameters alone, before building
-    an arrangement too wide to walk.  ``groups`` holds (classes, offsets)
-    pairs: that many distinct coefficient columns with that many distinct
-    offsets each, at coefficient rank ``rank``.  Level 1 of the subset walk
-    offers every stacked column once.  At rank 2 or more no single class is
-    saturated, so level 2 offers every pair of stacked columns from two
-    different classes.  Their sum is a lower bound on what the walk offers.
-    A group with no class or no offset builds nothing to walk, or holds a
-    parameter that the builder rejects."""
-    if any(c < 1 or o < 1 for c, o in groups):
-        return
-    least = sum(c * o for c, o in groups)
-    if rank >= 2:
-        least += (least * least - sum(c * o * o for c, o in groups)) // 2
-    if least > WALK_BUDGET:
-        raise BudgetExceededError(
-            f"the subset walk would offer at least {least} column subsets, over "
-            f"WALK_BUDGET = {WALK_BUDGET}"
-        )
-
-
 def _root_classes(rank: int, deleted: int) -> int:
     """Fewest positive roots, each its own class, left after ``deleted`` are
     dropped: every type of rank n has at least n(n+1)/2."""
@@ -122,7 +100,7 @@ def _root_classes(rank: int, deleted: int) -> int:
 def _cmd_family(args):
     params = FamilyParams(kind=args.kind, m=args.m, p=args.p, s=args.s, a=args.a)
     # m columns with offset 0 (e_1..e_(m-1) and s e_m) and one with p offsets
-    _refuse_wide_walk(params.m, [(params.m, 1), (1, params.p)])
+    _least_offered(params.m, [(params.m, 1), (1, params.p)])
     arr = family_matrix(params)
     extra = {"kind": params.kind, "m": params.m, "p": params.p, "s": params.s, "a": params.a}
     payload, lines, code = _report_payload(arr, args.format)
@@ -155,7 +133,7 @@ def _cmd_root_arrangement(args):
     value = getattr(args, args.param)
     # Shi has the 2k offsets 1-k..k per root, Linial the n offsets 1..n
     offsets = 2 * value if args.param == "k" else value
-    _refuse_wide_walk(args.rank, [(_root_classes(args.rank, excluded is not None), offsets)])
+    _least_offered(args.rank, [(_root_classes(args.rank, excluded is not None), offsets)])
     system = positive_roots(args.type, args.rank)
     if excluded is None:
         subset = RootSubset.full(system)
@@ -174,21 +152,14 @@ def _cmd_root_arrangement(args):
 
 
 def _cmd_scan_central(args):
-    report = central_scan(
-        m=args.m,
-        n=args.n,
-        entry_bound=args.entry_bound,
-        trials=args.trials,
-        seed=args.seed,
-        budget=args.budget,
-    )
-    payload = report.to_json_dict()
-    lines = [
-        f"trials: {report.trials}",
-        f"seed: {report.seed}",
-        f"generator: {report.generator}",
-        f"violations: {len(report.violations)}",
-    ]
+    # the scan returns only when no draw collapses: each formula checks it
+    central_scan(m=args.m, n=args.n, entry_bound=args.entry_bound, trials=args.trials,
+                 seed=args.seed, budget=args.budget)
+    # the generator is the random source generate_central_inputs draws from
+    payload = {"trials": args.trials, "seed": args.seed,
+               "generator": "python-random-mt19937", "violations": []}
+    lines = [f"trials: {args.trials}", f"seed: {args.seed}",
+             f"generator: {payload['generator']}", "violations: 0"]
     return payload, lines, 0
 
 
@@ -198,7 +169,7 @@ def _cmd_conjecture_scan(args):
         raise ValidationError(f"--k must be at least 1, got {args.k}")
     _check_type_and_rank(args.type, args.rank)
     # the widest walk of the scan: one root deleted, k = args.k
-    _refuse_wide_walk(args.rank, [(_root_classes(args.rank, 1), 2 * args.k)])
+    _least_offered(args.rank, [(_root_classes(args.rank, 1), 2 * args.k)])
     system = positive_roots(args.type, args.rank)
     rows = []
     all_consistent = True
@@ -327,7 +298,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--entry-bound", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=_SCAN_BUDGET,
                    help="most column subsets to offer, trials * (2^n - 1)")
     _add_format(p)
     p.set_defaults(handler=_cmd_scan_central)

@@ -1,10 +1,11 @@
-"""Ground-truth brute-force counting and randomized central-case scans.
+"""Ground-truth brute-force counting.
 
 The counter enumerates all of (Z/q)^m and tests every point against every
 hyperplane, so it is independent of the divisor formula and serves as its
-oracle.  It works on blocks of consecutive first-coordinate values, each of
-at most ``_BLOCK_CELLS`` points (2^16, sized for the CPU cache) and at least
-one slice of q^(m-1) points.  Hyperplanes are grouped once by their exact
+oracle, and it never imports the formula's module.  It works on blocks of
+consecutive first-coordinate values, each of at most ``_BLOCK_CELLS``
+points (2^16, sized for the CPU cache) and at least one slice of q^(m-1)
+points.  Hyperplanes are grouped once by their exact
 coefficient column, for every q that is counted; at each q the classes are
 reduced mod q in Python (so any entry size is exact), and each keeps a bool
 table of its offsets, read through windows: row u is the table shifted by
@@ -25,21 +26,14 @@ behavior is deterministic, not time-based.
 from __future__ import annotations
 
 import itertools
-import random
 from math import gcd
 
-from .arrangement import ArrangementInput, _formulas
-from .errors import BudgetExceededError, ValidationError
-from .intlinalg import IntMatrix, _require_int, _Value
+from .errors import BudgetExceededError
+from .intlinalg import _require_int
 
-__all__ = [
-    "DEFAULT_BUDGET",
-    "brute_force_count",
-    "generate_central_inputs",
-    "central_scan",
-    "ScanReport",
-]
+__all__ = ["DEFAULT_BUDGET", "brute_force_count"]
 
+# Default budget of brute_force_count, `qcp oracle` and `qcp verify`, in point tests.
 DEFAULT_BUDGET = 10**8
 
 # Most grid cells the vectorized path holds at once.  For m >= 2 a block
@@ -236,90 +230,3 @@ def _count_window(arr: ArrangementInput, qs) -> list[int]:
         else:
             counts.append(_count_scalar(arr, q))
     return counts
-
-
-class ScanReport(_Value):
-    """Outcome of a randomized central scan.  Every draw's counting formula
-    checks that its minimum period is its lcm period and raises
-    InternalConsistencyError otherwise, so a finished scan has no
-    violations: ``violations`` is empty by construction."""
-
-    # the random source generate_central_inputs draws from
-    generator = "python-random-mt19937"
-    violations = ()
-
-    def __init__(self, trials: int, seed: int):
-        self.__dict__.update(trials=trials, seed=seed)
-
-    def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "seed": self.seed, "generator": self.generator,
-                "violations": []}
-
-
-def _check_scan_args(m: int, n: int, entry_bound: int, trials: int, seed: int) -> None:
-    for name, value in (("m", m), ("n", n), ("entry_bound", entry_bound), ("trials", trials),
-                        ("seed", seed)):
-        _require_int(name, value)
-    if m < 1 or n < 1 or entry_bound < 1:
-        raise ValidationError("m, n, and entry_bound must be positive")
-    if trials < 0:
-        raise ValidationError("trials must be nonnegative")
-
-
-def generate_central_inputs(
-    m: int, n: int, entry_bound: int, trials: int, seed: int
-) -> list[ArrangementInput]:
-    """Deterministic sample of random central arrangements.
-
-    Column entries are uniform in [-entry_bound, entry_bound]; zero columns
-    are rejected and redrawn.  Same seed, same sample.
-    """
-    _check_scan_args(m, n, entry_bound, trials, seed)
-    rng = random.Random(seed)
-    out = []
-    for _ in range(trials):
-        cols = []
-        for _ in range(n):
-            while True:
-                col = [rng.randint(-entry_bound, entry_bound) for _ in range(m)]
-                if any(col):
-                    break
-            cols.append(col)
-        out.append(ArrangementInput(IntMatrix.from_columns(cols), (0,) * n))
-    return out
-
-
-def central_scan(
-    m: int,
-    n: int,
-    entry_bound: int,
-    trials: int,
-    seed: int,
-    budget: int = DEFAULT_BUDGET,
-) -> ScanReport:
-    """Check minimum period == lcm period on random central arrangements.
-
-    Every draw's counting formula is built in one batch, which shares the
-    divisor chains and indicator weights that earlier draws computed (see
-    arrangement._formulas).  The formula reads both periods off its weights,
-    exactly for the huge lcm periods random matrices routinely produce, and
-    raises InternalConsistencyError, naming the arrangement, on a central
-    collapse.
-    """
-    _check_scan_args(m, n, entry_bound, trials, seed)
-    _require_int("budget", budget, positive=True)
-    # Each draw's subset walk offers at most the 2^n - 1 nonempty subsets.
-    # Past the budget's bit length 2^n - 1 alone exceeds the budget, so a
-    # huge n is refused without building 2^n.
-    if trials and n > budget.bit_length():
-        raise BudgetExceededError(
-            f"scan needs up to {trials} * (2^{n} - 1) subsets, over the budget of {budget}"
-        )
-    cost = trials * ((1 << n) - 1)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"scan needs up to {cost} subsets, over the budget of {budget}"
-        )
-    for _ in _formulas(generate_central_inputs(m, n, entry_bound, trials, seed)):
-        pass  # building a formula checks minimum period == lcm period
-    return ScanReport(trials=trials, seed=seed)

@@ -143,18 +143,19 @@ def identity_quasi_polynomials():
 
 @pytest.fixture(scope="module")
 def central_scan_results():
-    scans = []
+    scanned = 0
     audited = []
     seed = SCAN_SEED
     for m in (1, 2, 3):
         for n in (1, 2, 3, 4, 5):
-            report = central_scan(m=m, n=n, entry_bound=5, trials=20, seed=seed)
-            scans.append(report)
+            # a scan returns only when no draw's formula finds a central collapse
+            assert central_scan(m=m, n=n, entry_bound=5, trials=20, seed=seed) is None
             for arr in generate_central_inputs(m=m, n=n, entry_bound=5, trials=20, seed=seed):
+                scanned += 1
                 if len(audited) < 60 and bases_lcm_period(arr.cmatrix) <= 200:
                     audited.append(characteristic_quasi_polynomial(arr))
             seed += 1
-    return scans, audited
+    return scanned, audited
 
 
 @criterion(1, "oracle equivalence on the staircase-family grid")
@@ -288,11 +289,8 @@ def test_criterion_6(root_system_reports, linial_quasi_polynomials):
 
 @criterion(7, "no period collapse across 300 random central arrangements")
 def test_criterion_7(central_scan_results):
-    scans, _ = central_scan_results
-    total = sum(report.trials for report in scans)
-    assert total == 300
-    for report in scans:
-        assert report.violations == (), report.to_json_dict()
+    scanned, _ = central_scan_results
+    assert scanned == 300
 
 
 @criterion(8, "gcd-property audit over every produced quasi-polynomial")

@@ -479,16 +479,17 @@ def test_batch_past_the_table_cap_matches(monkeypatch, count_calls):
 
 
 def test_factoring_is_charged_per_formula(monkeypatch):
-    # diag(10007, 10009) tries 99 + 99 + 10,006 trial divisors, the last
-    # for its term divisor 10007 * 10009; diag(10037, 10039) tries 10,234
+    # trial division tries 2 and then odd divisors only: diag(10007, 10009)
+    # tries 50 + 50 + 5,004 of them, the last for its term divisor
+    # 10007 * 10009; diag(10037, 10039) tries 50 + 50 + 5,019 = 5,119
     first = arrangement([(10007, 0), (0, 10009)], (0, 0))
     second = arrangement([(10037, 0), (0, 10039)], (0, 0))
-    monkeypatch.setattr(arrangement_module, "_FACTOR_BUDGET", 10203)
-    message = "tried 10204 divisors, over the factoring budget of 10203"
+    monkeypatch.setattr(arrangement_module, "_FACTOR_BUDGET", 5103)
+    message = "tried 5104 divisors, over the factoring budget of 5103"
     with pytest.raises(BudgetExceededError, match=message):
         CountingFormula.of(first)
     # each formula of a batch has the whole budget
-    monkeypatch.setattr(arrangement_module, "_FACTOR_BUDGET", 10234)
+    monkeypatch.setattr(arrangement_module, "_FACTOR_BUDGET", 5119)
     formulas = list(_formulas([first, second]))
     assert [f.period for f in formulas] == [10007 * 10009, 10037 * 10039]
 
@@ -652,6 +653,45 @@ def test_lcm_period_stops_at_the_walk_budget(monkeypatch):
     monkeypatch.setattr(arrangement_module, "WALK_BUDGET", 1_000)
     with pytest.raises(BudgetExceededError, match="WALK_BUDGET"):
         lcm_period(IntMatrix.from_columns(cols))
+
+
+@pytest.mark.parametrize("type_tag, rank", [("A", 7), ("D", 6), ("A", 12)])
+def test_lcm_period_refuses_wide_central_roots_before_any_subset(monkeypatch, type_tag, rank):
+    # every set of at most `rank` of the central positive roots is offered:
+    # about 1.7 * 10^6, 7.7 * 10^5 and 5.3 * 10^13 subsets, past WALK_BUDGET
+    def never(*args):
+        raise AssertionError("the walk offered a subset")
+
+    monkeypatch.setattr(arrangement_module, "_extend_determinantal", never)
+    cols = positive_roots(type_tag, rank).positive_roots
+    with pytest.raises(BudgetExceededError, match="would offer at least .* WALK_BUDGET"):
+        lcm_period(IntMatrix.from_columns(cols))
+
+
+@given(st.one_of(random_arrangements(max_m=4, max_n=7, bound=2),
+                 random_arrangements(max_m=4, max_n=7, bound=2, with_offsets=False),
+                 sublattice_arrangements(max_n=7)))
+@example(arrangement(positive_roots("A", 3).positive_roots, (0,) * 6))
+@example(shi_matrix(RootSubset.full(positive_roots("A", 3)), 1))
+@settings(max_examples=60, deadline=None)
+def test_walk_offers_at_least_its_up_front_bound(arr):
+    # the bound the walk checks up front, read by a spy on its own call
+    least_offered = arrangement_module._least_offered
+    bounds = []
+
+    def spy(*args):
+        bounds.append(least_offered(*args))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrangement_module, "_least_offered", spy)
+        _build_term_table(arr)
+        assert len(bounds) == 1 and bounds[0] > 0
+        # with the check off and one subset less allowed, the loop stops it
+        patch.setattr(arrangement_module, "_least_offered", lambda *args: 0)
+        patch.setattr(arrangement_module, "WALK_BUDGET", bounds[0] - 1)
+        with pytest.raises(BudgetExceededError, match="subset walk offered more than"):
+            _build_term_table(arr)
 
 
 def test_even_sum_determinantal_divisor_stays_two():

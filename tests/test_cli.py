@@ -558,6 +558,21 @@ def test_wide_arrangements_refused_before_building(capsys, monkeypatch, argv):
     assert "would offer at least" in payload["error"]
 
 
+def test_shi_refused_by_the_walk_before_any_subset(capsys, monkeypatch):
+    from qcp import arrangement
+
+    # the parameters alone bound the walk at 882 subsets; the 30 classes of
+    # D6, each with offset 0, show the walk at least 769,546 before it offers one
+    def never(*args):
+        raise AssertionError("the walk offered a subset")
+
+    monkeypatch.setattr(arrangement, "_extend_determinantal", never)
+    code, payload = run_json(capsys, "shi", "--type", "D", "--rank", "6", "--k", "1")
+    assert code == 1
+    assert payload["kind"] == "budget"
+    assert "would offer at least" in payload["error"]
+
+
 NARROW = [
     ("shi", "--type", "A", "--rank", "2", "--k", "1"),
     ("shi", "--type", "A", "--rank", "3", "--k", "1", "--exclude-root", "1,1,0"),
@@ -582,14 +597,17 @@ NARROW = [
 def test_walk_offers_at_least_the_up_front_bound(capsys, monkeypatch, argv):
     from qcp import arrangement, cli
 
-    # the bound the command refuses on, read off its refusal at a budget of 0
-    monkeypatch.setattr(cli, "WALK_BUDGET", 0)
+    # the bound the command refuses on, read off its refusal at a budget of
+    # 0, which comes before anything is built
+    monkeypatch.setattr(arrangement, "WALK_BUDGET", 0)
     code, payload = run_json(capsys, *argv)
     assert code == 1
     least = int(re.search(r"at least (\d+) column subsets", payload["error"])[1])
     assert least > 0
-    # with that bound allowed up front, the walk itself stops one short of it
-    monkeypatch.setattr(cli, "WALK_BUDGET", least)
+    # with the up-front checks of the command and of the walk off, the walk
+    # itself stops one short of that bound
+    monkeypatch.setattr(cli, "_least_offered", lambda *args: 0)
+    monkeypatch.setattr(arrangement, "_least_offered", lambda *args: 0)
     monkeypatch.setattr(arrangement, "WALK_BUDGET", least - 1)
     code, payload = run_json(capsys, *argv)
     assert code == 1

@@ -16,7 +16,6 @@ from qcp import (
     QuasiPolynomial,
     RootSubset,
     RootSystem,
-    ScanReport,
     ValidationError,
     positive_roots,
 )
@@ -56,8 +55,6 @@ CASES = [
      lambda: CountingFormula(m=1, period=2, minimum_period=2, weights={1: {1: -1, 2: 2}})),
     (FamilyParams, ("kind", "m", "p", "s", "a"),
      lambda: FamilyParams("A", 2, 4, 2), lambda: FamilyParams("A", 2, 4)),
-    (ScanReport, ("trials", "seed"),
-     lambda: ScanReport(trials=3, seed=1), lambda: ScanReport(trials=3, seed=2)),
     (RootSystem, ("type_tag", "rank", "positive_roots", "root_lengths", "highest_root_coeffs"),
      _root_system, lambda: _root_system("X")),
     (RootSubset, ("parent", "included"),
