@@ -70,6 +70,21 @@ Before it offers the first subset, the walk bounds from its classes alone
 what it must offer (see _least_offered) and refuses at once past
 WALK_BUDGET: the central positive roots of A12 need at least 5.3 * 10^13.
 
+A scan walks its draws in lockstep (see _lockstep_walk).  Its central
+draws with the same rows and class count share one depth-first search over
+class-index tuples: the loop over classes, the subsets of the chosen
+classes and the minor keys are paid once per node, and each node carries
+the d_1..d_m of the draws alive under it as columns, each updated by one
+map(gcd) per minor key.  Every rule above holds draw by draw, so each draw
+gets the term table, lcm period and error of its own walk.  The caller
+picks the path: central_scan walks in lockstep, and CountingFormula.of,
+lcm_period and every non-central input walk alone, since a lockstep batch
+of one pays for its bookkeeping and shares nothing (1.7 to 1.9 times the
+walk's time on the seed-1 scan's draws one by one and on central B4).  The
+60 draws of ``qcp scan-central --m 3 --n 6 --entry-bound 5 --trials 60
+--seed 1`` all have 6 classes: they share 63 class-index tuples, 32 of them
+nodes with children, where walks of their own visit 3,485 class sets.
+
 The lcm period needs Smith forms of bases only (the basis lemma).  For
 independent column sets I within J, the torsion of I's lattice embeds in
 that of J's: if x = l + k.v (l in L_I, v in J minus I) lies in span(L_I),
@@ -95,8 +110,10 @@ collapse_report states it without comparing constituents.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, compress, repeat
 from math import comb, gcd, lcm, prod
+from operator import eq, itemgetter, not_
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .intlinalg import IntMatrix, _require_int, _smith_divisors, _Value
@@ -387,6 +404,18 @@ def _divisor_chain(dets) -> tuple[int, ...]:
     return tuple(dets[k] // (dets[k - 1] if k else 1) for k in range(rank))
 
 
+def _new_chain(chains: dict, dets) -> tuple:
+    """Enter the chain of C_J with determinantal divisors ``dets`` in
+    ``chains``, emptied first when it holds _TABLE_CAP entries, and return
+    it with the all-zero choice's term key: (chain, (rank, ((e, e) for
+    e != 1)))."""
+    if len(chains) >= _TABLE_CAP:
+        chains.clear()
+    es = _divisor_chain(dets)
+    chains[dets] = chain = (es, (len(es), tuple((e, e) for e in es if e != 1)))
+    return chain
+
+
 def lcm_period(cmatrix: IntMatrix) -> int:
     """lcm of the largest elementary divisor over all column subsets.
 
@@ -587,10 +616,7 @@ def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tupl
             cvec, bs, nonzero, has_zero = classes[idx]
             offered += width * len(bs)
             if offered > WALK_BUDGET:
-                raise BudgetExceededError(
-                    f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} "
-                    f"column subsets"
-                )
+                raise _walk_budget_error()
             now_zero = zero and has_zero
             if live or nonzero:
                 # (offsets, stacked basis, offsets to try) per live choice
@@ -614,13 +640,7 @@ def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tupl
                 # only the all-zero choice, joined by offset 0 alone
                 kept = ()
             now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
-            chain = chains.get(now_dets)
-            if chain is None:
-                if len(chains) >= _TABLE_CAP:
-                    chains.clear()
-                es = _divisor_chain(now_dets)
-                chain = chains[now_dets] = (es, (len(es), tuple((e, e) for e in es if e != 1)))
-            es, zero_key = chain
+            es, zero_key = chains.get(now_dets) or _new_chain(chains, now_dets)
             if rho % es[-1]:  # a hit may come from an earlier walk of the batch
                 rho = lcm(rho, es[-1])
             rank = len(es)
@@ -654,6 +674,152 @@ def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tupl
             if not saturated:  # every choice descends
                 stack.append((idx + 1, now, now_dets, now_zero, kept))
     return {key: coef for key, coef in terms.items() if coef}, rho
+
+
+def _central_walks(arrs, chains: dict) -> list:
+    """The (term table, lcm period) of each central arrangement of ``arrs``,
+    or the error its walk raises, in order: what _build_term_table gives
+    draw by draw, from one walk per shape.
+
+    Each draw's classes are its distinct columns, its floors come from its
+    own Smith form (_whole_determinantal), and _least_offered may refuse it
+    before any walk.  The draws with the same rows and class count then
+    walk their class sets in lockstep (see _lockstep_walk), with ``chains``
+    shared as in _build_term_table.
+    """
+    out: list = [None] * len(arrs)
+    groups: dict = {}  # (rows, class count) -> (draw index, classes, floors) per draw
+    for i, arr in enumerate(arrs):
+        cols = list(dict.fromkeys(arr.cmatrix.columns()))
+        floor = _whole_determinantal(cols, arr.m)
+        try:
+            _least_offered(arr.m - floor.count(0), [(1, 1)] * len(cols), len(cols))
+        except BudgetExceededError as exc:
+            out[i] = exc
+            continue
+        groups.setdefault((arr.m, len(cols)), []).append((i, cols, floor))
+    for (m, n), group in groups.items():
+        where, classes, floors = zip(*group)
+        for i, walked in zip(where, _lockstep_walk(m, n, classes, floors, chains)):
+            out[i] = walked
+    return out
+
+
+def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
+    """The central walks of _build_term_table over draws with ``m`` rows and
+    ``n`` classes each, run as one depth-first search over class-index
+    tuples: (term table, lcm period) per draw, or the error its walk raises.
+
+    A node holds the draws alive under it, those with no saturated class
+    set on its path, and their d_1..d_m as m columns over those draws.  The
+    loop over joining classes, the (k-1)-subsets K and the minor keys are
+    paid once per node, and each d_k update is a map(gcd) over the alive
+    draws.  A minor key's gcd is memoised as one value per draw, computed
+    at the first node that asks for every draw whose rank reaches the
+    key's size (each draw's own walk asks for every such key).  A d_k is
+    skipped, and its scan of K stops, once every alive draw's d_k is at its
+    floor.  A draw saturated at a class set leaves the alive list below it
+    and adds that set's term only at the last class.
+
+    Terms are tallied by draw and key in visiting order, which for each
+    draw is its own walk's order.  Every class set a draw visits is tallied
+    or saturated, so its lcm period is read off its tally and its floor.
+    Each draw is charged the subsets it is offered; past WALK_BUDGET it
+    leaves the walk, at the class where its own walk raises, with that
+    walk's error.  A draw whose chain is inconsistent keeps walking, but
+    only the first error it meets is kept.
+    """
+    size = len(classes)
+    memo: dict[tuple[int, ...], list[int]] = {}
+
+    def minors(key):
+        memo[key] = g = [_minors_gcd([cols[i] for i in key]) if floor[len(key) - 1] else 0
+                         for cols, floor in zip(classes, floors)]
+        return g
+
+    errors: dict[int, Exception] = {}
+    offered = [0] * size
+    tally: Counter = Counter()  # (draw, term key, |J| even) -> class sets J
+    # (first class to add, chosen class indices, alive draws, their d_k and
+    #  floor_k as columns, their floors as tuples)
+    stack = [(0, (), list(range(size)), [[0] * size] * m,
+              [list(col) for col in zip(*floors)], floors)]
+    while stack:
+        start, chosen, alive, dets, low, lows = stack.pop()
+        cuts: dict[int, list[int]] = {}  # class -> draws whose walk raises there
+        for d in alive:
+            offered[d] += n - start
+            if offered[d] > WALK_BUDGET:
+                cuts.setdefault(n + WALK_BUDGET - offered[d], []).append(d)
+        even = len(chosen) % 2  # |J| = len(chosen) + 1 is even: sign +1
+        top = min(len(chosen) + 1, m)
+        for idx in range(start, n):
+            if idx in cuts:
+                for d in cuts[idx]:
+                    errors.setdefault(d, _walk_budget_error())
+                alive, dets, low, lows = _narrow([d not in cuts[idx] for d in alive],
+                                                 alive, dets, low, lows)
+                if not alive:
+                    break
+            now = list(dets)
+            for k in range(top):
+                dk = now[k]
+                if dk == low[k]:
+                    continue
+                for sub in combinations(chosen, k):
+                    key = sub + (idx,)
+                    g = memo.get(key) or minors(key)
+                    dk = list(map(gcd, dk, map(g.__getitem__, alive)))
+                    if dk == low[k]:
+                        break
+                now[k] = dk
+            keys = list(zip(*now))
+            found = list(map(chains.get, keys))
+            if None in found:
+                for j, key in enumerate(keys):
+                    if found[j] is None:
+                        try:
+                            found[j] = chains.get(key) or _new_chain(chains, key)
+                        except InternalConsistencyError as exc:
+                            errors.setdefault(alive[j], exc)
+                            found[j] = (None, None)
+            saturated = list(map(eq, keys, lows))
+            if idx == n - 1 or not any(saturated):
+                tally.update(zip(alive, map(itemgetter(1), found), repeat(even)))
+                if idx < n - 1:
+                    stack.append((idx + 1, chosen + (idx,), alive, now, low, lows))
+            elif not all(saturated):
+                keep = list(map(not_, saturated))
+                tally.update(zip(compress(alive, keep), map(itemgetter(1), compress(found, keep)),
+                                 repeat(even)))
+                stack.append((idx + 1, chosen + (idx,), *_narrow(keep, alive, now, low, lows)))
+    tables: list[dict] = [{} for _ in range(size)]
+    for (d, key, even), count in tally.items():
+        tables[d][key] = tables[d].get(key, 0) + (count if even else -count)
+    out: list = []
+    for d, (floor, table) in enumerate(zip(floors, tables)):
+        if d in errors:
+            out.append(errors[d])
+            continue
+        # a class set left out of the tally is saturated: the floor's e_r;
+        # the last pair of an all-zero key holds e_r, and no pair means 1
+        es, _ = chains.get(floor) or _new_chain(chains, floor)
+        rho = lcm(es[-1], *(pairs[-1][0] for _, pairs in table if pairs))
+        out.append(({key: coef for key, coef in table.items() if coef}, rho))
+    return out
+
+
+def _narrow(keep, alive, dets, low, lows) -> tuple:
+    """The alive draws that ``keep`` marks, with their d_k, floor_k and
+    floor columns."""
+    return (list(compress(alive, keep)), [list(compress(col, keep)) for col in dets],
+            [list(compress(col, keep)) for col in low], list(compress(lows, keep)))
+
+
+def _walk_budget_error() -> BudgetExceededError:
+    return BudgetExceededError(
+        f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} column subsets"
+    )
 
 
 def _prime_powers(n: int, spent: list[int]) -> list[tuple[int, int]]:
@@ -830,47 +996,72 @@ def _formulas(arrs):
     The formulas of one batch share two tables, and each table's values
     depend on its keys alone: the walk's divisor chains and all-zero term
     keys, keyed by d_1..d_m (see _build_term_table), and the indicator
-    weights of each tuple of divisor pairs.  Draws of one shape meet the
-    same keys again and again: the 60 draws of ``qcp scan-central --m 3
-    --n 6 --entry-bound 5 --trials 60 --seed 1`` compute 252 chains and 219
-    expansions, where walks of their own would compute 1,591 and 1,246.
-    Each table is emptied when it holds _TABLE_CAP entries, so a long batch
-    of large entries, which meets a new key at most nodes, holds a bounded
-    amount.
+    weights of each tuple of divisor pairs.  Inputs of one shape meet the
+    same keys again and again: the 18 rows of ``qcp conjecture-scan --type
+    B --rank 3 --k 2`` compute 5 chains and 3 expansions, where formulas of
+    their own compute 90 and 54.  Each table is emptied when it holds
+    _TABLE_CAP entries, so a long batch of large entries, which meets a new
+    key at most nodes, holds a bounded amount.  Each input walks alone; a
+    scan walks its central draws in lockstep instead (see _scan_formulas).
     The trial divisions of each formula are charged to _FACTOR_BUDGET.
     Every formula checks its divisor chains and, for central input, that
-    its minimum period is its lcm period.
+    its minimum period is its lcm period (see _expand).
     """
     chains: dict = {}
     by_pairs: dict[tuple, dict[int, int]] = {}
     for arr in arrs:
-        terms, rho = _build_term_table(arr, chains)
-        _check_divisor_chains(terms, rho, arr.is_central)
-        spent = [0]  # trial divisors tried for this formula
-        weights: dict[int, dict[int, int]] = {}
-        for (ell, pairs), coef in terms.items():
-            expansion = by_pairs.get(pairs)
-            if expansion is None:
-                if len(by_pairs) >= _TABLE_CAP:
-                    by_pairs.clear()
-                expansion = by_pairs[pairs] = _indicator_weights(pairs, spent)
-            dest = weights.setdefault(ell, {})
-            for dmod, w in expansion.items():
-                dest[dmod] = dest.get(dmod, 0) + coef * w
-        weights = {
-            ell: {dmod: w for dmod, w in dest.items() if w} for ell, dest in weights.items()
-        }
-        minp = lcm(*(dmod for dest in weights.values() for dmod in dest))
-        if rho % minp:
-            raise InternalConsistencyError(
-                f"minimum period {minp} does not divide the lcm period {rho}"
-            )
-        if arr.is_central and minp != rho:
-            raise InternalConsistencyError(
-                f"central arrangement {arr.to_json_dict()} collapses: minimum period "
-                f"{minp}, lcm period {rho}"
-            )
-        yield CountingFormula(m=arr.m, period=rho, minimum_period=minp, weights=weights)
+        yield _expand(arr, *_build_term_table(arr, chains), by_pairs)
+
+
+def _scan_formulas(arrs):
+    """The CountingFormula of each central arrangement of ``arrs``, in
+    order, from the lockstep walks of _central_walks and _expand, with the
+    tables of _formulas shared.  A draw's error is raised when its turn
+    comes, so the first failing draw raises what its own formula would.
+    """
+    chains: dict = {}
+    by_pairs: dict[tuple, dict[int, int]] = {}
+    for arr, walked in zip(arrs, _central_walks(arrs, chains)):
+        if isinstance(walked, Exception):
+            raise walked
+        yield _expand(arr, *walked, by_pairs)
+
+
+def _expand(arr: ArrangementInput, terms: dict, rho: int, by_pairs: dict) -> CountingFormula:
+    """The CountingFormula of ``arr`` from its term table and lcm period.
+
+    Each term's indicator weights come from ``by_pairs``, the batch's table
+    keyed by the term's divisor pairs, emptied at _TABLE_CAP entries; the
+    trial divisions of one formula are charged to _FACTOR_BUDGET.  Checks
+    the divisor chains and, for central input, that the minimum period is
+    the lcm period, raising InternalConsistencyError otherwise.
+    """
+    _check_divisor_chains(terms, rho, arr.is_central)
+    spent = [0]  # trial divisors tried for this formula
+    weights: dict[int, dict[int, int]] = {}
+    for (ell, pairs), coef in terms.items():
+        expansion = by_pairs.get(pairs)
+        if expansion is None:
+            if len(by_pairs) >= _TABLE_CAP:
+                by_pairs.clear()
+            expansion = by_pairs[pairs] = _indicator_weights(pairs, spent)
+        dest = weights.setdefault(ell, {})
+        for dmod, w in expansion.items():
+            dest[dmod] = dest.get(dmod, 0) + coef * w
+    weights = {
+        ell: {dmod: w for dmod, w in dest.items() if w} for ell, dest in weights.items()
+    }
+    minp = lcm(*(dmod for dest in weights.values() for dmod in dest))
+    if rho % minp:
+        raise InternalConsistencyError(
+            f"minimum period {minp} does not divide the lcm period {rho}"
+        )
+    if arr.is_central and minp != rho:
+        raise InternalConsistencyError(
+            f"central arrangement {arr.to_json_dict()} collapses: minimum period "
+            f"{minp}, lcm period {rho}"
+        )
+    return CountingFormula(m=arr.m, period=rho, minimum_period=minp, weights=weights)
 
 
 def divisor_formula_count(arr: ArrangementInput, q: int) -> int:
@@ -974,12 +1165,16 @@ def central_scan(
 ) -> None:
     """Check minimum period == lcm period on generate_central_inputs' draws.
 
-    Every draw's counting formula is built in one batch, which shares the
-    divisor chains and indicator weights that earlier draws computed (see
-    _formulas).  The formula reads both periods off its weights, exactly
-    for the huge lcm periods random matrices routinely produce, and raises
+    The draws walk in lockstep, one walk per class count (see
+    _lockstep_walk), and their formulas are built in draw order from those
+    walks, sharing the divisor chains and indicator weights that earlier
+    draws computed (see _scan_formulas).  This is the one caller of the
+    lockstep walk; a single input walks alone, which is faster for it.  The
+    formula reads both periods off its weights, exactly for the huge lcm
+    periods random matrices routinely produce, and raises
     InternalConsistencyError, naming the arrangement, on a central
-    collapse; a scan that returns (None) found none.
+    collapse; a scan that returns (None) found none.  The first draw whose
+    walk or formula fails raises what its own formula would.
     """
     _check_scan_args(m, n, entry_bound, trials, seed)
     _require_int("budget", budget, positive=True)
@@ -995,5 +1190,5 @@ def central_scan(
         raise BudgetExceededError(
             f"scan needs up to {cost} subsets, over the budget of {budget}"
         )
-    for _ in _formulas(_central_draws(m, n, entry_bound, trials, seed)):
+    for _ in _scan_formulas(_central_draws(m, n, entry_bound, trials, seed)):
         pass  # building a formula checks minimum period == lcm period

@@ -15,8 +15,8 @@ import os
 import re
 import sys
 
-from .arrangement import (_SCAN_BUDGET, ArrangementInput, CountingFormula, _least_offered,
-                          central_scan, collapse_report, q_zero)
+from .arrangement import (_SCAN_BUDGET, ArrangementInput, CountingFormula, _formulas,
+                          _least_offered, central_scan, collapse_report, q_zero)
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .families import FAMILY_KINDS, FamilyParams, family_matrix
 from .intlinalg import _require_int
@@ -87,7 +87,8 @@ def _cmd_oracle(args):
     arr = _load_arrangement(args.input)
     count = brute_force_count(arr, args.q, budget=args.budget)
     payload = {"q": args.q, "count": count, "budget": args.budget}
-    lines = _arrangement_lines(arr) + [f"q: {args.q}", f"count: {count}"]
+    lines = (_arrangement_lines(arr) + [f"q: {args.q}", f"count: {count}"]
+             if args.format == "text" else [])
     return payload, lines, 0
 
 
@@ -171,26 +172,27 @@ def _cmd_conjecture_scan(args):
     # the widest walk of the scan: one root deleted, k = args.k
     _least_offered(args.rank, [(_root_classes(args.rank, 1), 2 * args.k)])
     system = positive_roots(args.type, args.rank)
+    cases = [(root, k) for root in system.positive_roots for k in range(1, args.k + 1)]
+    # periods and collapse flag only: no q0 and no constituents; one batch,
+    # so the rows share divisor chains and indicator weights
+    formulas = _formulas(shi_matrix(RootSubset.excluding(system, root), k)
+                         for root, k in cases)
     rows = []
     all_consistent = True
-    for root in system.positive_roots:
-        subset = RootSubset.excluding(system, root)
-        for k in range(1, args.k + 1):
-            # periods and collapse flag only: no q0 and no constituents
-            formula = CountingFormula.of(shi_matrix(subset, k))
-            collapse = formula.minimum_period < formula.period
-            consistent = formula.minimum_period == 1 or collapse
-            all_consistent = all_consistent and consistent
-            rows.append(
-                {
-                    "excluded_root": list(root),
-                    "k": k,
-                    "lcm_period": formula.period,
-                    "minimum_period": formula.minimum_period,
-                    "collapse": collapse,
-                    "consistent": consistent,
-                }
-            )
+    for (root, k), formula in zip(cases, formulas):
+        collapse = formula.minimum_period < formula.period
+        consistent = formula.minimum_period == 1 or collapse
+        all_consistent = all_consistent and consistent
+        rows.append(
+            {
+                "excluded_root": list(root),
+                "k": k,
+                "lcm_period": formula.period,
+                "minimum_period": formula.minimum_period,
+                "collapse": collapse,
+                "consistent": consistent,
+            }
+        )
     payload = {
         "type": args.type,
         "rank": args.rank,
@@ -198,14 +200,19 @@ def _cmd_conjecture_scan(args):
         "rows": rows,
         "all_consistent": all_consistent,
     }
-    lines = [f"conjecture scan: type={args.type} rank={args.rank} k=1..{args.k}"]
-    for row in rows:
+    lines = _conjecture_lines(payload) if args.format == "text" else []
+    return payload, lines, 0
+
+
+def _conjecture_lines(payload: dict) -> list[str]:
+    lines = ["conjecture scan: type={type} rank={rank} k=1..{k_max}".format(**payload)]
+    for row in payload["rows"]:
         lines.append(
             "  excluded={excluded_root} k={k}: lcm={lcm_period} min={minimum_period} "
             "collapse={collapse} consistent={consistent}".format(**row)
         )
-    lines.append(f"all consistent: {all_consistent}")
-    return payload, lines, 0
+    lines.append(f"all consistent: {payload['all_consistent']}")
+    return lines
 
 
 def _cmd_verify(args):
@@ -229,13 +236,18 @@ def _cmd_verify(args):
         ok = ok and match
         results.append({"q": q, "formula": formula, "brute_force": brute, "match": match})
     payload = {"q0": threshold, "window": args.q_window, "results": results, "pass": ok}
-    lines = _arrangement_lines(arr) + [f"q0: {threshold}", f"window: {args.q_window}"]
-    for row in results:
+    lines = _verify_lines(arr, payload) if args.format == "text" else []
+    return payload, lines, 0 if ok else 2
+
+
+def _verify_lines(arr: ArrangementInput, payload: dict) -> list[str]:
+    lines = _arrangement_lines(arr) + [f"q0: {payload['q0']}", f"window: {payload['window']}"]
+    for row in payload["results"]:
         lines.append(
             "  q={q}: formula={formula} brute_force={brute_force} match={match}".format(**row)
         )
-    lines.append(f"pass: {ok}")
-    return payload, lines, 0 if ok else 2
+    lines.append(f"pass: {payload['pass']}")
+    return lines
 
 
 def _add_format(sub):

@@ -30,6 +30,7 @@ from qcp import (
     ValidationError,
     brute_force_count,
     central_period_summary,
+    central_scan,
     characteristic_quasi_polynomial,
     collapse_report,
     divisor_formula_count,
@@ -46,12 +47,14 @@ from qcp import arrangement as arrangement_module
 from qcp.arrangement import (
     CONSTITUENT_BUDGET,
     _build_term_table,
+    _central_walks,
     _det,
     _divisor_chain,
     _extend_determinantal,
     _formulas,
     _minors_gcd,
     _reduce_against,
+    _scan_formulas,
     _whole_determinantal,
 )
 from qcp.cli import main
@@ -462,9 +465,12 @@ def test_central_walk_checks_each_divisor_chain_once(count_calls):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_batch_matches_standalone_formulas(seed):
     # a batch shares chains and weights across draws, so a chain may come
-    # from an earlier draw and must still raise the lcm period to its e_r
+    # from an earlier draw and must still raise the lcm period to its e_r;
+    # a scan's batch walks its draws in lockstep
     draws = generate_central_inputs(3, 6, 5, 60, seed)
-    assert list(_formulas(draws)) == [CountingFormula.of(arr) for arr in draws]
+    standalone = [CountingFormula.of(arr) for arr in draws]
+    assert list(_formulas(draws)) == standalone
+    assert list(_scan_formulas(draws)) == standalone
 
 
 def test_batch_past_the_table_cap_matches(monkeypatch, count_calls):
@@ -472,10 +478,12 @@ def test_batch_past_the_table_cap_matches(monkeypatch, count_calls):
     standalone = [CountingFormula.of(arr) for arr in draws]
     calls = count_calls(arrangement_module, "_divisor_chain", "_indicator_weights")
     monkeypatch.setattr(arrangement_module, "_TABLE_CAP", 16)
-    assert list(_formulas(draws)) == standalone
-    # emptied tables are filled again: more than an uncapped batch's 252 and 219
-    assert calls["_divisor_chain"] > 252
-    assert calls["_indicator_weights"] > 219
+    for batch in (_formulas, _scan_formulas):  # a scan walks its draws in lockstep
+        calls.clear()
+        assert list(batch(draws)) == standalone
+        # emptied tables are filled again: more than an uncapped batch's 252 and 219
+        assert calls["_divisor_chain"] > 252
+        assert calls["_indicator_weights"] > 219
 
 
 def test_factoring_is_charged_per_formula(monkeypatch):
@@ -592,6 +600,112 @@ def sublattice_arrangements(draw, max_n=6):
     else:
         offsets = draw(st.lists(st.integers(-2, 2), min_size=len(cols), max_size=len(cols)))
     return arrangement(cols, offsets)
+
+
+@st.composite
+def central_batches(draw, min_draws=1, max_draws=6):
+    """Central draws as a scan makes them: one row count m in 1-4, entries
+    bounded by 1-5 and one column count n <= 8, with up to two columns of
+    each draw repeated, so that the draws of a batch have different class
+    counts.  Some draws take their columns from ``sublattice_columns``,
+    whose d_k stay above 1."""
+    m = draw(st.integers(1, 4))
+    bound = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    column = st.lists(st.integers(-bound, bound), min_size=m, max_size=m).filter(any)
+    batch = []
+    for _ in range(draw(st.integers(min_draws, max_draws))):
+        if draw(st.booleans()):
+            cols = draw(sublattice_columns(m, n))
+        else:
+            cols = [tuple(c) for c in draw(st.lists(column, min_size=n, max_size=n))]
+            for _ in range(draw(st.integers(0, min(2, n - 1)))):
+                cols[draw(st.integers(0, n - 1))] = draw(st.sampled_from(cols))
+        batch.append(arrangement(cols, (0,) * len(cols)))
+    return batch
+
+
+def assert_lockstep_matches_each_walk(batch):
+    for arr, walked in zip(batch, _central_walks(batch, {})):
+        terms, rho = _build_term_table(arr)
+        assert walked == (terms, rho)
+        # in the walk's order: a formula's factoring budget is spent term by term
+        assert list(walked[0]) == list(terms)
+
+
+@given(central_batches())
+@settings(max_examples=60, deadline=None)
+def test_lockstep_walk_matches_each_walk(batch):
+    assert_lockstep_matches_each_walk(batch)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_walk_matches_each_walk_on_scan_draws(seed):
+    assert_lockstep_matches_each_walk(generate_central_inputs(3, 6, 5, 60, seed))
+
+
+def offered_by_its_walk(arr):
+    """Subsets the walk of central ``arr`` offers: one extension of d_1..d_m each."""
+    spy = arrangement_module._extend_determinantal
+    offered = []
+
+    def counted(*args):
+        offered.append(1)
+        return spy(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrangement_module, "_extend_determinantal", counted)
+        _build_term_table(arr)
+    return len(offered)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except (BudgetExceededError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+@given(central_batches(min_draws=2).flatmap(
+    lambda batch: st.tuples(st.just(batch), st.integers(1, len(batch) - 1))))
+@example((generate_central_inputs(3, 6, 5, 60, 1), 15))
+@settings(max_examples=40, deadline=None)
+def test_lockstep_walk_charges_each_draw_as_its_walk(case):
+    batch, target = case
+    offered = offered_by_its_walk(batch[target])
+    for budget in (offered, offered - 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arrangement_module, "WALK_BUDGET", budget)
+            walked = _central_walks(batch, {})
+            for arr, got in zip(batch, walked):
+                if isinstance(got, Exception):
+                    got = type(got), str(got)
+                assert got == outcome(lambda: _build_term_table(arr))
+            assert isinstance(walked[target], tuple) == (budget == offered)
+            # every collapse and refusal is raised in draw order, as one
+            # formula after the other raises them
+            assert outcome(lambda: list(_scan_formulas(batch))) == outcome(
+                lambda: list(_formulas(batch)))
+            patch.setattr(arrangement_module, "_indicator_weights", lambda pairs, spent: {1: 1})
+            assert outcome(lambda: list(_scan_formulas(batch))) == outcome(
+                lambda: list(_formulas(batch)))
+
+
+def test_scan_raises_an_earlier_collapse_before_a_later_refusal(monkeypatch):
+    # the first two draws of the seed-1 benchmark scan offer 59 and 60
+    # subsets: at WALK_BUDGET = 59 the second is refused, but the first
+    # draw's formula comes first
+    draws = generate_central_inputs(3, 6, 5, 60, 1)
+    assert [offered_by_its_walk(arr) for arr in draws[:2]] == [59, 60]
+    monkeypatch.setattr(arrangement_module, "WALK_BUDGET", 59)
+    with pytest.raises(BudgetExceededError, match="walk offered more than WALK_BUDGET = 59"):
+        central_scan(3, 6, 5, 60, 1)
+    # weights {1: 1}: the first draw's formula collapses
+    monkeypatch.setattr(arrangement_module, "_indicator_weights", lambda pairs, spent: {1: 1})
+    message = f"central arrangement {draws[0].to_json_dict()} collapses: minimum period 1"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        central_scan(3, 6, 5, 60, 1)
 
 
 # even coordinate sums in Z^4: d_4 stays 2 however many columns join

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import qcp
-from qcp import (ArrangementInput, FamilyParams, RootSubset, collapse_report, family_matrix,
-                 positive_roots, shi_matrix)
+from qcp import (ArrangementInput, CountingFormula, FamilyParams, RootSubset, collapse_report,
+                 family_matrix, positive_roots, shi_matrix)
 from qcp import cli as cli_module
 from qcp import oracle as oracle_module
 from qcp.cli import main
@@ -305,6 +305,45 @@ def test_conjecture_scan_needs_no_q0_and_no_constituents(capsys, monkeypatch, ty
     assert code == 0
     assert payload["rows"] == expected
     assert payload["all_consistent"] is all(row["consistent"] for row in expected)
+
+
+@pytest.mark.parametrize("type_tag, rank", [("G2", 2), ("B", 2), ("B", 3)])
+def test_conjecture_scan_builds_its_rows_in_one_batch(capsys, count_calls, type_tag, rank):
+    from qcp import arrangement
+
+    system = positive_roots(type_tag, rank)
+    arrs = [shi_matrix(RootSubset.excluding(system, root), k)
+            for root in system.positive_roots for k in (1, 2)]
+    standalone = [CountingFormula.of(arr) for arr in arrs]
+    # one batch expands each tuple of divisor pairs once; formulas of their
+    # own expand the pairs they share once each
+    distinct = {pairs for arr in arrs for _, pairs in arrangement._build_term_table(arr)[0]}
+    calls = count_calls(arrangement, "_indicator_weights")
+    code, payload = run_json(
+        capsys, "conjecture-scan", "--type", type_tag, "--rank", str(rank), "--k", "2"
+    )
+    assert code == 0
+    assert [(row["lcm_period"], row["minimum_period"]) for row in payload["rows"]] == [
+        (formula.period, formula.minimum_period) for formula in standalone
+    ]
+    assert calls["_indicator_weights"] == len(distinct)
+
+
+def test_json_output_builds_no_text_lines(capsys, tmp_path, monkeypatch):
+    def boom(*args):
+        raise AssertionError("text lines built for --format json")
+
+    for name in ("_arrangement_lines", "_report_lines", "_verify_lines", "_conjecture_lines"):
+        monkeypatch.setattr(cli_module, name, boom)
+    path = tmp_path / "d222.json"
+    path.write_text(json.dumps({"m": 2, "n": 4, "C": [[1, 0, 1, 1], [0, 1, 2, 2]],
+                                "b": [0, 0, 1, 2]}))
+    for argv in (("compute", "--input", str(path)),
+                 ("verify", "--input", str(path), "--q-window", "4"),
+                 ("oracle", "--input", str(path), "--q", "4"),
+                 ("conjecture-scan", "--type", "B", "--rank", "2", "--k", "1")):
+        code, _ = run_json(capsys, *argv)
+        assert code == 0
 
 
 def test_verify_subcommand_passes(capsys, tmp_path):
