@@ -70,20 +70,17 @@ Before it offers the first subset, the walk bounds from its classes alone
 what it must offer (see _least_offered) and refuses at once past
 WALK_BUDGET: the central positive roots of A12 need at least 5.3 * 10^13.
 
-A scan walks its draws in lockstep (see _lockstep_walk).  Its central
-draws with the same rows and class count share one depth-first search over
-class-index tuples: the loop over classes, the subsets of the chosen
-classes and the minor keys are paid once per node, and each node carries
-the d_1..d_m of the draws alive under it as columns, each updated by one
-map(gcd) per minor key.  Every rule above holds draw by draw, so each draw
-gets the term table, lcm period and error of its own walk.  The caller
-picks the path: central_scan walks in lockstep, and CountingFormula.of,
-lcm_period and every non-central input walk alone, since a lockstep batch
-of one pays for its bookkeeping and shares nothing (1.7 to 1.9 times the
-walk's time on the seed-1 scan's draws one by one and on central B4).  The
-60 draws of ``qcp scan-central --m 3 --n 6 --entry-bound 5 --trials 60
---seed 1`` all have 6 classes: they share 63 class-index tuples, 32 of them
-nodes with children, where walks of their own visit 3,485 class sets.
+Inputs walk in batches, in lockstep (see _lockstep_walk): those with the
+same rows and class count share one depth-first search over class-index
+tuples, and a single input is a batch of one.  The loop over classes, the
+subsets of the chosen classes and the minor keys are paid once per node,
+and each node carries the d_1..d_m of the inputs alive under it as
+columns, each updated by one map(gcd) per minor key, with each one's live
+offset choices.  Every rule above holds input by input, so each gets the
+term table, lcm period and error of a walk of its own.  The 60 draws of
+``qcp scan-central --m 3 --n 6 --entry-bound 5 --trials 60 --seed 1`` all
+have 6 classes: they share 63 class-index tuples, 32 of them nodes with
+children, where walks of their own visit 3,485 class sets.
 
 The lcm period needs Smith forms of bases only (the basis lemma).  For
 independent column sets I within J, the torsion of I's lattice embeds in
@@ -110,8 +107,9 @@ collapse_report states it without comparing constituents.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
-from itertools import combinations, compress, repeat
+from itertools import accumulate, combinations, compress, islice, repeat
 from math import comb, gcd, lcm, prod
 from operator import eq, itemgetter, not_
 
@@ -365,31 +363,35 @@ def _whole_determinantal(columns, m: int) -> tuple[int, ...]:
     return tuple(prod(chain[:k]) if k <= len(chain) else 0 for k in range(1, m + 1))
 
 
-def _extend_determinantal(dets, chosen, idx, minor_gcd, floor):
-    """Determinantal divisors of C_J after class ``idx`` joins J = ``chosen``.
+def _extend_determinantal(dets, chosen, idx, minors, low, alive) -> list:
+    """Determinantal divisors of C_J after class ``idx`` joins J = ``chosen``,
+    for each of the ``alive`` draws of a lockstep walk (see _lockstep_walk).
 
-    ``dets`` holds d_1..d_m of C_J, d_k being the gcd of all k x k minors
-    (0 above the rank).  The minors new to J + idx are those on a column set
-    K + idx, K a (k-1)-subset of J, so d_k <- gcd(d_k, g(K + idx)) over
-    those K, g being ``minor_gcd`` of a sorted tuple of class indices.
+    ``dets`` holds d_1..d_m of C_J as m columns over the alive draws, d_k
+    being the gcd of all k x k minors (0 above the rank).  The minors new to
+    J + idx are those on a column set K + idx, K a (k-1)-subset of J, so
+    d_k <- gcd(d_k, g(K + idx)) over those K, one map(gcd) over the alive
+    draws per K; ``minors`` gives g of a sorted tuple of class indices as
+    one value per draw of the walk.
 
-    ``floor`` holds d_1..d_m of a matrix with every column the walk can add
-    (see _whole_determinantal).  Its minors include those of every C_J, so
-    floor[k-1] divides d_k; once d_k reaches it (1 in the common case, 0
-    above the whole rank) it stays there in every superset and is skipped.
+    ``low`` holds, as columns too, each draw's d_1..d_m of a matrix with
+    every column its walk can add (see _whole_determinantal).  Its minors
+    include those of every C_J, so its d_k divides C_J's; once d_k reaches
+    it (1 in the common case, 0 above the whole rank) it stays there in
+    every superset.  So a d_k is skipped, and its scan of K stops, once
+    every alive draw's d_k is at its floor.
     """
-    out = list(dets)
-    for k in range(1, min(len(chosen) + 1, len(dets)) + 1):
-        dk = out[k - 1]
-        low = floor[k - 1]
-        if dk == low:
+    now = list(dets)
+    for k in range(min(len(chosen) + 1, len(dets))):
+        dk = now[k]
+        if dk == low[k]:
             continue
-        for sub in combinations(chosen, k - 1):
-            dk = gcd(dk, minor_gcd(sub + (idx,)))
-            if dk == low:
+        for sub in combinations(chosen, k):
+            dk = list(map(gcd, dk, map(minors(sub + (idx,)).__getitem__, alive)))
+            if dk == low[k]:
                 break
-        out[k - 1] = dk
-    return tuple(out)
+        now[k] = dk
+    return now
 
 
 def _divisor_chain(dets) -> tuple[int, ...]:
@@ -420,7 +422,7 @@ def lcm_period(cmatrix: IntMatrix) -> int:
     """lcm of the largest elementary divisor over all column subsets.
 
     Read off the subset walk of the central arrangement on the same columns
-    (see _build_term_table), so it costs one walk and raises
+    (see _lockstep_walk), so it costs one walk and raises
     BudgetExceededError where that walk passes WALK_BUDGET.
     """
     return _build_term_table(ArrangementInput(cmatrix, (0,) * cmatrix.cols))[1]
@@ -518,186 +520,47 @@ def _least_offered(rank: int, groups, zeros: int = 0) -> int:
 
 
 def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tuple[dict, int]:
-    """Aggregate subset contributions of the counting formula, and the lcm
-    period.
+    """(term table, lcm period) of ``arr`` from its walk, a batch of one
+    (see _walks) sharing ``chains`` as in _formulas; raises what it raises.
 
     Terms: key (coefficient rank, tuple of (e, e') divisor pairs with (1, 1)
-    dropped); value: signed number of subsets with that data.  Grouped by
-    equal coefficient columns, one offset choice per class, identical stacked
-    columns deduplicated.
-
-    The walk is an iterative depth-first search over sets of column classes
-    that prunes rank jumps (see the module docstring).  A node is a tuple of
-    class indices with its live offset choices, those whose stacked system
-    is consistent, each with an echelon basis of its stacked columns, in
-    which a joining column pivoted on the offset coordinate m is a rank
-    jump.  C_J is held once, as its determinantal divisors d_1..d_m: when
-    class c joins, d_k becomes gcd(d_k, g(K + c)) over the (k-1)-subsets K
-    of the chosen classes, skipped once d_k reaches the d_k of the whole
-    coefficient matrix (one Smith form per walk); g, the gcd of the
-    full-size minors of a class set, is memoised for the walk.  The rank r
-    of C_J is the number of nonzero d_k and its chain is e_k = d_k / d_(k-1),
-    computed once per distinct d_1..d_m in ``chains``, a table the walks of
-    one batch share (see _formulas; a walk of its own when omitted) and
-    emptied at _TABLE_CAP entries.  A chain may come from an earlier walk,
-    so the lcm with its e_r is taken at every class set kept.  When e_r = 1
-    a choice with a nonzero offset has the key (r, ()), and its stacked
-    basis must have r rows.  Past the whole matrix, Smith runs only on the
-    stacked matrix of a choice with a nonzero offset over a C_J with
-    e_r > 1; its rows come from the node's class indices.
-
-    The all-zero choice has its own lane: a node carries a flag for it, not
-    an entry among its choices.  Its stacked basis is the echelon basis of
-    the chosen columns with a trailing 0; adding offset 0 keeps it so, no
-    rank jump can occur, and its stacked chain is the coefficient one,
-    giving the term key (r, ((e, e) for e != 1)), made with the node's
-    chain.  Only when a nonzero offset joins that choice is its stacked
-    basis built, once per node, and the new choice joins the others.  So a
-    node whose only live choice is the all-zero one, joined by a class
-    whose only offset is 0 (every node of a central walk), reduces no
-    vector and builds no offsets and no lists of choices.
-
-    At a saturated class set (d_1..d_m those of the whole matrix) no choice
-    is kept for descent (see the module docstring): a choice adds its term
-    only when no later class extends it, and that is read off without a
-    walk.  The all-zero choice extends only by offset 0, so it asks whether
-    a later class has offset 0; any other choice reduces the later stacked
-    columns against its stacked basis until one is dependent.
-
-    The lcm period is the lcm of the largest divisor e_r = d_r / d_(r-1) of
-    C_J over every class set J the walk keeps.  That is exact: every class
-    set that is independent has no rank jump for any offset choice, so the
-    walk reaches every basis of the distinct coefficient columns, and by the
-    basis lemma (module docstring) the lcm over bases is the lcm over all
-    subsets.  A class set below a saturated one that the walk skips has the
-    saturated one's e_r.  Once the whole matrix's Smith form gives its rank,
-    _least_offered refuses a walk past WALK_BUDGET before its first subset.
+    dropped); value: signed number of subsets with that data, in the order
+    the walk first meets each key.
     """
-    m = arr.m
-    by_class: dict[tuple[int, ...], list[int]] = {}
-    for c, b in dict.fromkeys(zip(arr.cmatrix.columns(), arr.offsets)):
-        by_class.setdefault(c, []).append(b)
-    # (coefficient column, its offsets, its nonzero offsets, whether one is 0)
-    classes = [(c, bs, [b for b in bs if b], 0 in bs) for c, bs in by_class.items()]
-    cols = [c for c, _, _, _ in classes]
-
-    floor = _whole_determinantal(cols, m)
-    _least_offered(m - floor.count(0), [(1, len(bs)) for _, bs, _, _ in classes],
-                   sum(has_zero for _, _, _, has_zero in classes))
-    memo: dict[tuple[int, ...], int] = {}
-
-    def minor_gcd(key: tuple[int, ...]) -> int:
-        g = memo.get(key)
-        if g is None:
-            g = memo[key] = _minors_gcd([cols[i] for i in key])
-        return g
-
-    # zero_after[i]: some class at index i or later has offset 0
-    n_classes = len(classes)
-    zero_after = [False] * (n_classes + 1)
-    for i in range(n_classes - 1, -1, -1):
-        zero_after[i] = zero_after[i + 1] or classes[i][3]
-
-    terms: dict = {}
-    rho = 1
-    offered = 0
-    if chains is None:  # d_1..d_m -> (chain of C_J, the all-zero choice's key)
-        chains = {}
-    # (first class to add, chosen class indices, determinantal divisors of
-    #  C_J, whether the all-zero choice is live, the other live choices as
-    #  (offsets, stacked basis))
-    stack = [(0, (), (0,) * m, True, [])]
-    while stack:
-        start, chosen, dets, zero, live = stack.pop()
-        zero_basis = None  # the all-zero choice's stacked basis, built on demand
-        width = zero + len(live)
-        sign = 1 if len(chosen) % 2 else -1  # of every class set chosen + (idx,)
-        for idx in range(start, n_classes):
-            cvec, bs, nonzero, has_zero = classes[idx]
-            offered += width * len(bs)
-            if offered > WALK_BUDGET:
-                raise _walk_budget_error()
-            now_zero = zero and has_zero
-            if live or nonzero:
-                # (offsets, stacked basis, offsets to try) per live choice
-                pending = [(offs, a_basis, bs) for offs, a_basis in live]
-                if zero and nonzero:
-                    if zero_basis is None:
-                        zero_basis = _echelon(cols[i] + (0,) for i in chosen)
-                    pending.insert(0, ((0,) * len(chosen), zero_basis, nonzero))
-                kept = []
-                for offs, a_basis, offsets in pending:
-                    for b in offsets:
-                        a_red = _reduce_against(a_basis, cvec + (b,))
-                        if a_red is None:
-                            kept.append((offs + (b,), a_basis))
-                        elif a_red[0] < m:
-                            kept.append((offs + (b,), a_basis + [a_red]))
-                        # else: pivot m, the offset row: rank jump, subtree dropped
-                if not kept and not now_zero:
-                    continue
-            else:
-                # only the all-zero choice, joined by offset 0 alone
-                kept = ()
-            now_dets = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
-            es, zero_key = chains.get(now_dets) or _new_chain(chains, now_dets)
-            if rho % es[-1]:  # a hit may come from an earlier walk of the batch
-                rho = lcm(rho, es[-1])
-            rank = len(es)
-            now = chosen + (idx,)
-            saturated = now_dets == floor
-            # below a saturated J the subtree of a choice is J + S over the
-            # subsets S of the classes that extend it, all with J's key: it
-            # sums to J's term when no later class extends it, else to 0.
-            # The all-zero choice is extended only by a later offset 0.
-            if now_zero and not (saturated and zero_after[idx + 1]):
-                terms[zero_key] = terms.get(zero_key, 0) + sign
-            for offs, a_basis in kept:
-                if saturated and any(
-                    _reduce_against(a_basis, classes[j][0] + (b,)) is None
-                    for j in range(idx + 1, n_classes)
-                    for b in classes[j][1]
-                ):
-                    continue
-                if es[-1] == 1:
-                    # d_k(A_J) divides d_k(C_J) = 1: the stacked chain is all ones
-                    eps = (1,) * len(a_basis)
-                else:
-                    rows = [[cols[i][r] for i in now] for r in range(m)] + [list(offs)]
-                    eps = _smith_divisors(rows)
-                if len(eps) != rank:
-                    raise InternalConsistencyError(
-                        f"stacked rank {len(eps)} disagrees with the coefficient rank {rank}"
-                    )
-                key = (rank, tuple(p for p in zip(es, eps) if p != (1, 1)))
-                terms[key] = terms.get(key, 0) + sign
-            if not saturated:  # every choice descends
-                stack.append((idx + 1, now, now_dets, now_zero, kept))
-    return {key: coef for key, coef in terms.items() if coef}, rho
+    (walked,) = _walks([arr], {} if chains is None else chains)
+    if isinstance(walked, Exception):
+        raise walked
+    return walked
 
 
-def _central_walks(arrs, chains: dict) -> list:
-    """The (term table, lcm period) of each central arrangement of ``arrs``,
-    or the error its walk raises, in order: what _build_term_table gives
-    draw by draw, from one walk per shape.
+def _walks(arrs, chains: dict) -> list:
+    """The (term table, lcm period) of each arrangement of ``arrs``, or the
+    error its walk raises, in order.
 
-    Each draw's classes are its distinct columns, its floors come from its
-    own Smith form (_whole_determinantal), and _least_offered may refuse it
-    before any walk.  The draws with the same rows and class count then
+    Each input's classes are its distinct coefficient columns, each with
+    the offsets it carries (identical stacked columns deduplicated); its
+    floors, the d_1..d_m of its whole coefficient matrix, come from one
+    Smith form (_whole_determinantal), and _least_offered may refuse it
+    before any walk.  The inputs with the same rows and class count then
     walk their class sets in lockstep (see _lockstep_walk), with ``chains``
-    shared as in _build_term_table.
+    the batch's table of divisor chains (see _formulas).
     """
     out: list = [None] * len(arrs)
-    groups: dict = {}  # (rows, class count) -> (draw index, classes, floors) per draw
+    groups: dict = {}  # (rows, class count) -> (input index, classes, floors) per input
     for i, arr in enumerate(arrs):
-        cols = list(dict.fromkeys(arr.cmatrix.columns()))
-        floor = _whole_determinantal(cols, arr.m)
+        by_class: dict[tuple[int, ...], list[int]] = {}  # column -> its distinct offsets
+        for c, b in zip(arr.cmatrix.columns(), arr.offsets):
+            bs = by_class.setdefault(c, [])
+            if b not in bs:
+                bs.append(b)
+        floor = _whole_determinantal(list(by_class), arr.m)
         try:
-            _least_offered(arr.m - floor.count(0), [(1, 1)] * len(cols), len(cols))
+            _least_offered(arr.m - floor.count(0), [(1, len(bs)) for bs in by_class.values()],
+                           sum(0 in bs for bs in by_class.values()))
         except BudgetExceededError as exc:
             out[i] = exc
             continue
-        groups.setdefault((arr.m, len(cols)), []).append((i, cols, floor))
+        groups.setdefault((arr.m, len(by_class)), []).append((i, by_class, floor))
     for (m, n), group in groups.items():
         where, classes, floors = zip(*group)
         for i, walked in zip(where, _lockstep_walk(m, n, classes, floors, chains)):
@@ -706,73 +569,119 @@ def _central_walks(arrs, chains: dict) -> list:
 
 
 def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
-    """The central walks of _build_term_table over draws with ``m`` rows and
-    ``n`` classes each, run as one depth-first search over class-index
-    tuples: (term table, lcm period) per draw, or the error its walk raises.
+    """The subset walks of draws with ``m`` rows and ``n`` classes each, run
+    as one depth-first search over class-index tuples: (term table, lcm
+    period) per draw, or the error its own walk would raise.
 
-    A node holds the draws alive under it, those with no saturated class
-    set on its path, and their d_1..d_m as m columns over those draws.  The
+    ``classes`` maps each draw's coefficient columns to their distinct
+    offsets, and ``floors`` holds its d_1..d_m of the whole matrix.  A node
+    holds the draws alive under it and, for those, their d_1..d_m as m
+    columns (see _extend_determinantal), whether each one's all-zero choice
+    is live, and its other live choices as (offsets, stacked basis).  The
     loop over joining classes, the (k-1)-subsets K and the minor keys are
-    paid once per node, and each d_k update is a map(gcd) over the alive
-    draws.  A minor key's gcd is memoised as one value per draw, computed
-    at the first node that asks for every draw whose rank reaches the
-    key's size (each draw's own walk asks for every such key).  A d_k is
-    skipped, and its scan of K stops, once every alive draw's d_k is at its
-    floor.  A draw saturated at a class set leaves the alive list below it
-    and adds that set's term only at the last class.
+    paid once per node.  A minor key's gcd is memoised as one value per
+    draw, computed at the first node that asks for every draw whose rank
+    reaches the key's size (each draw's own walk asks for every such key).
+    Every rule of the module docstring holds draw by draw: a draw leaves
+    the alive list below a class that leaves it no live choice, and below a
+    saturated class set.  A group whose draws all have zero offsets only
+    ever has the all-zero choice, so it skips the offset side as a whole.
 
     Terms are tallied by draw and key in visiting order, which for each
     draw is its own walk's order.  Every class set a draw visits is tallied
     or saturated, so its lcm period is read off its tally and its floor.
-    Each draw is charged the subsets it is offered; past WALK_BUDGET it
-    leaves the walk, at the class where its own walk raises, with that
-    walk's error.  A draw whose chain is inconsistent keeps walking, but
-    only the first error it meets is kept.
+    Each draw is charged what its own walk is offered, width x offsets per
+    joining class, the width being its live choices with the all-zero one;
+    past WALK_BUDGET it leaves the walk, at the class where its own walk
+    raises, with that walk's error.  A draw whose chain or stacked rank is
+    inconsistent keeps walking, but only the first error it meets is kept.
     """
     size = len(classes)
+    cols = [list(draw) for draw in classes]
     memo: dict[tuple[int, ...], list[int]] = {}
 
     def minors(key):
-        memo[key] = g = [_minors_gcd([cols[i] for i in key]) if floor[len(key) - 1] else 0
-                         for cols, floor in zip(classes, floors)]
+        g = memo.get(key)
+        if g is None:
+            g = memo[key] = [_minors_gcd([c[i] for i in key]) if floor[len(key) - 1] else 0
+                             for c, floor in zip(cols, floors)]
         return g
 
+    central = not any(any(bs) for draw in classes for bs in draw.values())
+    # subsets a choice is offered before each class, and (off a central
+    # group) whether a class at that index or later has offset 0
+    if central:
+        ends = [range(n + 1)] * size
+    else:
+        # (coefficient column, offsets, nonzero offsets, whether one is 0)
+        classes = [[(c, bs, [b for b in bs if b], 0 in bs) for c, bs in draw.items()]
+                   for draw in classes]
+        ends = [list(accumulate((len(bs) for _, bs, _, _ in draw), initial=0))
+                for draw in classes]
+        zero_after = [[any(has_zero for *_, has_zero in draw[i:]) for i in range(n + 1)]
+                      for draw in classes]
     errors: dict[int, Exception] = {}
     offered = [0] * size
     tally: Counter = Counter()  # (draw, term key, |J| even) -> class sets J
     # (first class to add, chosen class indices, alive draws, their d_k and
-    #  floor_k as columns, their floors as tuples)
-    stack = [(0, (), list(range(size)), [[0] * size] * m,
-              [list(col) for col in zip(*floors)], floors)]
+    #  floor_k as columns, their floors as tuples, and per alive draw whether
+    #  its all-zero choice is live and its other live choices: None for both
+    #  in a central group)
+    stack = [(0, (), list(range(size)), [[0] * size] * m, [list(col) for col in zip(*floors)],
+              floors, None if central else [True] * size, None if central else [()] * size)]
     while stack:
-        start, chosen, alive, dets, low, lows = stack.pop()
+        start, chosen, alive, dets, low, lows, zeros, lives = stack.pop()
         cuts: dict[int, list[int]] = {}  # class -> draws whose walk raises there
-        for d in alive:
-            offered[d] += n - start
-            if offered[d] > WALK_BUDGET:
-                cuts.setdefault(n + WALK_BUDGET - offered[d], []).append(d)
+        # width x offsets per class, the width being 1 in a central group
+        charges = repeat(n - start) if central else [
+            (zero + len(live)) * (ends[d][n] - ends[d][start])
+            for d, zero, live in zip(alive, zeros, lives)]
+        for d, charge in zip(alive, charges):
+            offered[d] += charge
+            if offered[d] > WALK_BUDGET:  # at the first class past the budget
+                end = ends[d]
+                width = charge // (end[n] - end[start])
+                spare = WALK_BUDGET - offered[d] + charge
+                cuts.setdefault(bisect_right(end, end[start] + spare // width) - 1, []).append(d)
         even = len(chosen) % 2  # |J| = len(chosen) + 1 is even: sign +1
-        top = min(len(chosen) + 1, m)
+        zero_bases: dict[int, list] = {}  # draw -> its all-zero choice's stacked basis
         for idx in range(start, n):
             if idx in cuts:
                 for d in cuts[idx]:
                     errors.setdefault(d, _walk_budget_error())
-                alive, dets, low, lows = _narrow([d not in cuts[idx] for d in alive],
-                                                 alive, dets, low, lows)
+                alive, dets, low, lows, zeros, lives = _narrow(
+                    [d not in cuts[idx] for d in alive], alive, dets, low, lows, zeros, lives)
                 if not alive:
                     break
-            now = list(dets)
-            for k in range(top):
-                dk = now[k]
-                if dk == low[k]:
+            here, here_dets, here_low, here_lows = alive, dets, low, lows
+            now_zero = kept = None  # a central group has the all-zero choice alone
+            if not central:
+                now_zero, kept = [], []
+                for d, zero, live in zip(alive, zeros, lives):
+                    cvec, bs, nonzero, has_zero = classes[d][idx]
+                    now_zero.append(zero and has_zero)
+                    pending = [(offs, a_basis, bs) for offs, a_basis in live]
+                    if zero and nonzero:
+                        if d not in zero_bases:  # the chosen columns with a trailing 0
+                            zero_bases[d] = _echelon(cols[d][i] + (0,) for i in chosen)
+                        pending.insert(0, ((0,) * len(chosen), zero_bases[d], nonzero))
+                    choices = []
+                    for offs, a_basis, offsets in pending:
+                        for b in offsets:
+                            a_red = _reduce_against(a_basis, cvec + (b,))
+                            if a_red is None:
+                                choices.append((offs + (b,), a_basis))
+                            elif a_red[0] < m:
+                                choices.append((offs + (b,), a_basis + [a_red]))
+                            # else: pivot m, the offset row: rank jump, subtree dropped
+                    kept.append(choices)
+                moving = [bool(z or k) for z, k in zip(now_zero, kept)]
+                if not any(moving):
                     continue
-                for sub in combinations(chosen, k):
-                    key = sub + (idx,)
-                    g = memo.get(key) or minors(key)
-                    dk = list(map(gcd, dk, map(g.__getitem__, alive)))
-                    if dk == low[k]:
-                        break
-                now[k] = dk
+                if not all(moving):
+                    here, here_dets, here_low, here_lows, now_zero, kept = _narrow(
+                        moving, alive, dets, low, lows, now_zero, kept)
+            now = _extend_determinantal(here_dets, chosen, idx, minors, here_low, here)
             keys = list(zip(*now))
             found = list(map(chains.get, keys))
             if None in found:
@@ -781,18 +690,56 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                         try:
                             found[j] = chains.get(key) or _new_chain(chains, key)
                         except InternalConsistencyError as exc:
-                            errors.setdefault(alive[j], exc)
+                            errors.setdefault(here[j], exc)
                             found[j] = (None, None)
-            saturated = list(map(eq, keys, lows))
+            saturated = list(map(eq, keys, here_lows))
+            # below a saturated J the subtree of a choice is J + S over the
+            # subsets S of the classes that extend it, all with J's key: it
+            # sums to J's term when no later class extends it, else to 0.
+            # The all-zero choice is extended only by a later offset 0.
             if idx == n - 1 or not any(saturated):
-                tally.update(zip(alive, map(itemgetter(1), found), repeat(even)))
-                if idx < n - 1:
-                    stack.append((idx + 1, chosen + (idx,), alive, now, low, lows))
-            elif not all(saturated):
-                keep = list(map(not_, saturated))
-                tally.update(zip(compress(alive, keep), map(itemgetter(1), compress(found, keep)),
-                                 repeat(even)))
-                stack.append((idx + 1, chosen + (idx,), *_narrow(keep, alive, now, low, lows)))
+                lane = now_zero
+            elif central:
+                lane = list(map(not_, saturated))
+            else:
+                lane = [z and not (s and zero_after[d][idx + 1])
+                        for d, z, s in zip(here, now_zero, saturated)]
+            zero_keys = map(itemgetter(1), found)
+            if lane is None:
+                tally.update(zip(here, zero_keys, repeat(even)))
+            else:
+                tally.update(zip(compress(here, lane), compress(zero_keys, lane), repeat(even)))
+            now_chosen = chosen + (idx,)
+            for j, choices in enumerate(kept or ()):
+                es = found[j][0]
+                if not choices or es is None:
+                    continue
+                d = here[j]
+                for offs, a_basis in choices:
+                    if saturated[j] and any(_reduce_against(a_basis, c + (b,)) is None
+                                            for c, bs, _, _ in classes[d][idx + 1:] for b in bs):
+                        continue
+                    if es[-1] == 1:
+                        # d_k(A_J) divides d_k(C_J) = 1: the stacked chain is all ones
+                        eps = (1,) * len(a_basis)
+                    else:
+                        rows = [[cols[d][i][r] for i in now_chosen] for r in range(m)]
+                        eps = _smith_divisors(rows + [list(offs)])
+                    if len(eps) != len(es):
+                        errors.setdefault(d, InternalConsistencyError(
+                            f"stacked rank {len(eps)} disagrees with the coefficient rank {len(es)}"
+                        ))
+                        continue
+                    tally[d, (len(es), tuple(p for p in zip(es, eps) if p != (1, 1))), even] += 1
+            if idx == n - 1 or all(saturated):
+                continue
+            if any(saturated):  # a saturated draw leaves the alive list
+                stack.append((idx + 1, now_chosen, *_narrow(list(map(not_, saturated)), here,
+                                                            now, here_low, here_lows, now_zero,
+                                                            kept)))
+            else:
+                stack.append((idx + 1, now_chosen, here, now, here_low, here_lows, now_zero,
+                              kept))
     tables: list[dict] = [{} for _ in range(size)]
     for (d, key, even), count in tally.items():
         tables[d][key] = tables[d].get(key, 0) + (count if even else -count)
@@ -802,18 +749,19 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             out.append(errors[d])
             continue
         # a class set left out of the tally is saturated: the floor's e_r;
-        # the last pair of an all-zero key holds e_r, and no pair means 1
+        # the last pair of a key holds e_r, and no pair means 1
         es, _ = chains.get(floor) or _new_chain(chains, floor)
         rho = lcm(es[-1], *(pairs[-1][0] for _, pairs in table if pairs))
         out.append(({key: coef for key, coef in table.items() if coef}, rho))
     return out
 
 
-def _narrow(keep, alive, dets, low, lows) -> tuple:
-    """The alive draws that ``keep`` marks, with their d_k, floor_k and
-    floor columns."""
+def _narrow(keep, alive, dets, low, *rows) -> tuple:
+    """The alive draws that ``keep`` marks, with their d_k and floor_k
+    columns and their entries of each of ``rows`` (None stays None)."""
     return (list(compress(alive, keep)), [list(compress(col, keep)) for col in dets],
-            [list(compress(col, keep)) for col in low], list(compress(lows, keep)))
+            [list(compress(col, keep)) for col in low],
+            *(None if row is None else list(compress(row, keep)) for row in rows))
 
 
 def _walk_budget_error() -> BudgetExceededError:
@@ -950,7 +898,7 @@ class CountingFormula(_Value):
         """Walk the column subsets of ``arr`` once and expand every term.
 
         The one walk gives both the term table and the lcm period, read off
-        the coefficient divisor chains it computes (see _build_term_table).
+        the coefficient divisor chains it computes (see _lockstep_walk).
         This is a batch of one, with tables of its own (see _formulas).
         """
         return next(_formulas([arr]))
@@ -993,38 +941,30 @@ class CountingFormula(_Value):
 def _formulas(arrs):
     """The CountingFormula of each arrangement of ``arrs``, in order.
 
-    The formulas of one batch share two tables, and each table's values
-    depend on its keys alone: the walk's divisor chains and all-zero term
-    keys, keyed by d_1..d_m (see _build_term_table), and the indicator
-    weights of each tuple of divisor pairs.  Inputs of one shape meet the
-    same keys again and again: the 18 rows of ``qcp conjecture-scan --type
-    B --rank 3 --k 2`` compute 5 chains and 3 expansions, where formulas of
-    their own compute 90 and 54.  Each table is emptied when it holds
-    _TABLE_CAP entries, so a long batch of large entries, which meets a new
-    key at most nodes, holds a bounded amount.  Each input walks alone; a
-    scan walks its central draws in lockstep instead (see _scan_formulas).
-    The trial divisions of each formula are charged to _FACTOR_BUDGET.
-    Every formula checks its divisor chains and, for central input, that
+    The arrangements are walked _TABLE_CAP at a time, in lockstep (see
+    _walks), so a long scan holds the walk state of at most _TABLE_CAP
+    draws.  The formulas of one call share two tables, and each table's
+    values depend on its keys alone: the walk's divisor chains and all-zero
+    term keys, keyed by d_1..d_m (see _new_chain), and the indicator weights
+    of each tuple of divisor pairs.  Inputs of one shape meet the same keys
+    again and again: the 18 rows of ``qcp conjecture-scan --type B --rank 3
+    --k 2`` compute 5 chains and 3 expansions, where formulas of their own
+    compute 90 and 54.  Each table is emptied when it holds _TABLE_CAP
+    entries, so a long batch of large entries, which meets a new key at most
+    nodes, holds a bounded amount.  An input's error is raised when its turn
+    comes, so the first failing input raises what its own formula would.
+    The trial divisions of each formula are charged to _FACTOR_BUDGET, and
+    every formula checks its divisor chains and, for central input, that
     its minimum period is its lcm period (see _expand).
     """
     chains: dict = {}
     by_pairs: dict[tuple, dict[int, int]] = {}
-    for arr in arrs:
-        yield _expand(arr, *_build_term_table(arr, chains), by_pairs)
-
-
-def _scan_formulas(arrs):
-    """The CountingFormula of each central arrangement of ``arrs``, in
-    order, from the lockstep walks of _central_walks and _expand, with the
-    tables of _formulas shared.  A draw's error is raised when its turn
-    comes, so the first failing draw raises what its own formula would.
-    """
-    chains: dict = {}
-    by_pairs: dict[tuple, dict[int, int]] = {}
-    for arr, walked in zip(arrs, _central_walks(arrs, chains)):
-        if isinstance(walked, Exception):
-            raise walked
-        yield _expand(arr, *walked, by_pairs)
+    arrs = iter(arrs)
+    while batch := list(islice(arrs, _TABLE_CAP)):
+        for arr, walked in zip(batch, _walks(batch, chains)):
+            if isinstance(walked, Exception):
+                raise walked
+            yield _expand(arr, *walked, by_pairs)
 
 
 def _expand(arr: ArrangementInput, terms: dict, rho: int, by_pairs: dict) -> CountingFormula:
@@ -1127,10 +1067,9 @@ def _check_scan_args(m: int, n: int, entry_bound: int, trials: int, seed: int) -
         raise ValidationError("trials must be nonnegative")
 
 
-def _central_draws(m: int, n: int, entry_bound: int, trials: int, seed: int) -> list:
-    """The sample of generate_central_inputs, unchecked."""
+def _central_draws(m: int, n: int, entry_bound: int, trials: int, seed: int):
+    """The sample of generate_central_inputs, unchecked, drawn as it is read."""
     rng = random.Random(seed)
-    out = []
     for _ in range(trials):
         cols = []
         for _ in range(n):
@@ -1139,8 +1078,7 @@ def _central_draws(m: int, n: int, entry_bound: int, trials: int, seed: int) -> 
                 if any(col):
                     break
             cols.append(col)
-        out.append(ArrangementInput(IntMatrix.from_columns(cols), (0,) * n))
-    return out
+        yield ArrangementInput(IntMatrix.from_columns(cols), (0,) * n)
 
 
 def generate_central_inputs(
@@ -1152,7 +1090,7 @@ def generate_central_inputs(
     are rejected and redrawn.  Same seed, same sample.
     """
     _check_scan_args(m, n, entry_bound, trials, seed)
-    return _central_draws(m, n, entry_bound, trials, seed)
+    return list(_central_draws(m, n, entry_bound, trials, seed))
 
 
 def central_scan(
@@ -1165,16 +1103,15 @@ def central_scan(
 ) -> None:
     """Check minimum period == lcm period on generate_central_inputs' draws.
 
-    The draws walk in lockstep, one walk per class count (see
-    _lockstep_walk), and their formulas are built in draw order from those
-    walks, sharing the divisor chains and indicator weights that earlier
-    draws computed (see _scan_formulas).  This is the one caller of the
-    lockstep walk; a single input walks alone, which is faster for it.  The
-    formula reads both periods off its weights, exactly for the huge lcm
-    periods random matrices routinely produce, and raises
-    InternalConsistencyError, naming the arrangement, on a central
-    collapse; a scan that returns (None) found none.  The first draw whose
-    walk or formula fails raises what its own formula would.
+    The draws are made as they are walked, and their formulas are built in
+    draw order by _formulas: _TABLE_CAP draws at a time walk in lockstep,
+    one walk per class count (see _lockstep_walk), sharing the divisor
+    chains and indicator weights that earlier draws computed.  The formula
+    reads both periods off its weights, exactly for the huge lcm periods
+    random matrices routinely produce, and raises InternalConsistencyError,
+    naming the arrangement, on a central collapse; a scan that returns
+    (None) found none.  The first draw whose walk or formula fails raises
+    what its own formula would.
     """
     _check_scan_args(m, n, entry_bound, trials, seed)
     _require_int("budget", budget, positive=True)
@@ -1190,5 +1127,5 @@ def central_scan(
         raise BudgetExceededError(
             f"scan needs up to {cost} subsets, over the budget of {budget}"
         )
-    for _ in _scan_formulas(_central_draws(m, n, entry_bound, trials, seed)):
+    for _ in _formulas(_central_draws(m, n, entry_bound, trials, seed)):
         pass  # building a formula checks minimum period == lcm period

@@ -1,7 +1,9 @@
 """Counting formula, periods, threshold, and report assembly."""
 
+import gc
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,14 +49,14 @@ from qcp import arrangement as arrangement_module
 from qcp.arrangement import (
     CONSTITUENT_BUDGET,
     _build_term_table,
-    _central_walks,
+    _central_draws,
     _det,
     _divisor_chain,
     _extend_determinantal,
     _formulas,
     _minors_gcd,
     _reduce_against,
-    _scan_formulas,
+    _walks,
     _whole_determinantal,
 )
 from qcp.cli import main
@@ -466,11 +468,10 @@ def test_central_walk_checks_each_divisor_chain_once(count_calls):
 def test_batch_matches_standalone_formulas(seed):
     # a batch shares chains and weights across draws, so a chain may come
     # from an earlier draw and must still raise the lcm period to its e_r;
-    # a scan's batch walks its draws in lockstep
+    # its draws walk in lockstep, here drawn as a scan draws them
     draws = generate_central_inputs(3, 6, 5, 60, seed)
     standalone = [CountingFormula.of(arr) for arr in draws]
-    assert list(_formulas(draws)) == standalone
-    assert list(_scan_formulas(draws)) == standalone
+    assert list(_formulas(_central_draws(3, 6, 5, 60, seed))) == standalone
 
 
 def test_batch_past_the_table_cap_matches(monkeypatch, count_calls):
@@ -478,12 +479,38 @@ def test_batch_past_the_table_cap_matches(monkeypatch, count_calls):
     standalone = [CountingFormula.of(arr) for arr in draws]
     calls = count_calls(arrangement_module, "_divisor_chain", "_indicator_weights")
     monkeypatch.setattr(arrangement_module, "_TABLE_CAP", 16)
-    for batch in (_formulas, _scan_formulas):  # a scan walks its draws in lockstep
-        calls.clear()
-        assert list(batch(draws)) == standalone
-        # emptied tables are filled again: more than an uncapped batch's 252 and 219
-        assert calls["_divisor_chain"] > 252
-        assert calls["_indicator_weights"] > 219
+    assert list(_formulas(draws)) == standalone
+    # emptied tables are filled again: more than an uncapped batch's 252 and 219
+    assert calls["_divisor_chain"] > 252
+    assert calls["_indicator_weights"] > 219
+
+
+def test_scan_walks_at_most_the_table_cap_per_batch(monkeypatch):
+    monkeypatch.setattr(arrangement_module, "_TABLE_CAP", 16)
+    lockstep_walk = arrangement_module._lockstep_walk
+    sizes = []
+
+    def spy(m, n, classes, floors, chains):
+        sizes.append(len(classes))
+        return lockstep_walk(m, n, classes, floors, chains)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrangement_module, "_lockstep_walk", spy)
+        central_scan(3, 6, 5, 100, 1)
+    assert sum(sizes) == 100 and max(sizes) <= 16
+
+    # draws are made as they are walked, so 4x the trials hold about as much;
+    # a full collection first empties the interpreter's free lists
+    def peak(trials):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            central_scan(3, 6, 5, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(256) <= 1.5 * peak(64)
 
 
 def test_factoring_is_charged_per_formula(monkeypatch):
@@ -603,16 +630,20 @@ def sublattice_arrangements(draw, max_n=6):
 
 
 @st.composite
-def central_batches(draw, min_draws=1, max_draws=6):
-    """Central draws as a scan makes them: one row count m in 1-4, entries
-    bounded by 1-5 and one column count n <= 8, with up to two columns of
-    each draw repeated, so that the draws of a batch have different class
-    counts.  Some draws take their columns from ``sublattice_columns``,
-    whose d_k stay above 1."""
+def batches(draw, min_draws=1, max_draws=6):
+    """Draws as a scan or a batch of formulas walks them: one row count m in
+    1-4, entries bounded by 1-5 and one column count n <= 8, with up to two
+    columns of each draw repeated, so that the draws of a batch have
+    different class counts.  Some draws take their columns from
+    ``sublattice_columns``, whose d_k stay above 1.  Some are central, and
+    the others have offsets in [-2, 2], half of them 0, so a repeated
+    column may carry several offsets and central and non-central draws of
+    one class count walk together."""
     m = draw(st.integers(1, 4))
     bound = draw(st.integers(1, 5))
     n = draw(st.integers(1, 8))
     column = st.lists(st.integers(-bound, bound), min_size=m, max_size=m).filter(any)
+    offset = st.one_of(st.just(0), st.integers(-2, 2))
     batch = []
     for _ in range(draw(st.integers(min_draws, max_draws))):
         if draw(st.booleans()):
@@ -621,42 +652,12 @@ def central_batches(draw, min_draws=1, max_draws=6):
             cols = [tuple(c) for c in draw(st.lists(column, min_size=n, max_size=n))]
             for _ in range(draw(st.integers(0, min(2, n - 1)))):
                 cols[draw(st.integers(0, n - 1))] = draw(st.sampled_from(cols))
-        batch.append(arrangement(cols, (0,) * len(cols)))
+        if draw(st.booleans()):
+            offsets = (0,) * len(cols)
+        else:
+            offsets = draw(st.lists(offset, min_size=len(cols), max_size=len(cols)))
+        batch.append(arrangement(cols, offsets))
     return batch
-
-
-def assert_lockstep_matches_each_walk(batch):
-    for arr, walked in zip(batch, _central_walks(batch, {})):
-        terms, rho = _build_term_table(arr)
-        assert walked == (terms, rho)
-        # in the walk's order: a formula's factoring budget is spent term by term
-        assert list(walked[0]) == list(terms)
-
-
-@given(central_batches())
-@settings(max_examples=60, deadline=None)
-def test_lockstep_walk_matches_each_walk(batch):
-    assert_lockstep_matches_each_walk(batch)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_lockstep_walk_matches_each_walk_on_scan_draws(seed):
-    assert_lockstep_matches_each_walk(generate_central_inputs(3, 6, 5, 60, seed))
-
-
-def offered_by_its_walk(arr):
-    """Subsets the walk of central ``arr`` offers: one extension of d_1..d_m each."""
-    spy = arrangement_module._extend_determinantal
-    offered = []
-
-    def counted(*args):
-        offered.append(1)
-        return spy(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arrangement_module, "_extend_determinantal", counted)
-        _build_term_table(arr)
-    return len(offered)
 
 
 def outcome(run):
@@ -667,29 +668,82 @@ def outcome(run):
         return type(exc), str(exc)
 
 
-@given(central_batches(min_draws=2).flatmap(
+def assert_each_draw_walks_as_alone(batch) -> list:
+    """Every draw of ``batch`` gets from one batch the term table (in
+    order), lcm period and error of its batch of one; returns the walks."""
+    walked = _walks(batch, {})
+    for arr, got in zip(batch, walked):
+        alone = outcome(lambda: _build_term_table(arr))
+        if isinstance(got, Exception):
+            got = type(got), str(got)
+        assert got == alone
+        if isinstance(alone[0], dict):
+            # in the walk's order: a formula's factoring budget is spent term by term
+            assert list(got[0]) == list(alone[0])
+    return walked
+
+
+# central and non-central draws of one shape: Shi and Linial of G2 (6
+# classes, up to 4 offsets each, so up to 4 live choices per node) and the
+# central arrangement of the same roots
+G2_ROOTS = RootSubset.full(positive_roots("G2", 2))
+G2_BATCH = [shi_matrix(G2_ROOTS, 1), shi_matrix(G2_ROOTS, 2), linial_matrix(G2_ROOTS, 2),
+            ArrangementInput(linial_matrix(G2_ROOTS, 1).cmatrix, (0,) * 6)]
+
+
+@given(batches())
+@example(G2_BATCH)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_walk_matches_each_walk(batch):
+    for arr, (terms, rho) in zip(batch, assert_each_draw_walks_as_alone(batch)):
+        assert terms == unpruned_term_table(arr)
+        assert rho == bases_lcm_period(arr.cmatrix)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_walk_matches_each_walk_on_scan_draws(seed):
+    assert_each_draw_walks_as_alone(generate_central_inputs(3, 6, 5, 60, seed))
+
+
+def offered_by_its_walk(arr):
+    """Subsets the walk of ``arr`` offers: the least WALK_BUDGET under which
+    it passes, found by bisection."""
+    low, high = 0, arrangement_module.WALK_BUDGET  # it raises at low, passes at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arrangement_module, "WALK_BUDGET", mid)
+            try:
+                _build_term_table(arr)
+                high = mid
+            except BudgetExceededError:
+                low = mid
+    return high
+
+
+@given(batches(min_draws=2).flatmap(
     lambda batch: st.tuples(st.just(batch), st.integers(1, len(batch) - 1))))
 @example((generate_central_inputs(3, 6, 5, 60, 1), 15))
+@example((G2_BATCH, 1))
+@example((G2_BATCH, 2))
 @settings(max_examples=40, deadline=None)
 def test_lockstep_walk_charges_each_draw_as_its_walk(case):
     batch, target = case
     offered = offered_by_its_walk(batch[target])
+
+    def alone():
+        return [CountingFormula.of(arr) for arr in batch]
+
     for budget in (offered, offered - 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(arrangement_module, "WALK_BUDGET", budget)
-            walked = _central_walks(batch, {})
-            for arr, got in zip(batch, walked):
-                if isinstance(got, Exception):
-                    got = type(got), str(got)
-                assert got == outcome(lambda: _build_term_table(arr))
+            walked = assert_each_draw_walks_as_alone(batch)
             assert isinstance(walked[target], tuple) == (budget == offered)
             # every collapse and refusal is raised in draw order, as one
             # formula after the other raises them
-            assert outcome(lambda: list(_scan_formulas(batch))) == outcome(
-                lambda: list(_formulas(batch)))
+            assert outcome(lambda: list(_formulas(batch))) == outcome(alone)
             patch.setattr(arrangement_module, "_indicator_weights", lambda pairs, spent: {1: 1})
-            assert outcome(lambda: list(_scan_formulas(batch))) == outcome(
-                lambda: list(_formulas(batch)))
+            assert outcome(lambda: list(_formulas(batch))) == outcome(alone)
 
 
 def test_scan_raises_an_earlier_collapse_before_a_later_refusal(monkeypatch):
@@ -774,9 +828,9 @@ def test_lcm_period_refuses_wide_central_roots_before_any_subset(monkeypatch, ty
     # every set of at most `rank` of the central positive roots is offered:
     # about 1.7 * 10^6, 7.7 * 10^5 and 5.3 * 10^13 subsets, past WALK_BUDGET
     def never(*args):
-        raise AssertionError("the walk offered a subset")
+        raise AssertionError("the walk started")
 
-    monkeypatch.setattr(arrangement_module, "_extend_determinantal", never)
+    monkeypatch.setattr(arrangement_module, "_lockstep_walk", never)
     cols = positive_roots(type_tag, rank).positive_roots
     with pytest.raises(BudgetExceededError, match="would offer at least .* WALK_BUDGET"):
         lcm_period(IntMatrix.from_columns(cols))
@@ -808,18 +862,24 @@ def test_walk_offers_at_least_its_up_front_bound(arr):
             _build_term_table(arr)
 
 
+def extend_one(cols, dets, chosen, idx, floor):
+    """_extend_determinantal for a batch of one draw with columns ``cols``."""
+    def minors(key):
+        return [_minors_gcd([cols[i] for i in key])]
+
+    now = _extend_determinantal([[dk] for dk in dets], chosen, idx, minors,
+                                [[low] for low in floor], [0])
+    return tuple(dk for (dk,) in now)
+
+
 def test_even_sum_determinantal_divisor_stays_two():
     cols = EVEN_SUM_4.cmatrix.columns()
-
-    def minor_gcd(key):
-        return _minors_gcd([cols[i] for i in key])
-
     floor = _whole_determinantal(cols, 4)
     assert floor == (1, 1, 1, 2)
     for low in (floor, (1,) * 4):
         chosen, dets = (), (0,) * 4
         for idx in range(len(cols)):
-            dets = _extend_determinantal(dets, chosen, idx, minor_gcd, low)
+            dets = extend_one(cols, dets, chosen, idx, low)
             chosen += (idx,)
         assert dets == (1, 1, 1, 2)
         assert _divisor_chain(dets) == (1, 1, 1, 2)
@@ -846,15 +906,12 @@ def test_chains_from_determinantal_divisors_match_smith(cols):
     whole = _whole_determinantal(cols, m)
     assert whole == tuple(minors_gcd(rows, k) for k in range(1, m + 1))
 
-    def minor_gcd(key):
-        return _minors_gcd([cols[i] for i in key])
-
     for floor in (whole, (1,) * m):
         stack = [((), (0,) * m)]
         while stack:
             chosen, dets = stack.pop()
             for idx in range(chosen[-1] + 1 if chosen else 0, len(cols)):
-                now = _extend_determinantal(dets, chosen, idx, minor_gcd, floor)
+                now = extend_one(cols, dets, chosen, idx, floor)
                 now_chosen = chosen + (idx,)
                 smith = _smith_divisors([[cols[j][i] for j in now_chosen] for i in range(m)])
                 assert _divisor_chain(now) == tuple(smith)

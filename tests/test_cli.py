@@ -603,9 +603,9 @@ def test_shi_refused_by_the_walk_before_any_subset(capsys, monkeypatch):
     # the parameters alone bound the walk at 882 subsets; the 30 classes of
     # D6, each with offset 0, show the walk at least 769,546 before it offers one
     def never(*args):
-        raise AssertionError("the walk offered a subset")
+        raise AssertionError("the walk started")
 
-    monkeypatch.setattr(arrangement, "_extend_determinantal", never)
+    monkeypatch.setattr(arrangement, "_lockstep_walk", never)
     code, payload = run_json(capsys, "shi", "--type", "D", "--rank", "6", "--k", "1")
     assert code == 1
     assert payload["kind"] == "budget"
