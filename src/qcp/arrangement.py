@@ -111,7 +111,7 @@ from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate, combinations, compress, islice, repeat
 from math import comb, gcd, lcm, prod
-from operator import eq, itemgetter, not_
+from operator import contains, eq, itemgetter, not_
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .intlinalg import IntMatrix, _require_int, _smith_divisors, _Value
@@ -548,15 +548,19 @@ def _walks(arrs, chains: dict) -> list:
     out: list = [None] * len(arrs)
     groups: dict = {}  # (rows, class count) -> (input index, classes, floors) per input
     for i, arr in enumerate(arrs):
-        by_class: dict[tuple[int, ...], list[int]] = {}  # column -> its distinct offsets
-        for c, b in zip(arr.cmatrix.columns(), arr.offsets):
-            bs = by_class.setdefault(c, [])
-            if b not in bs:
-                bs.append(b)
+        if arr.is_central:  # column -> its distinct offsets
+            by_class = dict.fromkeys(arr.cmatrix.columns(), (0,))
+        else:
+            by_class = {}
+            for c, b in zip(arr.cmatrix.columns(), arr.offsets):
+                bs = by_class.setdefault(c, [])
+                if b not in bs:
+                    bs.append(b)
         floor = _whole_determinantal(list(by_class), arr.m)
-        try:
-            _least_offered(arr.m - floor.count(0), [(1, len(bs)) for bs in by_class.values()],
-                           sum(0 in bs for bs in by_class.values()))
+        offsets = by_class.values()
+        try:  # one group per class, and the classes that hold offset 0
+            _least_offered(arr.m - floor.count(0), list(zip(repeat(1), map(len, offsets))),
+                           sum(map(contains, offsets, repeat(0))))
         except BudgetExceededError as exc:
             out[i] = exc
             continue
@@ -607,19 +611,25 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                              for c, floor in zip(cols, floors)]
         return g
 
-    central = not any(any(bs) for draw in classes for bs in draw.values())
-    # subsets a choice is offered before each class, and (off a central
-    # group) whether a class at that index or later has offset 0
+    central = not any(any(map(any, draw.values())) for draw in classes)
+    # subsets a choice is offered before each class, the most class sets
+    # with one offset choice each that a draw has, and (off a central group)
+    # whether a class at that index or later has offset 0
     if central:
         ends = [range(n + 1)] * size
+        most = (1 << n) - 1
     else:
         # (coefficient column, offsets, nonzero offsets, whether one is 0)
         classes = [[(c, bs, [b for b in bs if b], 0 in bs) for c, bs in draw.items()]
                    for draw in classes]
         ends = [list(accumulate((len(bs) for _, bs, _, _ in draw), initial=0))
                 for draw in classes]
+        most = max(prod(len(bs) + 1 for _, bs, _, _ in draw) for draw in classes) - 1
         zero_after = [[any(has_zero for *_, has_zero in draw[i:]) for i in range(n + 1)]
                       for draw in classes]
+    # a walk offers each class set with each offset choice at most once, so
+    # a group that cannot pass WALK_BUDGET is not charged
+    charged = most > WALK_BUDGET
     errors: dict[int, Exception] = {}
     offered = [0] * size
     tally: Counter = Counter()  # (draw, term key, |J| even) -> class sets J
@@ -633,7 +643,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
         start, chosen, alive, dets, low, lows, zeros, lives = stack.pop()
         cuts: dict[int, list[int]] = {}  # class -> draws whose walk raises there
         # width x offsets per class, the width being 1 in a central group
-        charges = repeat(n - start) if central else [
+        charges = () if not charged else repeat(n - start) if central else [
             (zero + len(live)) * (ends[d][n] - ends[d][start])
             for d, zero, live in zip(alive, zeros, lives)]
         for d, charge in zip(alive, charges):
@@ -693,11 +703,12 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                             errors.setdefault(here[j], exc)
                             found[j] = (None, None)
             saturated = list(map(eq, keys, here_lows))
+            some = any(saturated)
             # below a saturated J the subtree of a choice is J + S over the
             # subsets S of the classes that extend it, all with J's key: it
             # sums to J's term when no later class extends it, else to 0.
             # The all-zero choice is extended only by a later offset 0.
-            if idx == n - 1 or not any(saturated):
+            if idx == n - 1 or not some:
                 lane = now_zero
             elif central:
                 lane = list(map(not_, saturated))
@@ -710,12 +721,10 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             else:
                 tally.update(zip(compress(here, lane), compress(zero_keys, lane), repeat(even)))
             now_chosen = chosen + (idx,)
-            for j, choices in enumerate(kept or ()):
+            for j, choices in enumerate(kept) if kept else ():
                 es = found[j][0]
-                if not choices or es is None:
-                    continue
                 d = here[j]
-                for offs, a_basis in choices:
+                for offs, a_basis in choices if es else ():
                     if saturated[j] and any(_reduce_against(a_basis, c + (b,)) is None
                                             for c, bs, _, _ in classes[d][idx + 1:] for b in bs):
                         continue
@@ -731,9 +740,9 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                         ))
                         continue
                     tally[d, (len(es), tuple(p for p in zip(es, eps) if p != (1, 1))), even] += 1
-            if idx == n - 1 or all(saturated):
+            if idx == n - 1 or some and all(saturated):
                 continue
-            if any(saturated):  # a saturated draw leaves the alive list
+            if some:  # a saturated draw leaves the alive list
                 stack.append((idx + 1, now_chosen, *_narrow(list(map(not_, saturated)), here,
                                                             now, here_low, here_lows, now_zero,
                                                             kept)))
