@@ -548,7 +548,8 @@ def _walks(arrs, chains: dict) -> list:
     out: list = [None] * len(arrs)
     groups: dict = {}  # (rows, class count) -> (input index, classes, floors) per input
     for i, arr in enumerate(arrs):
-        if arr.is_central:  # column -> its distinct offsets
+        # column -> its distinct offsets; central input has offset 0 alone
+        if arr.is_central:
             by_class = dict.fromkeys(arr.cmatrix.columns(), (0,))
         else:
             by_class = {}
@@ -597,7 +598,8 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
     Each draw is charged what its own walk is offered, width x offsets per
     joining class, the width being its live choices with the all-zero one;
     past WALK_BUDGET it leaves the walk, at the class where its own walk
-    raises, with that walk's error.  A draw whose chain or stacked rank is
+    raises, with that walk's error.  A group none of whose draws can pass
+    WALK_BUDGET is not charged.  A draw whose chain or stacked rank is
     inconsistent keeps walking, but only the first error it meets is kept.
     """
     size = len(classes)
@@ -721,7 +723,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             else:
                 tally.update(zip(compress(here, lane), compress(zero_keys, lane), repeat(even)))
             now_chosen = chosen + (idx,)
-            for j, choices in enumerate(kept) if kept else ():
+            for j, choices in enumerate(kept or ()):
                 es = found[j][0]
                 d = here[j]
                 for offs, a_basis in choices if es else ():
@@ -740,18 +742,19 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                         ))
                         continue
                     tally[d, (len(es), tuple(p for p in zip(es, eps) if p != (1, 1))), even] += 1
-            if idx == n - 1 or some and all(saturated):
+            if idx == n - 1:
                 continue
-            if some:  # a saturated draw leaves the alive list
+            if not some:
+                stack.append((idx + 1, now_chosen, here, now, here_low, here_lows, now_zero,
+                              kept))
+            elif not all(saturated):  # a saturated draw leaves the alive list
                 stack.append((idx + 1, now_chosen, *_narrow(list(map(not_, saturated)), here,
                                                             now, here_low, here_lows, now_zero,
                                                             kept)))
-            else:
-                stack.append((idx + 1, now_chosen, here, now, here_low, here_lows, now_zero,
-                              kept))
     tables: list[dict] = [{} for _ in range(size)]
     for (d, key, even), count in tally.items():
-        tables[d][key] = tables[d].get(key, 0) + (count if even else -count)
+        table = tables[d]
+        table[key] = table.get(key, 0) + (count if even else -count)
     out: list = []
     for d, (floor, table) in enumerate(zip(floors, tables)):
         if d in errors:
