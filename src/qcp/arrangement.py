@@ -72,15 +72,12 @@ WALK_BUDGET: the central positive roots of A12 need at least 5.3 * 10^13.
 
 Inputs walk in batches, in lockstep (see _lockstep_walk): those with the
 same rows and class count share one depth-first search over class-index
-tuples, and a single input is a batch of one.  The loop over classes, the
-subsets of the chosen classes and the minor keys are paid once per node,
-and each node carries the d_1..d_m of the inputs alive under it as
-columns, each updated by one map(gcd) per minor key, with each one's live
-offset choices.  Every rule above holds input by input, so each gets the
-term table, lcm period and error of a walk of its own.  The 60 draws of
-``qcp scan-central --m 3 --n 6 --entry-bound 5 --trials 60 --seed 1`` all
-have 6 classes: they share 63 class-index tuples, 32 of them nodes with
-children, where walks of their own visit 3,485 class sets.
+tuples, and a single input is a batch of one.  Every rule above holds
+input by input, so each gets the term table, lcm period and error of a
+walk of its own.  The 60 draws of ``qcp scan-central --m 3 --n 6
+--entry-bound 5 --trials 60 --seed 1`` all have 6 classes: they share 63
+class-index tuples, 32 of them nodes with children, where walks of their
+own visit 3,485 class sets.
 
 The lcm period needs Smith forms of bases only (the basis lemma).  For
 independent column sets I within J, the torsion of I's lattice embeds in
@@ -364,22 +361,16 @@ def _whole_determinantal(columns, m: int) -> tuple[int, ...]:
 
 
 def _extend_determinantal(dets, chosen, idx, minors, low, alive) -> list:
-    """Determinantal divisors of C_J after class ``idx`` joins J = ``chosen``,
-    for each of the ``alive`` draws of a lockstep walk (see _lockstep_walk).
+    """Determinantal divisors d_1..d_m of C_J after class ``idx`` joins
+    J = ``chosen``, for each of the ``alive`` draws of a lockstep walk (see
+    the module docstring for the rule).
 
-    ``dets`` holds d_1..d_m of C_J as m columns over the alive draws, d_k
-    being the gcd of all k x k minors (0 above the rank).  The minors new to
-    J + idx are those on a column set K + idx, K a (k-1)-subset of J, so
-    d_k <- gcd(d_k, g(K + idx)) over those K, one map(gcd) over the alive
-    draws per K; ``minors`` gives g of a sorted tuple of class indices as
-    one value per draw of the walk.
-
-    ``low`` holds, as columns too, each draw's d_1..d_m of a matrix with
-    every column its walk can add (see _whole_determinantal).  Its minors
-    include those of every C_J, so its d_k divides C_J's; once d_k reaches
-    it (1 in the common case, 0 above the whole rank) it stays there in
-    every superset.  So a d_k is skipped, and its scan of K stops, once
-    every alive draw's d_k is at its floor.
+    ``dets`` and ``low`` hold, as m columns over the alive draws, the d_k of
+    C_J and the floors, each draw's d_k of its whole matrix.  Each
+    (k-1)-subset K of J costs one map(gcd) over the alive draws, with
+    ``minors`` giving g(K + idx) of a sorted tuple of class indices as one
+    value per draw of the walk.  A d_k is skipped, and its scan of K stops,
+    once every alive draw's d_k is at its floor.
     """
     now = list(dets)
     for k in range(min(len(chosen) + 1, len(dets))):
@@ -711,19 +702,16 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             # sums to J's term when no later class extends it, else to 0.
             # The all-zero choice is extended only by a later offset 0.
             if idx == n - 1 or not some:
-                lane = now_zero
+                lane = now_zero or repeat(True)
             elif central:
                 lane = list(map(not_, saturated))
             else:
                 lane = [z and not (s and zero_after[d][idx + 1])
                         for d, z, s in zip(here, now_zero, saturated)]
-            zero_keys = map(itemgetter(1), found)
-            if lane is None:
-                tally.update(zip(here, zero_keys, repeat(even)))
-            else:
-                tally.update(zip(compress(here, lane), compress(zero_keys, lane), repeat(even)))
+            tally.update(zip(compress(here, lane), compress(map(itemgetter(1), found), lane),
+                             repeat(even)))
             now_chosen = chosen + (idx,)
-            for j, choices in enumerate(kept or ()):
+            for j, choices in enumerate(kept) if kept else ():
                 es = found[j][0]
                 d = here[j]
                 for offs, a_basis in choices if es else ():
