@@ -528,13 +528,11 @@ def _walks(arrs, chains: dict) -> list:
     """The (term table, lcm period) of each arrangement of ``arrs``, or the
     error its walk raises, in order.
 
-    Each input's classes are its distinct coefficient columns, each with
-    the offsets it carries (identical stacked columns deduplicated); its
-    floors, the d_1..d_m of its whole coefficient matrix, come from one
-    Smith form (_whole_determinantal), and _least_offered may refuse it
-    before any walk.  The inputs with the same rows and class count then
-    walk their class sets in lockstep (see _lockstep_walk), with ``chains``
-    the batch's table of divisor chains (see _formulas).
+    An input's classes are its distinct coefficient columns with their
+    distinct offsets, its floors come from one Smith form
+    (_whole_determinantal), and _least_offered may refuse it before any
+    walk.  The inputs with the same rows and class count walk in lockstep
+    (see _lockstep_walk), sharing ``chains`` (see _formulas).
     """
     out: list = [None] * len(arrs)
     groups: dict = {}  # (rows, class count) -> (input index, classes, floors) per input
@@ -702,14 +700,17 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             # sums to J's term when no later class extends it, else to 0.
             # The all-zero choice is extended only by a later offset 0.
             if idx == n - 1 or not some:
-                lane = now_zero or repeat(True)
+                lane = now_zero
             elif central:
                 lane = list(map(not_, saturated))
             else:
                 lane = [z and not (s and zero_after[d][idx + 1])
                         for d, z, s in zip(here, now_zero, saturated)]
-            tally.update(zip(compress(here, lane), compress(map(itemgetter(1), found), lane),
-                             repeat(even)))
+            zero_keys = map(itemgetter(1), found)
+            if lane is None:  # every draw of a central group
+                tally.update(zip(here, zero_keys, repeat(even)))
+            else:
+                tally.update(zip(compress(here, lane), compress(zero_keys, lane), repeat(even)))
             now_chosen = chosen + (idx,)
             for j, choices in enumerate(kept) if kept else ():
                 es = found[j][0]
