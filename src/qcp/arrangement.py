@@ -368,9 +368,9 @@ def _extend_determinantal(dets, chosen, idx, minors, low, alive) -> list:
     ``dets`` and ``low`` hold, as m columns over the alive draws, the d_k of
     C_J and the floors, each draw's d_k of its whole matrix.  Each
     (k-1)-subset K of J costs one map(gcd) over the alive draws, with
-    ``minors`` giving g(K + idx) of a sorted tuple of class indices as one
-    value per draw of the walk.  A d_k is skipped, and its scan of K stops,
-    once every alive draw's d_k is at its floor.
+    ``minors`` (a _MinorGcds) giving g(K + idx) for every draw of the walk.
+    A d_k is skipped, and its scan of K stops, once every alive draw's d_k
+    is at its floor.
     """
     now = list(dets)
     for k in range(min(len(chosen) + 1, len(dets))):
@@ -378,11 +378,26 @@ def _extend_determinantal(dets, chosen, idx, minors, low, alive) -> list:
         if dk == low[k]:
             continue
         for sub in combinations(chosen, k):
-            dk = list(map(gcd, dk, map(minors(sub + (idx,)).__getitem__, alive)))
+            dk = list(map(gcd, dk, map(minors[sub + (idx,)].__getitem__, alive)))
             if dk == low[k]:
                 break
         now[k] = dk
     return now
+
+
+class _MinorGcds(dict):
+    """g(K) of sorted class-index tuples K for each draw of a lockstep walk,
+    the gcd of the |K| x |K| minors of K's columns (see _minors_gcd), read
+    at the first lookup of K; 0 for a draw whose rank is below |K|."""
+
+    def __init__(self, cols, floors):
+        super().__init__()
+        self.cols, self.floors = cols, floors
+
+    def __missing__(self, key):
+        self[key] = g = [_minors_gcd([c[i] for i in key]) if floor[len(key) - 1] else 0
+                         for c, floor in zip(self.cols, self.floors)]
+        return g
 
 
 def _divisor_chain(dets) -> tuple[int, ...]:
@@ -573,9 +588,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
     columns (see _extend_determinantal), whether each one's all-zero choice
     is live, and its other live choices as (offsets, stacked basis).  The
     loop over joining classes, the (k-1)-subsets K and the minor keys are
-    paid once per node.  A minor key's gcd is memoised as one value per
-    draw, computed at the first node that asks for every draw whose rank
-    reaches the key's size (each draw's own walk asks for every such key).
+    paid once per node, and the minor gcds once per walk (_MinorGcds).
     Every rule of the module docstring holds draw by draw: a draw leaves
     the alive list below a class that leaves it no live choice, and below a
     saturated class set.  A group whose draws all have zero offsets only
@@ -593,15 +606,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
     """
     size = len(classes)
     cols = [list(draw) for draw in classes]
-    memo: dict[tuple[int, ...], list[int]] = {}
-
-    def minors(key):
-        g = memo.get(key)
-        if g is None:
-            g = memo[key] = [_minors_gcd([c[i] for i in key]) if floor[len(key) - 1] else 0
-                             for c, floor in zip(cols, floors)]
-        return g
-
+    minors = _MinorGcds(cols, floors)
     central = not any(any(map(any, draw.values())) for draw in classes)
     # subsets a choice is offered before each class, the most class sets
     # with one offset choice each that a draw has, and (off a central group)
@@ -944,19 +949,16 @@ def _formulas(arrs):
 
     The arrangements are walked _TABLE_CAP at a time, in lockstep (see
     _walks), so a long scan holds the walk state of at most _TABLE_CAP
-    draws.  The formulas of one call share two tables, and each table's
-    values depend on its keys alone: the walk's divisor chains and all-zero
-    term keys, keyed by d_1..d_m (see _new_chain), and the indicator weights
-    of each tuple of divisor pairs.  Inputs of one shape meet the same keys
-    again and again: the 18 rows of ``qcp conjecture-scan --type B --rank 3
-    --k 2`` compute 5 chains and 3 expansions, where formulas of their own
-    compute 90 and 54.  Each table is emptied when it holds _TABLE_CAP
-    entries, so a long batch of large entries, which meets a new key at most
-    nodes, holds a bounded amount.  An input's error is raised when its turn
-    comes, so the first failing input raises what its own formula would.
-    The trial divisions of each formula are charged to _FACTOR_BUDGET, and
-    every formula checks its divisor chains and, for central input, that
-    its minimum period is its lcm period (see _expand).
+    draws.  The formulas share two tables whose values depend on their keys
+    alone: the walk's divisor chains by d_1..d_m (see _new_chain) and the
+    indicator weights of each tuple of divisor pairs.  The 18 rows of ``qcp
+    conjecture-scan --type B --rank 3 --k 2`` compute 5 chains and 3
+    expansions, where formulas of their own compute 90 and 54.  Each table
+    is emptied at _TABLE_CAP entries, so a long batch of large entries holds
+    a bounded amount.  An input's error is raised when its turn comes, as
+    its own formula would raise it.  Each formula's trial divisions are
+    charged to _FACTOR_BUDGET, and it checks its divisor chains and, for
+    central input, that its minimum period is its lcm period (see _expand).
     """
     chains: dict = {}
     by_pairs: dict[tuple, dict[int, int]] = {}

@@ -54,6 +54,7 @@ from qcp.arrangement import (
     _divisor_chain,
     _extend_determinantal,
     _formulas,
+    _MinorGcds,
     _minors_gcd,
     _reduce_against,
     _walks,
@@ -864,10 +865,7 @@ def test_walk_offers_at_least_its_up_front_bound(arr):
 
 def extend_one(cols, dets, chosen, idx, floor):
     """_extend_determinantal for a batch of one draw with columns ``cols``."""
-    def minors(key):
-        return [_minors_gcd([cols[i] for i in key])]
-
-    now = _extend_determinantal([[dk] for dk in dets], chosen, idx, minors,
+    now = _extend_determinantal([[dk] for dk in dets], chosen, idx, _MinorGcds([cols], [floor]),
                                 [[low] for low in floor], [0])
     return tuple(dk for (dk,) in now)
 
