@@ -108,7 +108,7 @@ from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate, combinations, compress, islice, repeat
 from math import comb, gcd, lcm, prod
-from operator import contains, eq, itemgetter, not_
+from operator import eq, itemgetter, not_
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .intlinalg import IntMatrix, _require_int, _smith_divisors, _Value
@@ -552,20 +552,22 @@ def _walks(arrs, chains: dict) -> list:
     out: list = [None] * len(arrs)
     groups: dict = {}  # (rows, class count) -> (input index, classes, floors) per input
     for i, arr in enumerate(arrs):
-        # column -> its distinct offsets; central input has offset 0 alone
+        # column -> its distinct offsets; _least_offered's (classes, offsets)
+        # pairs, one per class, and the classes that hold offset 0
         if arr.is_central:
             by_class = dict.fromkeys(arr.cmatrix.columns(), (0,))
+            pairs, zeros = [(1, 1)] * len(by_class), len(by_class)
         else:
             by_class = {}
             for c, b in zip(arr.cmatrix.columns(), arr.offsets):
                 bs = by_class.setdefault(c, [])
                 if b not in bs:
                     bs.append(b)
+            pairs = [(1, len(bs)) for bs in by_class.values()]
+            zeros = sum(0 in bs for bs in by_class.values())
         floor = _whole_determinantal(list(by_class), arr.m)
-        offsets = by_class.values()
-        try:  # one group per class, and the classes that hold offset 0
-            _least_offered(arr.m - floor.count(0), list(zip(repeat(1), map(len, offsets))),
-                           sum(map(contains, offsets, repeat(0))))
+        try:
+            _least_offered(arr.m - floor.count(0), pairs, zeros)
         except BudgetExceededError as exc:
             out[i] = exc
             continue
@@ -600,17 +602,16 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
     Each draw is charged what its own walk is offered, width x offsets per
     joining class, the width being its live choices with the all-zero one;
     past WALK_BUDGET it leaves the walk, at the class where its own walk
-    raises, with that walk's error.  A group none of whose draws can pass
-    WALK_BUDGET is not charged.  A draw whose chain or stacked rank is
-    inconsistent keeps walking, but only the first error it meets is kept.
+    raises, with that walk's error, and a group that cannot pass it is not
+    charged.  A draw whose chain or stacked rank is inconsistent keeps
+    walking, but only the first error it meets is kept.
     """
     size = len(classes)
     cols = [list(draw) for draw in classes]
     minors = _MinorGcds(cols, floors)
     central = not any(any(map(any, draw.values())) for draw in classes)
-    # subsets a choice is offered before each class, the most class sets
-    # with one offset choice each that a draw has, and (off a central group)
-    # whether a class at that index or later has offset 0
+    # subsets a choice is offered before each class, the most (class set,
+    # offset choice) pairs of a draw, and whether a later class has offset 0
     if central:
         ends = [range(n + 1)] * size
         most = (1 << n) - 1
@@ -623,9 +624,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
         most = max(prod(len(bs) + 1 for _, bs, _, _ in draw) for draw in classes) - 1
         zero_after = [[any(has_zero for *_, has_zero in draw[i:]) for i in range(n + 1)]
                       for draw in classes]
-    # a walk offers each class set with each offset choice at most once, so
-    # a group that cannot pass WALK_BUDGET is not charged
-    charged = most > WALK_BUDGET
+    charged = most > WALK_BUDGET  # a walk offers each pair at most once
     errors: dict[int, Exception] = {}
     offered = [0] * size
     tally: Counter = Counter()  # (draw, term key, |J| even) -> class sets J
