@@ -646,8 +646,9 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             if offered[d] > WALK_BUDGET:  # at the first class past the budget
                 end = ends[d]
                 width = charge // (end[n] - end[start])
-                spare = WALK_BUDGET - offered[d] + charge
-                cuts.setdefault(bisect_right(end, end[start] + spare // width) - 1, []).append(d)
+                spare = WALK_BUDGET - offered[d] + charge  # < 0: it passed it before this node
+                cut = bisect_right(end, end[start] + spare // width) - 1
+                cuts.setdefault(max(start, cut), []).append(d)
         even = len(chosen) % 2  # |J| = len(chosen) + 1 is even: sign +1
         zero_bases: dict[int, list] = {}  # draw -> its all-zero choice's stacked basis
         for idx in range(start, n):

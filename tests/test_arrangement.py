@@ -4,6 +4,7 @@ import gc
 import json
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -814,14 +815,56 @@ def test_lcm_period_matches_bases_lcm_period(arr):
     assert lcm_period(arr.cmatrix) == bases_lcm_period(arr.cmatrix)
 
 
+def count_extensions(monkeypatch, budget: int) -> Counter:
+    """Patch WALK_BUDGET to ``budget`` and count, per draw, the class sets
+    whose d_k the walk extends."""
+    monkeypatch.setattr(arrangement_module, "WALK_BUDGET", budget)
+    extend = arrangement_module._extend_determinantal
+    extended: Counter = Counter()
+
+    def counting(dets, chosen, idx, minors, low, alive):
+        extended.update(alive)
+        return extend(dets, chosen, idx, minors, low, alive)
+
+    monkeypatch.setattr(arrangement_module, "_extend_determinantal", counting)
+    return extended
+
+
+# no pair of the columns (1, 2i) has an odd determinant, so no class set
+# saturates before (1, 3), the last class, joins: the walk offers every
+# subset of the first eleven
+EVEN_PAIRS = [(1, 2 * i) for i in range(11)] + [(1, 3)]
+
+
 def test_lcm_period_stops_at_the_walk_budget(monkeypatch):
-    # no pair of the columns (1, 2i) has an odd determinant, so no class set
-    # saturates before (1, 3), the last class, joins: the walk offers every
-    # subset of the first eleven
-    cols = [(1, 2 * i) for i in range(11)] + [(1, 3)]
-    monkeypatch.setattr(arrangement_module, "WALK_BUDGET", 1_000)
+    extended = count_extensions(monkeypatch, 1_000)
     with pytest.raises(BudgetExceededError, match="WALK_BUDGET"):
-        lcm_period(IntMatrix.from_columns(cols))
+        lcm_period(IntMatrix.from_columns(EVEN_PAIRS))
+    # the walk stops at the first class set past the budget, not after
+    # every node already on its stack
+    assert 0 < extended[0] <= 1_000
+
+
+@pytest.mark.parametrize("offsets", [(0, 1), (1, 2)])
+def test_walk_with_offsets_stops_at_the_walk_budget(monkeypatch, offsets):
+    extended = count_extensions(monkeypatch, 1_000)
+    cols = [c for c in EVEN_PAIRS for _ in offsets]
+    with pytest.raises(BudgetExceededError, match="WALK_BUDGET"):
+        _build_term_table(ArrangementInput(IntMatrix.from_columns(cols), offsets * 12))
+    assert 0 < extended[0] <= 1_000
+
+
+def test_lockstep_draw_stops_at_the_walk_budget(monkeypatch):
+    # a draw past the budget leaves the walk while the draw beside it, of
+    # the same shape, walks on to its own table
+    small = ArrangementInput(IntMatrix.from_columns([(1, i) for i in range(12)]), (0,) * 12)
+    alone = _build_term_table(small)
+    extended = count_extensions(monkeypatch, 1_000)
+    wide = ArrangementInput(IntMatrix.from_columns(EVEN_PAIRS), (0,) * 12)
+    refused, walked = _walks([wide, small], {})
+    assert isinstance(refused, BudgetExceededError)
+    assert walked == alone
+    assert 0 < extended[0] <= 1_000
 
 
 @pytest.mark.parametrize("type_tag, rank", [("A", 7), ("D", 6), ("A", 12)])
