@@ -554,7 +554,7 @@ def _walks(arrs, chains: dict) -> list:
     for i, arr in enumerate(arrs):
         # column -> its distinct offsets; _least_offered's (classes, offsets)
         # pairs, one per class, and the classes that hold offset 0
-        if arr.is_central:
+        if arr.is_central:  # no loop: it costs a central-scan pass about 1%
             by_class = dict.fromkeys(arr.cmatrix.columns(), (0,))
             pairs, zeros = [(1, 1)] * len(by_class), len(by_class)
         else:
@@ -624,7 +624,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
         most = max(prod(len(bs) + 1 for _, bs, _, _ in draw) for draw in classes) - 1
         zero_after = [[any(has_zero for *_, has_zero in draw[i:]) for i in range(n + 1)]
                       for draw in classes]
-    charged = most > WALK_BUDGET  # a walk offers each pair at most once
+    charged = most > WALK_BUDGET  # else no draw can pass it, and charging costs central-scan 1%
     errors: dict[int, Exception] = {}
     offered = [0] * size
     tally: Counter = Counter()  # (draw, term key, |J| even) -> class sets J
@@ -645,10 +645,9 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             offered[d] += charge
             if offered[d] > WALK_BUDGET:  # at the first class past the budget
                 end = ends[d]
-                width = charge // (end[n] - end[start])
-                spare = WALK_BUDGET - offered[d] + charge  # < 0: it passed it before this node
-                cut = bisect_right(end, end[start] + spare // width) - 1
-                cuts.setdefault(max(start, cut), []).append(d)
+                # offsets it may still be offered here, < 0 if it passed the budget before
+                left = (WALK_BUDGET - offered[d] + charge) * (end[n] - end[start]) // charge
+                cuts.setdefault(max(start, bisect_right(end, end[start] + left) - 1), []).append(d)
         even = len(chosen) % 2  # |J| = len(chosen) + 1 is even: sign +1
         zero_bases: dict[int, list] = {}  # draw -> its all-zero choice's stacked basis
         for idx in range(start, n):
