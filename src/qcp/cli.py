@@ -127,27 +127,30 @@ def _parse_root_csv(text: str) -> tuple[int, ...]:
 
 
 def _cmd_root_arrangement(args):
-    """``shi`` or ``linial``: ``args.builder`` makes the arrangement from the
-    root subset and ``args.param`` ("k" or "n") names its parameter."""
+    """``shi`` or ``linial``: ``shi_matrix`` with parameter k, or
+    ``linial_matrix`` with n, makes the arrangement from the root subset.
+    The builder is looked up when the command runs, not bound into the
+    parser, which is built once."""
     _check_type_and_rank(args.type, args.rank)
+    builder, param = (shi_matrix, "k") if args.command == "shi" else (linial_matrix, "n")
     excluded = None if args.exclude_root is None else _parse_root_csv(args.exclude_root)
-    value = getattr(args, args.param)
+    value = getattr(args, param)
     # Shi has the 2k offsets 1-k..k per root, Linial the n offsets 1..n
-    offsets = 2 * value if args.param == "k" else value
+    offsets = 2 * value if param == "k" else value
     _least_offered(args.rank, [(_root_classes(args.rank, excluded is not None), offsets)])
     system = positive_roots(args.type, args.rank)
     if excluded is None:
         subset = RootSubset.full(system)
     else:
         subset = RootSubset.excluding(system, excluded)
-    payload, lines, code = _report_payload(args.builder(subset, value), args.format)
+    payload, lines, code = _report_payload(builder(subset, value), args.format)
     payload[args.command] = {
         "type": args.type,
         "rank": args.rank,
-        args.param: value,
+        param: value,
         "excluded_root": None if excluded is None else list(excluded),
     }
-    lines = [f"{args.command}: type={args.type} rank={args.rank} {args.param}={value} "
+    lines = [f"{args.command}: type={args.type} rank={args.rank} {param}={value} "
              f"excluded={args.exclude_root or '-'}"] + lines
     return payload, lines, code
 
@@ -292,7 +295,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--exclude-root", default=None,
                    help="comma-separated coefficients of one positive root to drop")
     _add_format(p)
-    p.set_defaults(handler=_cmd_root_arrangement, builder=shi_matrix, param="k")
+    p.set_defaults(handler=_cmd_root_arrangement)
 
     p = subs.add_parser("linial",
                         help="extended Linial arrangement of a root subset")
@@ -301,7 +304,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exclude-root", default=None)
     _add_format(p)
-    p.set_defaults(handler=_cmd_root_arrangement, builder=linial_matrix, param="n")
+    p.set_defaults(handler=_cmd_root_arrangement)
 
     p = subs.add_parser("scan-central",
                         help="randomized minimum-vs-lcm period scan on central input")
@@ -334,6 +337,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_verify)
 
     return parser
+
+
+# Built once per process: a parse reads the tree and changes nothing in it, so
+# every main call gets a fresh namespace and is independent of the last.
+_PARSER = _build_parser()
 
 
 def _requested_format(argv: list[str]) -> str:
@@ -373,10 +381,9 @@ def _error_text(fmt: str, kind: str, exc: Exception) -> str:
 
 def _run(argv: list[str]) -> tuple[str, int]:
     """Standard output and exit code of one command line."""
-    parser = _build_parser()
     fmt = _requested_format(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         fmt = getattr(args, "format", "text")
         payload, lines, code = args.handler(args)
     except ValidationError as exc:

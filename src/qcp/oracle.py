@@ -69,16 +69,27 @@ def _classes_mod(classes, m: int, q: int) -> dict[tuple[int, ...], set[int]]:
     and every class whose last coefficient c is a unit multiplied by c^-1,
     which keeps its point set and makes c 1.  Classes that then share a
     column are merged.  Neither step changes the count."""
-    reduced = [(tuple(c % q for c in col), offs) for col, offs in classes]
-    last = max(range(m), key=lambda i: (
-        sum(col[i] == 0 or gcd(col[i], q) == 1 for col, _ in reduced), i))
-    order = [i for i in range(m) if i != last] + [last]
+    reduced = []
+    score = [0] * m  # per axis, the classes whose coefficient is 0 or a unit
+    for col, offs in classes:
+        col = [c % q for c in col]
+        for i, c in enumerate(col):
+            if c == 0 or gcd(c, q) == 1:
+                score[i] += 1
+        reduced.append((col, offs))
+    last = m - 1 - score[::-1].index(max(score))  # the highest axis of best score
     merged: dict[tuple[int, ...], set[int]] = {}
     for col, offs in reduced:
-        col = [col[i] for i in order]
-        scale = pow(col[-1], -1, q) if gcd(col[-1], q) == 1 else 1
-        merged.setdefault(tuple(c * scale % q for c in col), set()).update(
-            b % q * scale % q for b in offs)
+        if last != m - 1:
+            col.append(col.pop(last))
+        c = col[-1]
+        if c != 1 and gcd(c, q) == 1:
+            scale = pow(c, -1, q)
+            col = [a * scale % q for a in col]
+            bs = {b * scale % q for b in offs}
+        else:
+            bs = {b % q for b in offs}
+        merged.setdefault(tuple(col), set()).update(bs)
     return merged
 
 
@@ -113,17 +124,22 @@ def _count_vectorized(classes, m: int, q: int) -> int:
     merged = _classes_mod(classes, m, q)
     # The k-th class's table is off[k*m*q + v] for v in [0, m*q): False
     # exactly when v is congruent to one of its offsets.  u + r_last lies in
-    # [0, m(q-1)], inside the table.  One assignment builds every table.
-    off = np.ones(len(merged) * m * q, dtype=bool)
-    off[[(k * m + t) * q + b for k, offs in enumerate(merged.values())
-         for b in offs for t in range(m)]] = False
+    # [0, m(q-1)], inside the table.  Each offset b clears the m entries
+    # b, b + q, ..., one step of q apart, by one slice of a bytearray.
+    span = m * q
+    table = bytearray(b"\x01") * (len(merged) * span)
+    cleared = bytes(m)
+    for start, offs in zip(range(0, len(table), span), merged.values()):
+        for b in offs:
+            table[start + b:start + span:q] = cleared
+    off = np.frombuffer(table, dtype=bool)
     off.flags.writeable = False
     tables = []
     for k, col in enumerate(merged):
         # Row u of the windows is the class's table from u to u + q - 1, for
         # u in [0, (m-1)q]: a read-only view that copies nothing (numpy
         # checks that it stays inside off).
-        windows = np.ndarray(((m - 1) * q + 1, q), dtype=bool, buffer=off, offset=k * m * q,
+        windows = np.ndarray(((m - 1) * q + 1, q), dtype=bool, buffer=off, offset=k * span,
                              strides=(1, 1))
         # Entries and coordinates are below q, and brute_force_count admits
         # only (q - 1)^2 < 2^63, so each product fits int64.

@@ -20,6 +20,10 @@ walks the independent column sets only and runs Smith on bases alone.  Its
 rank is the length of the library's ``_echelon`` basis; qcp itself takes
 ranks from determinantal divisors.
 
+``alcove_count`` counts the lattice points of a dilated open fundamental
+alcove, which gives the count of central and Catalan root-system input in
+closed form (Kamiya–Takemura–Terao; Athanasiadis).
+
 ``euler_phi``, ``divisors``, ``with_period`` and ``roots_of_length`` are
 small helpers that only tests need, and the ``count_calls`` fixture counts
 calls to library functions, for tests that pin work counts.
@@ -64,6 +68,21 @@ def count_calls(monkeypatch):
         return calls
 
     return watch
+
+
+def alcove_count(theta, t: int) -> int:
+    """The tuples c_0, ..., c_l >= 1 with c_0 + sum of m_i c_i = t, where
+    theta = (m_1, ..., m_l) holds the highest root's coefficients.  Each c_i
+    is 1 plus a free part, so the free parts make change for t - h, h = 1 +
+    sum of m_i, from one coin of each value 1, m_1, ..., m_l."""
+    rest = t - 1 - sum(theta)
+    if rest < 0:
+        return 0
+    ways = [1] + [0] * rest
+    for coin in (1, *theta):
+        for v in range(coin, rest + 1):
+            ways[v] += ways[v - coin]
+    return ways[rest]
 
 
 def euler_phi(n: int) -> int:

@@ -178,6 +178,18 @@ def test_linial_subcommand(capsys):
     assert payload["report"]["minimum_period"] == 1
 
 
+def test_root_builders_are_looked_up_when_the_command_runs(capsys, count_calls):
+    # the parser is built once, at import, so a builder bound into its
+    # defaults would miss a patch (or a timing wrapper) applied later
+    calls = count_calls(cli_module, "shi_matrix", "linial_matrix")
+    code, _ = run_json(capsys, "shi", "--type", "B", "--rank", "2", "--k", "1")
+    assert code == 0
+    assert calls == {"shi_matrix": 1}
+    code, _ = run_json(capsys, "linial", "--type", "B", "--rank", "2", "--n", "1")
+    assert code == 0
+    assert calls == {"shi_matrix": 1, "linial_matrix": 1}
+
+
 def test_scan_central_subcommand(capsys):
     code, payload = run_json(
         capsys, "scan-central", "--m", "2", "--n", "3", "--entry-bound", "4",
@@ -671,3 +683,51 @@ def test_compute_refuses_unmaterializable_period(capsys, tmp_path):
     code, out = run(capsys, "compute", "--input", str(path))
     assert code == 1
     assert "materialization budget" in out
+
+
+_VERIFY_A122 = (
+    '{"q0": 2, "window": 4, "results": [{"q": 3, "formula": 0, "brute_force": 0, "match": true}, '
+    '{"q": 4, "formula": 0, "brute_force": 0, "match": true}, '
+    '{"q": 5, "formula": 2, "brute_force": 2, "match": true}, '
+    '{"q": 6, "formula": 2, "brute_force": 2, "match": true}], "pass": true}\n'
+)
+
+
+def test_main_calls_share_nothing_but_the_parser(capsys, tmp_path, monkeypatch):
+    # main builds no parser: it parses with the one built at import.  Back
+    # to back, each call prints what a call of its own prints, so no
+    # default, format or option carries over from one call to the next.
+    a122 = tmp_path / "a122.json"
+    a122.write_text(json.dumps({"m": 1, "n": 3, "C": [[2, 2, 2]], "b": [0, 1, 2]}))
+    d222 = tmp_path / "d222.json"
+    d222.write_text(json.dumps({"m": 2, "n": 4, "C": [[1, 0, 1, 1], [0, 1, 2, 2]],
+                                "b": [0, 0, 1, 2]}))
+
+    def boom():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli_module, "_build_parser", boom)
+    verify = ("verify", "--input", str(a122), "--q-window", "4", "--format", "json")
+    calls = [
+        (verify, 0, _VERIFY_A122),
+        (("scan-central", "--m", "2", "--n", "3", "--entry-bound", "2", "--trials", "3",
+          "--seed", "1"), 0,
+         "trials: 3\nseed: 1\ngenerator: python-random-mt19937\nviolations: 0\n"),
+        (("shi", "--type", "B", "--rank", "2", "--k", "1", "--exclude-root", "1,0",
+          "--format", "json"), 0,
+         '{"arrangement": {"m": 2, "n": 6, "C": [[0, 0, 1, 1, 2, 2], [1, 1, 1, 1, 1, 1]], '
+         '"b": [0, 1, 0, 1, 0, 1]}, "report": {"lcm_period": 2, "minimum_period": 1, '
+         '"collapse": true, "q0": 2, "gcd_property": true, "quasi_polynomial": {"period": 2, '
+         '"constituents": [{"k": 1, "coeffs": ["10", "-6", "1"]}, '
+         '{"k": 2, "coeffs": ["10", "-6", "1"]}]}}, '
+         '"shi": {"type": "B", "rank": 2, "k": 1, "excluded_root": [1, 0]}}\n'),
+        (("compute", "--input", str(d222), "--format", "text"), 0,
+         "arrangement: m=2 n=4\nC:\n  1 0 1 1\n  0 1 2 2\nb: 0 0 1 2\nlcm period: 2\n"
+         "minimum period: 1\nperiod collapse: yes\nq0: 2\ngcd property: yes\n"
+         "quasi-polynomial, period 2:\n  k=1: t^2 - 4t + 5\n  k=2: t^2 - 4t + 5\n"),
+        (("verify", "--input", str(a122), "--q-window", "4", "--bogus", "--format", "json"),
+         1, '{"error": "unrecognized arguments: --bogus", "kind": "validation"}\n'),
+        (verify, 0, _VERIFY_A122),
+    ]
+    for argv, code, out in calls:
+        assert run(capsys, *argv) == (code, out), argv

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import random
 import tracemalloc
 from math import gcd
 from pathlib import Path
@@ -190,6 +191,60 @@ def test_window_matches_scalar_at_every_q(case):
     for q in qs:
         for col in _classes_mod(_exact_classes(arr), arr.m, q):
             assert col[-1] == 1 % q or gcd(col[-1], q) != 1, (q, col)
+
+
+def _residue_kind(c, q):
+    """What c reduces to mod q: 0, 1, another unit or a non-unit."""
+    c %= q
+    if c in (0, 1):
+        return c
+    return "unit" if gcd(c, q) == 1 else "non-unit"
+
+
+def _seeded_arrangement(rng, m):
+    """1 to 5 columns of entries in [-6, 6] and offsets in [-5, 5].  A column
+    may repeat an earlier one, or negate it: the two classes then merge at
+    every q where their last coefficient is a unit, once rescaled to 1."""
+    cols = []
+    for _ in range(rng.randint(1, 5)):
+        pick = rng.random()
+        if cols and pick < 0.2:
+            col = rng.choice(cols)
+        elif cols and pick < 0.4:
+            col = tuple(-c for c in rng.choice(cols))
+        else:
+            col = (0,) * m
+            while not any(col):
+                col = tuple(rng.randint(-6, 6) for _ in range(m))
+        cols.append(col)
+    return arrangement(cols, [rng.randint(-5, 5) for _ in cols])
+
+
+def test_window_matches_scalar_on_reduced_classes():
+    # a seeded loop, so the coverage of reduced classes asserted below holds
+    # on every run
+    rng = random.Random(26)
+    # kinds of the first and last coefficients, before and after _classes_mod
+    before, after, merges = [set(), set()], [set(), set()], 0
+    for m, top, draws in ((1, 13, 60), (2, 13, 60), (3, 7, 40)):
+        qs = range(1, top + 1)
+        for _ in range(draws):
+            arr = _seeded_arrangement(rng, m)
+            assert _count_window(arr, qs) == [_count_scalar(arr, q) for q in qs], (
+                arr.to_json_dict())
+            classes = _exact_classes(arr)
+            for q in qs:
+                reduced = {tuple(c % q for c in col) for col, _ in classes}
+                merged = _classes_mod(classes, m, q)
+                merges += len(merged) < len(reduced)
+                for ends, cols in ((before, reduced), (after, merged)):
+                    ends[0] |= {_residue_kind(col[0], q) for col in cols}
+                    ends[1] |= {_residue_kind(col[-1], q) for col in cols}
+    kinds = {0, 1, "unit", "non-unit"}
+    assert merges  # classes distinct mod q that merge once rescaled
+    assert before == [kinds, kinds]
+    # the last axis is chosen and rescaled: no unit other than 1 is left there
+    assert after == [kinds, kinds - {"unit"}]
 
 
 # columns with a repeat, so one class has two offsets

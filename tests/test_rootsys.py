@@ -1,10 +1,14 @@
 """Root data tables and Shi/Linial builders."""
 
+from math import factorial, lcm, prod
+
 import pytest
 
-from conftest import roots_of_length
+from conftest import alcove_count, roots_of_length
 from qcp import (
+    ArrangementInput,
     CountingFormula,
+    IntMatrix,
     RootSubset,
     RootSystem,
     ValidationError,
@@ -235,3 +239,33 @@ def test_g2_short_root_deletion_collapses_for_k_two():
         assert report.lcm_period == 6
         assert report.minimum_period == 1
         assert {c.coeffs for c in report.quasi_polynomial.constituents} == {(108, -20, 1)}
+
+
+def _catalan(system, k):
+    """Every positive root with each offset in [-k, k]; k = 0 is central."""
+    columns = [root for root in system.positive_roots for _ in range(2 * k + 1)]
+    offsets = [b for _ in system.positive_roots for b in range(-k, k + 1)]
+    return ArrangementInput(IntMatrix.from_columns(columns), tuple(offsets))
+
+
+def test_counts_match_the_alcove_count():
+    # z runs over the coweight lattice mod q, so the Weyl group's action on
+    # alcoves gives l! * prod(m_i) * L(q) points for central input at every
+    # q, and L(q - kh) for the Catalan deformation above q0 (Athanasiadis;
+    # Yoshinaga); L has period lcm(m_i), and neither input collapses
+    central = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+               ("C", 4), ("D", 4), ("G2", 2)]
+    catalan = [("A", 2, 1), ("A", 2, 2), ("B", 2, 1), ("G2", 2, 1), ("G2", 2, 2),
+               ("A", 3, 1), ("B", 3, 1), ("C", 3, 1)]
+    for type_tag, rank, k in [(t, r, 0) for t, r in central] + catalan:
+        system = positive_roots(type_tag, rank)
+        theta = system.highest_root_coeffs
+        arr = _catalan(system, k)
+        formula = CountingFormula.of(arr)
+        weight = factorial(rank) * prod(theta)
+        shift = k * (1 + sum(theta))  # k times the Coxeter number
+        low = q_zero(arr) if k else 0  # central input has q0 = 0
+        for q in range(low + 1, low + 61):
+            assert formula.count(q) == weight * alcove_count(theta, q - shift), (
+                type_tag, rank, k, q)
+        assert formula.period == formula.minimum_period == lcm(*theta), (type_tag, rank, k)
