@@ -40,10 +40,13 @@ The d_k of the whole coefficient matrix divides every d_k of C_J, so once
 d_k reaches it (1 in the common case, 0 only above the whole rank) it is
 skipped, and the rank of C_J is the number of nonzero d_k.  The chain is
 e_k = d_k / d_(k-1), computed once per distinct d_1..d_m in a table that
-the formulas of one batch share (see _formulas).  Smith runs once on the
-whole coefficient matrix, for those floors, and on A_J only for a
-consistent choice with a nonzero offset whose C_J has e_r > 1 (r the
-rank).  When the chosen offsets are all zero the stacked chain is
+the formulas of one batch share (see _formulas).  The floors come from the
+m x m minors of the first m-column sets of the whole matrix, one set per
+distinct column: once their gcd is 1, so is every d_k, since d_k divides
+d_(k+1).  Only
+otherwise does Smith run on the whole coefficient matrix, and it runs on
+A_J only for a consistent choice with a nonzero offset whose C_J has
+e_r > 1 (r the rank).  When the chosen offsets are all zero the stacked chain is
 the coefficient one, and the stacked basis, the echelon basis of the chosen
 columns with a trailing 0, is built only when a nonzero offset joins.  So
 the walk carries that all-zero choice in a lane of its own, a flag on each
@@ -111,7 +114,7 @@ from math import comb, gcd, lcm, prod
 from operator import eq, itemgetter, not_
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
-from .intlinalg import IntMatrix, _require_int, _smith_divisors, _Value
+from .intlinalg import IntMatrix, _require_int, _require_ints, _smith_divisors, _Value
 from .quasipoly import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -156,8 +159,7 @@ class ArrangementInput(_Value):
 
     def __init__(self, cmatrix: IntMatrix, offsets):
         offsets = tuple(offsets)
-        for b in offsets:
-            _require_int("offset", b)
+        _require_ints("offset", offsets)
         if len(offsets) != cmatrix.cols:
             raise ValidationError(
                 f"offset vector has {len(offsets)} entries for {cmatrix.cols} hyperplanes"
@@ -355,7 +357,17 @@ def _minors_gcd(cols) -> int:
 
 def _whole_determinantal(columns, m: int) -> tuple[int, ...]:
     """d_1..d_m of the m-row matrix holding every column in ``columns``:
-    products of its elementary divisors, 0 above its rank."""
+    products of its elementary divisors, 0 above its rank.
+
+    The m x m minors of the first len(columns) m-column sets, in
+    combinations order, come first: once their gcd is 1, d_m is 1 and so is
+    every d_k, since d_k divides d_(k+1).  Otherwise, and with fewer than m
+    columns, one Smith form gives the chain."""
+    g = 0
+    for cols in islice(combinations(columns, m), len(columns)):
+        g = gcd(g, _minors_gcd(cols))
+        if g == 1:
+            return (1,) * m
     chain = _smith_divisors([[c[i] for c in columns] for i in range(m)])
     return tuple(prod(chain[:k]) if k <= len(chain) else 0 for k in range(1, m + 1))
 
@@ -544,8 +556,8 @@ def _walks(arrs, chains: dict) -> list:
     error its walk raises, in order.
 
     An input's classes are its distinct coefficient columns with their
-    distinct offsets, its floors come from one Smith form
-    (_whole_determinantal), and _least_offered may refuse it before any
+    distinct offsets, its floors come from its maximal minors or one Smith
+    form (_whole_determinantal), and _least_offered may refuse it before any
     walk.  The inputs with the same rows and class count walk in lockstep
     (see _lockstep_walk), sharing ``chains`` (see _formulas).
     """
@@ -1070,17 +1082,29 @@ def _check_scan_args(m: int, n: int, entry_bound: int, trials: int, seed: int) -
 
 
 def _central_draws(m: int, n: int, entry_bound: int, trials: int, seed: int):
-    """The sample of generate_central_inputs, unchecked, drawn as it is read."""
-    rng = random.Random(seed)
+    """The sample of generate_central_inputs, unchecked, drawn as it is read.
+
+    Each entry is the one random.Random(seed).randint(-entry_bound,
+    entry_bound) would return next, drawn as CPython draws it: getrandbits(k)
+    for the width w = 2 * entry_bound + 1 and k = w.bit_length(), drawn
+    again while it is w or more, less entry_bound."""
+    getrandbits = random.Random(seed).getrandbits
+    width = 2 * entry_bound + 1
+    bits = width.bit_length()
+    zeros = (0,) * n
     for _ in range(trials):
         cols = []
         for _ in range(n):
-            while True:
-                col = [rng.randint(-entry_bound, entry_bound) for _ in range(m)]
-                if any(col):
-                    break
+            col = ()
+            while not any(col):
+                col = []
+                for _ in range(m):
+                    r = getrandbits(bits)
+                    while r >= width:
+                        r = getrandbits(bits)
+                    col.append(r - entry_bound)
             cols.append(col)
-        yield ArrangementInput(IntMatrix.from_columns(cols), (0,) * n)
+        yield ArrangementInput(IntMatrix.from_columns(cols), zeros)
 
 
 def generate_central_inputs(
@@ -1088,8 +1112,9 @@ def generate_central_inputs(
 ) -> list[ArrangementInput]:
     """Deterministic sample of random central arrangements.
 
-    Column entries are uniform in [-entry_bound, entry_bound]; zero columns
-    are rejected and redrawn.  Same seed, same sample.
+    Column entries are uniform in [-entry_bound, entry_bound], the stream
+    of random.Random(seed).randint; zero columns are rejected and redrawn.
+    Same seed, same sample.
     """
     _check_scan_args(m, n, entry_bound, trials, seed)
     return list(_central_draws(m, n, entry_bound, trials, seed))

@@ -5,11 +5,14 @@ held as row lists, r being its rank; the subset walk calls it directly.  All
 arithmetic is on Python integers, so every result is exact.
 
 ``_Value`` is the immutable base of every value class in qcp, and
-``_require_int`` the one integer check at every library boundary; they live
-here, in the lowest module they all import.
+``_require_int`` the one integer check at every library boundary
+(``_require_ints`` for a sequence); they live here, in the lowest module
+they all import.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import ValidationError
 
@@ -56,6 +59,15 @@ def _require_int(name: str, value, positive: bool = False) -> None:
         raise ValidationError(f"{name} must be a positive integer")
 
 
+def _require_ints(name: str, values) -> None:
+    """_require_int on each of ``values``: a sequence of plain ints passes
+    one type check, and anything else is checked value by value, so an int
+    subclass other than bool passes and the first bad value is named."""
+    if not {*map(type, values)} <= {int}:
+        for value in values:
+            _require_int(name, value)
+
+
 class IntMatrix(_Value):
     """Immutable dense integer matrix, entries stored row-major.
 
@@ -73,8 +85,7 @@ class IntMatrix(_Value):
         _require_int("cols", cols, positive=True)
         if len(entries) != rows * cols:
             raise ValidationError(f"expected {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            _require_int("matrix entry", e)
+        _require_ints("matrix entry", entries)
         self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @classmethod
@@ -93,9 +104,12 @@ class IntMatrix(_Value):
         columns = [tuple(c) for c in columns]
         if not columns:
             raise ValidationError("matrix must have at least one column")
-        return cls.from_rows(
-            [[c[i] for c in columns] for i in range(len(columns[0]))]
-        )
+        nrows = len(columns[0])
+        if any(len(c) != nrows for c in columns):
+            raise ValidationError("all columns must have equal length")
+        if not nrows:
+            raise ValidationError("matrix must have at least one row and one column")
+        return cls(rows=nrows, cols=len(columns), entries=chain.from_iterable(zip(*columns)))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

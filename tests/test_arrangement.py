@@ -2,9 +2,11 @@
 
 import gc
 import json
+import random
 import re
 import tracemalloc
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -369,11 +371,12 @@ SATURATED_NONZERO_CHOICES = [
 @pytest.mark.parametrize(
     "arr, smith_calls",
     [
-        # unimodular: every coefficient chain is all ones, so the one Smith
-        # form is the whole matrix's
-        (shi_matrix(RootSubset.full(positive_roots("A", 3)), 2), 1),
-        # 236 nonzero choices on class sets with e_r > 1, none saturated
-        (shi_matrix(RootSubset.full(positive_roots("G2", 2)), 3), 237),
+        # unimodular: every coefficient chain is all ones, and the first
+        # maximal minor of the whole matrix is 1, so no Smith form at all
+        (shi_matrix(RootSubset.full(positive_roots("A", 3)), 2), 0),
+        # 236 nonzero choices on class sets with e_r > 1, none saturated;
+        # the whole matrix's first 2 x 2 minor is 1, so its floors take none
+        (shi_matrix(RootSubset.full(positive_roots("G2", 2)), 3), 236),
         # no choice descends below a saturated class set, whatever its e_r,
         # and one that a later class extends gets no Smith form
         (SATURATED_NONZERO_CHOICES[1], 11),
@@ -427,9 +430,11 @@ def test_walk_period_matches_lcm_period_on_root_deletions(type_tag):
 def test_formula_walks_once(count_calls):
     # 63 subsets of six distinct central columns: no reduction (the ranks
     # come from determinantal divisors, and a central walk builds no stacked
-    # basis), one Smith form in all (on the whole matrix; the chains come
-    # from determinantal divisors), the minor gcd of each of the 6 + 15 + 20
-    # column sets of size at most 3 once, and no separate lcm_period walk
+    # basis), no Smith form (the chains come from determinantal divisors,
+    # and the whole matrix's floors from its first 3 x 3 minor, 1), the
+    # minor gcd of each of the 6 + 15 + 20 column sets of size at most 3
+    # once in the walk and of that first set once more for the floors, and
+    # no separate lcm_period walk
     arr = arrangement(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)], (0,) * 6
     )
@@ -438,8 +443,8 @@ def test_formula_walks_once(count_calls):
     )
     formula = CountingFormula.of(arr)
     assert calls["lcm_period"] == 0
-    assert calls["_smith_divisors"] == 1
-    assert calls["_minors_gcd"] == 41
+    assert calls["_smith_divisors"] == 0
+    assert calls["_minors_gcd"] == 42
     assert calls["_reduce_against"] == 0
     assert formula.period == formula.minimum_period == 30
 
@@ -457,13 +462,16 @@ def test_central_walk_checks_each_divisor_chain_once(count_calls):
     # the 60 draws of `qcp scan-central --m 3 --n 6 --entry-bound 5
     # --trials 60 --seed 1`: every class set the walk visits extends the
     # determinantal divisors, but only 1,591 distinct d_1..d_m turn up, each
-    # walk reading its own chain once; no walk reduces a vector
+    # walk reading its own chain once; no walk reduces a vector.  The walks
+    # read 2,460 minor gcds and the floors 229 more, the 3 x 3 minors of at
+    # most 6 column sets per draw; 47 draws reach gcd 1 that way, and the
+    # other 13 take a Smith form of the whole matrix
     names = ("_extend_determinantal", "_divisor_chain", "_reduce_against", "_minors_gcd",
              "_smith_divisors")
     calls = count_calls(arrangement_module, *names)
     for arr in generate_central_inputs(3, 6, 5, 60, 1):
         _build_term_table(arr)
-    assert [calls[name] for name in names] == [3485, 1591, 0, 2460, 60]
+    assert [calls[name] for name in names] == [3485, 1591, 0, 2689, 13]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -474,6 +482,32 @@ def test_batch_matches_standalone_formulas(seed):
     draws = generate_central_inputs(3, 6, 5, 60, seed)
     standalone = [CountingFormula.of(arr) for arr in draws]
     assert list(_formulas(_central_draws(3, 6, 5, 60, seed))) == standalone
+
+
+def randint_draws(m, n, entry_bound, trials, seed):
+    """generate_central_inputs' columns drawn with random.Random.randint."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(trials):
+        cols = []
+        while len(cols) < n:
+            col = tuple(rng.randint(-entry_bound, entry_bound) for _ in range(m))
+            if any(col):
+                cols.append(col)
+        draws.append(cols)
+    return draws
+
+
+@pytest.mark.parametrize("entry_bound", [1, 5, 8, 2**70])
+def test_central_draws_match_randint(entry_bound):
+    # width 17 (entry_bound 8) takes 5 bits, so 15 of every 32 draws are
+    # drawn again; entry_bound 1 draws many zero columns in m = 1
+    for m in range(1, 5):
+        for seed in (0, 1, 2, 901, 2**40 + 3):
+            draws = generate_central_inputs(m, 5, entry_bound, 12, seed)
+            assert [arr.cmatrix.columns() for arr in draws] == randint_draws(
+                m, 5, entry_bound, 12, seed)
+            assert all(arr.offsets == (0,) * 5 for arr in draws)
 
 
 def test_batch_past_the_table_cap_matches(monkeypatch, count_calls):
@@ -957,6 +991,62 @@ def test_chains_from_determinantal_divisors_match_smith(cols):
                 smith = _smith_divisors([[cols[j][i] for j in now_chosen] for i in range(m)])
                 assert _divisor_chain(now) == tuple(smith)
                 stack.append((now_chosen, now))
+
+
+def smith_determinantal(cols, m):
+    """d_1..d_m of the m-row matrix with columns ``cols`` from its Smith form."""
+    chain = _smith_divisors([[c[i] for c in cols] for i in range(m)])
+    return tuple(prod(chain[:k]) if k <= len(chain) else 0 for k in range(1, m + 1))
+
+
+@st.composite
+def rank_deficient_columns(draw, m, max_n):
+    """Nonzero integer combinations of fewer than m columns."""
+    entry = st.integers(-3, 3)
+    base = draw(st.lists(st.lists(entry, min_size=m, max_size=m).filter(any),
+                         min_size=1, max_size=m - 1))
+    cols = []
+    for _ in range(draw(st.integers(1, max_n))):
+        xs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+        col = tuple(sum(x * b[i] for x, b in zip(xs, base)) for i in range(m))
+        if any(col):
+            cols.append(col)
+    return cols or [tuple(b) for b in base]
+
+
+@pytest.mark.parametrize(
+    "cols, dets",
+    [
+        # even coordinate sums: the first 4 x 4 minor is 2, and so is d_4
+        (EVEN_SUM_4.cmatrix.columns(), (1, 1, 1, 2)),
+        # a zero first minor, then a unit one
+        ([(1, 0), (2, 0), (0, 1)], (1, 1)),
+        # every 2 x 2 minor a multiple of 4: Smith after the first 4 sets
+        ([(2, 0), (0, 2), (2, 2), (4, 2)], (2, 4)),
+        # rank 2 of 3
+        ([(1, 1, 0), (1, -1, 0), (3, 1, 0), (0, 2, 0)], (1, 2, 0)),
+        # fewer columns than rows: no m x m minor at all
+        ([(1, 2, 3), (2, 4, 6)], (1, 0, 0)),
+        ([(2, 0, 0), (0, 4, 0)], (2, 8, 0)),
+    ],
+)
+def test_whole_determinantal_examples(cols, dets):
+    m = len(cols[0])
+    assert _whole_determinantal(cols, m) == smith_determinantal(cols, m) == dets
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.one_of(
+    st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m).filter(any).map(tuple),
+             min_size=1, max_size=8),
+    sublattice_columns(m, 8),
+    rank_deficient_columns(m, 8) if m > 1 else sublattice_columns(m, 8),
+)))
+@settings(max_examples=80, deadline=None)
+def test_whole_determinantal_matches_smith(cols):
+    # the unit shortcut only ever answers (1, ..., 1), and anything else,
+    # d_m > 1, rank below m or fewer columns than rows, is Smith's
+    m = len(cols[0])
+    assert _whole_determinantal(cols, m) == smith_determinantal(cols, m)
 
 
 def test_naive_refuses_wide_input():

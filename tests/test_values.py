@@ -3,6 +3,7 @@ immutability, pickle and deepcopy, and the ``Name(field=value, ...)`` repr."""
 
 import copy
 import pickle
+from enum import IntEnum
 
 import pytest
 
@@ -113,3 +114,35 @@ def test_collapse_report_flags_are_derived():
         assert name not in vars(report)
         with pytest.raises(AttributeError):
             setattr(report, name, not getattr(report, name))
+
+
+@pytest.mark.parametrize("columns", [[(1,), (2, 3)], [(1, 2), (3,)]])
+def test_ragged_columns_are_refused(columns):
+    # neither the longer column is cut nor the shorter one read past its end
+    with pytest.raises(ValidationError, match="all columns must have equal length"):
+        IntMatrix.from_columns(columns)
+
+
+class _Sign(IntEnum):
+    MINUS = -1
+    PLUS = 1
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3"])
+def test_bad_entries_after_ints_are_named(bad):
+    # the one type check over all entries falls back to the value-by-value
+    # one, which names the first bad value as it always has
+    with pytest.raises(ValidationError, match=f"^matrix entry must be an integer, got {bad!r}$"):
+        IntMatrix(1, 3, (1, -2, bad))
+    with pytest.raises(ValidationError, match=f"^matrix entry must be an integer, got {bad!r}$"):
+        IntMatrix(1, 4, (1, bad, 5, 0.5))
+    row = IntMatrix.from_rows([[1, 2, 3]])
+    with pytest.raises(ValidationError, match=f"^offset must be an integer, got {bad!r}$"):
+        ArrangementInput(row, (0, 4, bad))
+
+
+def test_int_subclass_entries_are_accepted():
+    matrix = IntMatrix(1, 3, (1, _Sign.MINUS, 4))
+    assert matrix == IntMatrix(1, 3, (1, -1, 4))
+    arr = ArrangementInput(matrix, (0, _Sign.PLUS, 2))
+    assert arr.offsets == (0, 1, 2) and not arr.is_central
