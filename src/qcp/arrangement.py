@@ -43,16 +43,14 @@ e_k = d_k / d_(k-1), computed once per distinct d_1..d_m in a table that
 the formulas of one batch share (see _formulas).  The floors come from the
 m x m minors of the first m-column sets of the whole matrix, one set per
 distinct column: once their gcd is 1, so is every d_k, since d_k divides
-d_(k+1).  Only
-otherwise does Smith run on the whole coefficient matrix, and it runs on
-A_J only for a consistent choice with a nonzero offset whose C_J has
-e_r > 1 (r the rank).  When the chosen offsets are all zero the stacked chain is
-the coefficient one, and the stacked basis, the echelon basis of the chosen
-columns with a trailing 0, is built only when a nonzero offset joins.  So
-the walk carries that all-zero choice in a lane of its own, a flag on each
-node, and a central walk reduces no vector.  When e_r = 1 every d_k(C_J) is
-1 and d_k(A_J) divides it (the minors of C_J are minors of A_J), so a
-consistent choice's stacked chain is all ones.
+d_(k+1).  Only otherwise does Smith run on the whole coefficient matrix,
+and it runs on A_J only for a consistent choice with a nonzero offset whose
+C_J has e_r > 1 (r the rank).  Every other choice takes C_J's chain as its
+stacked one: with all offsets zero A_J is C_J over a zero row, and when
+e_r = 1 every d_k(C_J) is 1 and d_k(A_J) divides it (the minors of C_J are
+minors of A_J).  Its stacked basis still gives its stacked rank, checked
+against the coefficient rank.  A central walk keeps no choices, since its
+one choice is all zero, and reduces no vector.
 
 The walk does not descend below a saturated class set J, one whose d_1..d_m
 are those of the whole coefficient matrix.  Then C_J has the whole rank,
@@ -107,7 +105,6 @@ collapse_report states it without comparing constituents.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate, combinations, compress, islice, repeat
 from math import comb, gcd, lcm, prod
@@ -599,92 +596,74 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
     ``classes`` maps each draw's coefficient columns to their distinct
     offsets, and ``floors`` holds its d_1..d_m of the whole matrix.  A node
     holds the draws alive under it and, for those, their d_1..d_m as m
-    columns (see _extend_determinantal), whether each one's all-zero choice
-    is live, and its other live choices as (offsets, stacked basis).  The
-    loop over joining classes, the (k-1)-subsets K and the minor keys are
-    paid once per node, and the minor gcds once per walk (_MinorGcds).
+    columns (see _extend_determinantal) and their live offset choices as
+    (offsets, stacked basis), the root's one choice being the empty one.
+    The loop over joining classes, the (k-1)-subsets K and the minor keys
+    are paid once per node, and the minor gcds once per walk (_MinorGcds).
     Every rule of the module docstring holds draw by draw: a draw leaves
     the alive list below a class that leaves it no live choice, and below a
     saturated class set.  A group whose draws all have zero offsets only
-    ever has the all-zero choice, so it skips the offset side as a whole.
+    ever has the all-zero choice, so it keeps no choices and skips the
+    offset side as a whole.
 
     Terms are tallied by draw and key in visiting order, which for each
     draw is its own walk's order.  Every class set a draw visits is tallied
     or saturated, so its lcm period is read off its tally and its floor.
     Each draw is charged what its own walk is offered, width x offsets per
-    joining class, the width being its live choices with the all-zero one;
-    past WALK_BUDGET it leaves the walk, at the class where its own walk
-    raises, with that walk's error, and a group that cannot pass it is not
-    charged.  A draw whose chain or stacked rank is inconsistent keeps
-    walking, but only the first error it meets is kept.
+    joining class, the width being its live choices; a draw whose charge
+    passes WALK_BUDGET leaves the walk at the start of that node, with its
+    walk's error, and a group that cannot pass it is not charged.  A draw
+    whose chain or stacked rank is inconsistent keeps walking, but only the
+    first error it meets is kept.
     """
     size = len(classes)
     cols = [list(draw) for draw in classes]
     minors = _MinorGcds(cols, floors)
     central = not any(any(map(any, draw.values())) for draw in classes)
-    # subsets a choice is offered before each class, the most (class set,
-    # offset choice) pairs of a draw, and whether a later class has offset 0
+    # the most (class set, offset choice) pairs of a draw, and the offsets a
+    # choice is offered before each class
     if central:
-        ends = [range(n + 1)] * size
         most = (1 << n) - 1
     else:
-        # (coefficient column, offsets, nonzero offsets, whether one is 0)
-        classes = [[(c, bs, [b for b in bs if b], 0 in bs) for c, bs in draw.items()]
-                   for draw in classes]
-        ends = [list(accumulate((len(bs) for _, bs, _, _ in draw), initial=0))
-                for draw in classes]
-        most = max(prod(len(bs) + 1 for _, bs, _, _ in draw) for draw in classes) - 1
-        zero_after = [[any(has_zero for *_, has_zero in draw[i:]) for i in range(n + 1)]
-                      for draw in classes]
+        classes = [list(draw.items()) for draw in classes]  # (coefficient column, offsets)
+        most = max(prod(len(bs) + 1 for _, bs in draw) for draw in classes) - 1
+        ends = [list(accumulate((len(bs) for _, bs in draw), initial=0)) for draw in classes]
     charged = most > WALK_BUDGET  # else no draw can pass it, and charging costs central-scan 1%
     errors: dict[int, Exception] = {}
     offered = [0] * size
     tally: Counter = Counter()  # (draw, term key, |J| even) -> class sets J
     # (first class to add, chosen class indices, alive draws, their d_k and
-    #  floor_k as columns, their floors as tuples, and per alive draw whether
-    #  its all-zero choice is live and its other live choices: None for both
-    #  in a central group)
+    #  floor_k as columns, their floors as tuples, and per alive draw its
+    #  live choices: None in a central group)
     stack = [(0, (), list(range(size)), [[0] * size] * m, [list(col) for col in zip(*floors)],
-              floors, None if central else [True] * size, None if central else [()] * size)]
+              floors, None if central else [[((), [])]] * size)]
     while stack:
-        start, chosen, alive, dets, low, lows, zeros, lives = stack.pop()
-        cuts: dict[int, list[int]] = {}  # class -> draws whose walk raises there
-        # width x offsets per class, the width being 1 in a central group
-        charges = () if not charged else repeat(n - start) if central else [
-            (zero + len(live)) * (ends[d][n] - ends[d][start])
-            for d, zero, live in zip(alive, zeros, lives)]
-        for d, charge in zip(alive, charges):
-            offered[d] += charge
-            if offered[d] > WALK_BUDGET:  # at the first class past the budget
-                end = ends[d]
-                # offsets it may still be offered here, < 0 if it passed the budget before
-                left = (WALK_BUDGET - offered[d] + charge) * (end[n] - end[start]) // charge
-                cuts.setdefault(max(start, bisect_right(end, end[start] + left) - 1), []).append(d)
-        even = len(chosen) % 2  # |J| = len(chosen) + 1 is even: sign +1
-        zero_bases: dict[int, list] = {}  # draw -> its all-zero choice's stacked basis
-        for idx in range(start, n):
-            if idx in cuts:
-                for d in cuts[idx]:
+        start, chosen, alive, dets, low, lows, lives = stack.pop()
+        if charged:
+            # width x offsets per class, the width being 1 in a central group
+            charges = repeat(n - start) if central else [
+                len(live) * (ends[d][n] - ends[d][start]) for d, live in zip(alive, lives)]
+            within = []
+            for d, charge in zip(alive, charges):
+                offered[d] += charge
+                within.append(offered[d] <= WALK_BUDGET)
+                if not within[-1]:
                     errors.setdefault(d, _walk_budget_error())
-                alive, dets, low, lows, zeros, lives = _narrow(
-                    [d not in cuts[idx] for d in alive], alive, dets, low, lows, zeros, lives)
+            if not all(within):
+                alive, dets, low, lows, lives = _narrow(within, alive, dets, low, lows, lives)
                 if not alive:
-                    break
+                    continue
+        even = len(chosen) % 2  # |J| = len(chosen) + 1 is even: sign +1
+        for idx in range(start, n):
             here, here_dets, here_low, here_lows = alive, dets, low, lows
-            now_zero = kept = None  # a central group has the all-zero choice alone
+            kept = None  # a central group keeps no choices
             if not central:
-                now_zero, kept = [], []
-                for d, zero, live in zip(alive, zeros, lives):
-                    cvec, bs, nonzero, has_zero = classes[d][idx]
-                    now_zero.append(zero and has_zero)
-                    pending = [(offs, a_basis, bs) for offs, a_basis in live]
-                    if zero and nonzero:
-                        if d not in zero_bases:  # the chosen columns with a trailing 0
-                            zero_bases[d] = _echelon(cols[d][i] + (0,) for i in chosen)
-                        pending.insert(0, ((0,) * len(chosen), zero_bases[d], nonzero))
+                kept = []
+                for d, live in zip(alive, lives):
+                    cvec, bs = classes[d][idx]
                     choices = []
-                    for offs, a_basis, offsets in pending:
-                        for b in offsets:
+                    for offs, a_basis in live:
+                        for b in bs:
                             a_red = _reduce_against(a_basis, cvec + (b,))
                             if a_red is None:
                                 choices.append((offs + (b,), a_basis))
@@ -692,12 +671,11 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                                 choices.append((offs + (b,), a_basis + [a_red]))
                             # else: pivot m, the offset row: rank jump, subtree dropped
                     kept.append(choices)
-                moving = [bool(z or k) for z, k in zip(now_zero, kept)]
-                if not any(moving):
-                    continue
-                if not all(moving):
-                    here, here_dets, here_low, here_lows, now_zero, kept = _narrow(
-                        moving, alive, dets, low, lows, now_zero, kept)
+                if not all(kept):
+                    if not any(kept):
+                        continue
+                    here, here_dets, here_low, here_lows, kept = _narrow(
+                        list(map(bool, kept)), alive, dets, low, lows, kept)
             now = _extend_determinantal(here_dets, chosen, idx, minors, here_low, here)
             keys = list(zip(*now))
             found = list(map(chains.get, keys))
@@ -714,48 +692,46 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             # below a saturated J the subtree of a choice is J + S over the
             # subsets S of the classes that extend it, all with J's key: it
             # sums to J's term when no later class extends it, else to 0.
-            # The all-zero choice is extended only by a later offset 0.
-            if idx == n - 1 or not some:
-                lane = now_zero
-            elif central:
-                lane = list(map(not_, saturated))
-            else:
-                lane = [z and not (s and zero_after[d][idx + 1])
-                        for d, z, s in zip(here, now_zero, saturated)]
-            zero_keys = map(itemgetter(1), found)
-            if lane is None:  # every draw of a central group
-                tally.update(zip(here, zero_keys, repeat(even)))
-            else:
-                tally.update(zip(compress(here, lane), compress(zero_keys, lane), repeat(even)))
+            # A central group's one choice is all zero, and every later
+            # class extends it with its offset 0.
+            if central:
+                zero_keys = map(itemgetter(1), found)
+                if idx == n - 1 or not some:
+                    tally.update(zip(here, zero_keys, repeat(even)))
+                else:
+                    unsaturated = list(map(not_, saturated))
+                    tally.update(zip(compress(here, unsaturated), compress(zero_keys, unsaturated),
+                                     repeat(even)))
             now_chosen = chosen + (idx,)
             for j, choices in enumerate(kept) if kept else ():
-                es = found[j][0]
+                es, zero_key = found[j]
                 d = here[j]
                 for offs, a_basis in choices if es else ():
                     if saturated[j] and any(_reduce_against(a_basis, c + (b,)) is None
-                                            for c, bs, _, _ in classes[d][idx + 1:] for b in bs):
+                                            for c, bs in classes[d][idx + 1:] for b in bs):
                         continue
-                    if es[-1] == 1:
-                        # d_k(A_J) divides d_k(C_J) = 1: the stacked chain is all ones
-                        eps = (1,) * len(a_basis)
+                    if es[-1] == 1 or not any(offs):
+                        # the stacked chain is C_J's: d_k(A_J) divides
+                        # d_k(C_J) = 1, or A_J is C_J with a zero row
+                        rank, key = len(a_basis), zero_key
                     else:
                         rows = [[cols[d][i][r] for i in now_chosen] for r in range(m)]
                         eps = _smith_divisors(rows + [list(offs)])
-                    if len(eps) != len(es):
+                        rank = len(eps)
+                        key = (len(es), tuple(p for p in zip(es, eps) if p != (1, 1)))
+                    if rank != len(es):
                         errors.setdefault(d, InternalConsistencyError(
-                            f"stacked rank {len(eps)} disagrees with the coefficient rank {len(es)}"
+                            f"stacked rank {rank} disagrees with the coefficient rank {len(es)}"
                         ))
                         continue
-                    tally[d, (len(es), tuple(p for p in zip(es, eps) if p != (1, 1))), even] += 1
+                    tally[d, key, even] += 1
             if idx == n - 1:
                 continue
             if not some:
-                stack.append((idx + 1, now_chosen, here, now, here_low, here_lows, now_zero,
-                              kept))
+                stack.append((idx + 1, now_chosen, here, now, here_low, here_lows, kept))
             elif not all(saturated):  # a saturated draw leaves the alive list
                 stack.append((idx + 1, now_chosen, *_narrow(list(map(not_, saturated)), here,
-                                                            now, here_low, here_lows, now_zero,
-                                                            kept)))
+                                                            now, here_low, here_lows, kept)))
     tables: list[dict] = [{} for _ in range(size)]
     for (d, key, even), count in tally.items():
         table = tables[d]

@@ -21,8 +21,9 @@ many entries each oracle checked::
     PYTHONPATH=src:tests python tests/corpus.py           # check only
     PYTHONPATH=src:tests python tests/corpus.py --write   # check, then write
 
-A change that regenerates the file says which fields moved and why: a
-results field that moves is a finding.
+Check mode prints each differing field of each entry with its old and
+new value.  A change that regenerates the file says which fields moved and
+why: a results field that moves is a finding.
 """
 
 import hashlib
@@ -226,9 +227,25 @@ def main(argv) -> int:
         DATA.write_text(dump(entries))
         print(f"wrote {DATA}")
     elif DATA.exists() and load() != entries:
-        print(f"{DATA} differs from the recomputed entries")
+        print(f"{DATA} differs from the recomputed entries:")
+        print("\n".join(differences(load(), entries)) or "the same entries in another order")
         return 1
     return 0
+
+
+def differences(old, new) -> list[str]:
+    """A line per field that differs between two lists of entries, matched
+    by name, with its old and new value, and a line per unmatched name."""
+    before = {row["name"]: row for row in old}
+    lines = []
+    for row in new:
+        was = before.pop(row["name"], None)
+        if was is None:
+            lines.append(f"{row['name']}: new entry")
+            continue
+        lines += [f"{row['name']}: {field} {was.get(field)} -> {value}"
+                  for field, value in row.items() if was.get(field) != value]
+    return lines + [f"{name}: entry gone" for name in before]
 
 
 if __name__ == "__main__":

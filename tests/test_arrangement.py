@@ -293,18 +293,18 @@ def shi_like_arrangements(draw, max_m=3, max_classes=5, bound=2):
 
 
 # (1, 0) and (0, 1) with offset 0 span, and (1, 1) with offset 0 joins them
-# in the all-zero lane; (1, -1) with offset 2 follows, and its stacked
-# column reduces against the all-zero choice's stacked basis, the echelon
-# basis of the chosen columns with a trailing 0.  The choice (1, 0), (0, 1),
-# (1, 1) with offsets 0, 1, 1 is consistent, and the walk keeps it only if
-# the stacked basis built at node (1, 0) holds (1, 0, 0).
+# in the all-zero choice; (1, -1) with offset 2 follows, and its stacked
+# column reduces against that choice's stacked basis, the echelon basis of
+# the chosen columns with a trailing 0.  The choice (1, 0), (0, 1), (1, 1)
+# with offsets 0, 1, 1 is consistent, and the walk keeps it only if the
+# all-zero choice at node (1, 0) carries the stacked basis row (1, 0, 0).
 SPANNING_ZERO_CHOICE = arrangement(
     [(1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (1, -1), (1, -1)], (0, 0, 1, 0, 1, 0, 2)
 )
-# e1, e2 and e1 + e2 with offset 0 put a dependent class in the all-zero
-# lane.  e1 + e2 with offset 1 over e1, e2 is a rank jump, seen only if the
-# lane's stacked basis, built when that nonzero offset joins, ends in the
-# offset 0; e3 with offset 1 then joins the lane over all three classes.
+# e1, e2 and e1 + e2 with offset 0 make an all-zero choice over a dependent
+# class.  e1 + e2 with offset 1 over e1, e2 is a rank jump, seen only if the
+# all-zero choice's stacked basis ends in the offset 0; e3 with offset 1
+# then extends the all-zero choice over all three classes.
 DEPENDENT_ZERO_LANE = arrangement(
     [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 0), (0, 0, 1)], (0, 0, 0, 1, 1)
 )
@@ -380,6 +380,10 @@ SATURATED_NONZERO_CHOICES = [
         # no choice descends below a saturated class set, whatever its e_r,
         # and one that a later class extends gets no Smith form
         (SATURATED_NONZERO_CHOICES[1], 11),
+        # the all-zero choice on (2, 0), (0, 1) has e_r = 2 and takes that
+        # chain as its stacked one; (1, 0) with offset 1 jumps over it, and
+        # (0, 1), (1, 0) with offsets 0, 1 has e_r = 1
+        (arrangement([(2, 0), (0, 1), (1, 0)], (0, 0, 1)), 0),
     ],
 )
 def test_walk_smith_calls(count_calls, arr, smith_calls):

@@ -2,7 +2,7 @@
 formula built alone, and every input's formula from one batch, where
 central and non-central inputs of one shape walk together."""
 
-from corpus import compute, corpus, entry, load
+from corpus import compute, corpus, differences, entry, load
 from qcp import arrangement as arrangement_module
 from qcp.arrangement import _formulas
 
@@ -31,3 +31,11 @@ def test_corpus_matches_its_file(monkeypatch):
     batch = [entry(row["name"], terms, formula, row["q0"])
              for row, terms, formula in zip(alone, tables, formulas)]
     assert mismatches(expected, batch) == []
+
+
+def test_differences_name_each_moved_field():
+    old = [{"name": "a", "q0": 1, "terms": "x"}, {"name": "b", "q0": 0, "terms": "y"}]
+    new = [{"name": "a", "q0": 2, "terms": "z"}, {"name": "c", "q0": 0, "terms": "y"}]
+    assert differences(old, new) == ["a: q0 1 -> 2", "a: terms x -> z", "c: new entry",
+                                     "b: entry gone"]
+    assert differences(old, old) == []
