@@ -7,8 +7,8 @@ brute-force counting oracle.  Includes explicit matrix families and
 root-system (Shi/Linial) arrangement builders.
 
 The exports are the paper's objects (both periods, collapse and q0), the
-builders of its arrangements, and the audits and oracles that the tests and
-the benchmark call; README.md says which is which.
+builders of its arrangements, and the audits and oracles that the benchmark
+calls; README.md says which is which.
 """
 
 from .arrangement import (
@@ -30,14 +30,7 @@ from .errors import (
     QcpError,
     ValidationError,
 )
-from .families import (
-    FamilyParams,
-    closed_form_A,
-    correction_term,
-    ehrhart_form_A,
-    family_matrix,
-    reciprocity_A,
-)
+from .families import FamilyParams, family_matrix
 from .intlinalg import IntMatrix
 from .oracle import brute_force_count
 from .quasipoly import (
@@ -74,11 +67,8 @@ __all__ = [
     "central_period_summary",
     "central_scan",
     "characteristic_quasi_polynomial",
-    "closed_form_A",
     "collapse_report",
-    "correction_term",
     "divisor_formula_count",
-    "ehrhart_form_A",
     "family_matrix",
     "generate_central_inputs",
     "has_gcd_property",
@@ -87,6 +77,5 @@ __all__ = [
     "minimum_period",
     "positive_roots",
     "q_zero",
-    "reciprocity_A",
     "shi_matrix",
 ]

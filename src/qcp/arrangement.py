@@ -534,15 +534,15 @@ def _least_offered(rank: int, groups, zeros: int = 0) -> int:
     return least
 
 
-def _build_term_table(arr: ArrangementInput, chains: dict | None = None) -> tuple[dict, int]:
+def _build_term_table(arr: ArrangementInput) -> tuple[dict, int]:
     """(term table, lcm period) of ``arr`` from its walk, a batch of one
-    (see _walks) sharing ``chains`` as in _formulas; raises what it raises.
+    (see _walks); raises what it raises.
 
     Terms: key (coefficient rank, tuple of (e, e') divisor pairs with (1, 1)
     dropped); value: signed number of subsets with that data, in the order
     the walk first meets each key.
     """
-    (walked,) = _walks([arr], {} if chains is None else chains)
+    (walked,) = _walks([arr], {})
     if isinstance(walked, Exception):
         raise walked
     return walked

@@ -41,6 +41,10 @@ def _load_arrangement(path: str) -> ArrangementInput:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"input file {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # invalid UTF-8, an integer past the interpreter's digit limit, or
+        # arrays nested past its recursion limit
+        raise ValidationError(f"cannot parse input file {path}: {exc}") from exc
     return ArrangementInput.from_json_dict(data)
 
 

@@ -24,6 +24,13 @@ ranks from determinantal divisors.
 alcove, which gives the count of central and Catalan root-system input in
 closed form (Kamiya–Takemura–Terao; Athanasiadis).
 
+``closed_form_A``, ``ehrhart_form_A``, ``reciprocity_A`` and
+``correction_term`` are the paper's identities for the families of
+``qcp.families``.  Kind A has a closed-form quasi-polynomial, an equivalent
+product form built from open-cube lattice counts, and a reciprocity
+identity; kind D satisfies a product formula plus an explicitly enumerable
+correction term for q > p.  Each checks its arguments as the library does.
+
 ``euler_phi``, ``divisors``, ``with_period`` and ``roots_of_length`` are
 small helpers that only tests need, and the ``count_calls`` fixture counts
 calls to library functions, for tests that pin work counts.
@@ -32,12 +39,13 @@ calls to library functions, for tests that pin work counts.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from qcp import (
     BudgetExceededError,
+    FamilyParams,
     InternalConsistencyError,
     Polynomial,
     QuasiPolynomial,
@@ -45,7 +53,7 @@ from qcp import (
     q_zero,
 )
 from qcp.arrangement import _build_term_table, _echelon, _reduce_against
-from qcp.intlinalg import _smith_divisors
+from qcp.intlinalg import _require_int, _smith_divisors
 
 
 @pytest.fixture
@@ -83,6 +91,89 @@ def alcove_count(theta, t: int) -> int:
         for v in range(coin, rest + 1):
             ways[v] += ways[v - coin]
     return ways[rest]
+
+
+def _binom(n: int, k: int) -> int:
+    """Binomial coefficient, zero outside 0 <= k <= n."""
+    if k < 0 or k > n:
+        return 0
+    return comb(n, k)
+
+
+def closed_form_A(m: int, p: int, s: int) -> QuasiPolynomial:
+    """Exact quasi-polynomial of the kind-A arrangement, period s.
+
+    The class-k constituent has coefficient of t^(m-j), for j = 0..m,
+
+        (-1)^j * [ (p*C(m-1, j-2) + C(m-1, j-1)) * gcd(k, s)
+                   + p*C(m-1, j-1) + C(m-1, j) ].
+    """
+    FamilyParams(kind="A", m=m, p=p, s=s)
+    constituents = []
+    for k in range(1, s + 1):
+        g = gcd(k, s)
+        coeffs = [0] * (m + 1)
+        for j in range(m + 1):
+            value = (p * _binom(m - 1, j - 2) + _binom(m - 1, j - 1)) * g
+            value += p * _binom(m - 1, j - 1) + _binom(m - 1, j)
+            coeffs[m - j] = -value if j % 2 else value
+        constituents.append(Polynomial(tuple(coeffs)))
+    return QuasiPolynomial(period=s, constituents=tuple(constituents))
+
+
+def ehrhart_form_A(m: int, p: int, s: int, q: int) -> int:
+    """Product form of the kind-A count via open-cube lattice counts:
+
+        (q - gcd(q, s)) * ( (q-1)^(m-1) + p * sum_{k=1}^{m-1} (-1)^k (q-1)^(m-1-k) )
+        + (-1)^m * p.
+    """
+    FamilyParams(kind="A", m=m, p=p, s=s)
+    _require_int("q", q, positive=True)
+    inner = (q - 1) ** (m - 1)
+    for k in range(1, m):
+        term = p * (q - 1) ** (m - 1 - k)
+        inner += -term if k % 2 else term
+    tail = p if m % 2 == 0 else -p
+    return (q - gcd(q, s)) * inner + tail
+
+
+def reciprocity_A(m: int, p: int, s: int, q: int) -> int:
+    """Closed-cube mirror of ehrhart_form_A:
+
+        (q + gcd(q, s)) * ( (q+1)^(m-1) + p * sum_{k=1}^{m-1} (q+1)^(m-1-k) ) + p.
+
+    Equals (-1)^m times the kind-A constituent of q's class evaluated at -q,
+    with gcd taken at |q|.
+    """
+    FamilyParams(kind="A", m=m, p=p, s=s)
+    _require_int("q", q, positive=True)
+    inner = (q + 1) ** (m - 1)
+    for k in range(1, m):
+        inner += p * (q + 1) ** (m - 1 - k)
+    return (q + gcd(q, s)) * inner + p
+
+
+def correction_term(a: int, p: int, q: int) -> int:
+    """Number of pairs (l, r) in [1, a] x [1, p] with a | (l*q - r) and
+    q - (l*q - r)/a in [1, q-1].  Requires q > p.
+
+    Equals p when a = 1, and when a = p with q >= 2p; no closed form is
+    claimed for other parameters, the count is enumerated directly.
+    """
+    for name, v in (("a", a), ("p", p), ("q", q)):
+        _require_int(name, v, positive=True)
+    if q <= p:
+        raise ValidationError(f"correction term requires q > p, got q={q}, p={p}")
+    count = 0
+    for r in range(1, p + 1):
+        for ell in range(1, a + 1):
+            num = ell * q - r
+            if num % a:
+                continue
+            x = q - num // a
+            if 1 <= x <= q - 1:
+                count += 1
+    return count
 
 
 def euler_phi(n: int) -> int:

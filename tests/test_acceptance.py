@@ -13,8 +13,8 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import (bases_lcm_period, divisor_formula_count_naive, roots_of_length,
-                      with_period)
+from conftest import (bases_lcm_period, closed_form_A, divisor_formula_count_naive,
+                      ehrhart_form_A, reciprocity_A, roots_of_length, with_period)
 from qcp import (
     ArrangementInput,
     CountingFormula,
@@ -24,15 +24,12 @@ from qcp import (
     brute_force_count,
     central_scan,
     characteristic_quasi_polynomial,
-    closed_form_A,
     collapse_report,
     divisor_formula_count,
-    ehrhart_form_A,
     family_matrix,
     generate_central_inputs,
     has_gcd_property,
     q_zero,
-    reciprocity_A,
     RootSubset,
     shi_matrix,
     linial_matrix,

@@ -802,6 +802,49 @@ def test_scan_raises_an_earlier_collapse_before_a_later_refusal(monkeypatch):
         central_scan(3, 6, 5, 60, 1)
 
 
+# three draws that walk in lockstep, 2 rows and 3 classes each, whose floors
+# are all (1, 1): the middle draw alone reaches d_1..d_m (1, 2) and the
+# stacked rows [[1, 1], [0, 2], [0, 2]], and the final lcm loop, outside the
+# per-draw handler, meets neither
+LOCKSTEP_DRAWS = (
+    arrangement([(1, 0), (0, 3), (1, 1), (1, 1)], (0, 0, 1, 2)),
+    FAMILY_D_222,
+    arrangement([(1, 0), (0, 1), (1, 3), (1, 3)], (0, 0, 1, 2)),
+)
+
+
+@pytest.mark.parametrize("name, bad", [("_divisor_chain", (1, 2)),
+                                       ("_smith_divisors", [[1, 1], [0, 2], [0, 2]])],
+                         ids=["refused-chain", "stacked-rank"])
+def test_a_draws_internal_error_stays_with_that_draw(monkeypatch, name, bad):
+    first, faulted, last = LOCKSTEP_DRAWS
+    tables = [_build_term_table(first), _build_term_table(last)]
+    formulas = [CountingFormula.of(first), CountingFormula.of(last)]
+    inner = getattr(arrangement_module, name)
+
+    def fault(arg):
+        if arg != bad:
+            return inner(arg)
+        if name == "_divisor_chain":
+            raise InternalConsistencyError(f"refused {arg}")
+        return inner(arg)[:1]  # one divisor short: stacked rank 1
+
+    monkeypatch.setattr(arrangement_module, name, fault)
+    with pytest.raises(InternalConsistencyError) as alone:
+        _build_term_table(faulted)
+    message = str(alone.value)
+    assert message == ("refused (1, 2)" if name == "_divisor_chain"
+                       else "stacked rank 1 disagrees with the coefficient rank 2")
+    walked = _walks(list(LOCKSTEP_DRAWS), {})
+    assert isinstance(walked[1], InternalConsistencyError)
+    assert str(walked[1]) == message
+    assert [walked[0], walked[2]] == tables
+    made = _formulas(LOCKSTEP_DRAWS)
+    assert next(made) == formulas[0]
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        next(made)
+
+
 # even coordinate sums in Z^4: d_4 stays 2 however many columns join
 EVEN_SUM_4 = arrangement(
     [(1, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 1, -1), (1, 0, 0, 1)],

@@ -462,6 +462,24 @@ def test_validation_errors_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("content", [
+    b'{"m": 1, "n": 1, "C": [[1]], "b": [0]}\xff',
+    b'{"m": 1, "n": 1, "C": [[1' + b"0" * 5000 + b']], "b": [0]}',
+    b'{"m": 1, "n": 1, "C": ' + b"[" * 5000 + b"]" * 5000 + b', "b": [0]}',
+], ids=["invalid-utf8", "past-digit-limit", "nested-too-deep"])
+@pytest.mark.parametrize("command", [("compute",), ("oracle", "--q", "2"),
+                                     ("verify", "--q-window", "1")], ids=lambda c: c[0])
+def test_unparsable_input_file_is_a_validation_error(capsys, tmp_path, content, command):
+    # a UnicodeDecodeError, the digit limit's ValueError and a RecursionError,
+    # none of them a JSONDecodeError
+    path = tmp_path / "arr.json"
+    path.write_bytes(content)
+    code = main([*command, "--input", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out)["kind"] == "validation"
+
+
 def test_validation_error_json_shape(capsys):
     code, payload = run_json(capsys, "shi", "--type", "B", "--rank", "2", "--k", "0")
     assert code == 1
@@ -731,3 +749,24 @@ def test_main_calls_share_nothing_but_the_parser(capsys, tmp_path, monkeypatch):
     ]
     for argv, code, out in calls:
         assert run(capsys, *argv) == (code, out), argv
+
+
+def test_verify_and_conjecture_scan_text_output(capsys, tmp_path):
+    a122 = tmp_path / "a122.json"
+    a122.write_text(json.dumps({"m": 1, "n": 3, "C": [[2, 2, 2]], "b": [0, 1, 2]}))
+    assert run(capsys, "verify", "--input", str(a122), "--q-window", "4") == (0, (
+        "arrangement: m=1 n=3\nC:\n  2 2 2\nb: 0 1 2\nq0: 2\nwindow: 4\n"
+        "  q=3: formula=0 brute_force=0 match=True\n"
+        "  q=4: formula=0 brute_force=0 match=True\n"
+        "  q=5: formula=2 brute_force=2 match=True\n"
+        "  q=6: formula=2 brute_force=2 match=True\n"
+        "pass: True\n"))
+    assert run(capsys, "conjecture-scan", "--type", "A", "--rank", "2", "--k", "2") == (0, (
+        "conjecture scan: type=A rank=2 k=1..2\n"
+        "  excluded=[1, 0] k=1: lcm=1 min=1 collapse=False consistent=True\n"
+        "  excluded=[1, 0] k=2: lcm=1 min=1 collapse=False consistent=True\n"
+        "  excluded=[0, 1] k=1: lcm=1 min=1 collapse=False consistent=True\n"
+        "  excluded=[0, 1] k=2: lcm=1 min=1 collapse=False consistent=True\n"
+        "  excluded=[1, 1] k=1: lcm=1 min=1 collapse=False consistent=True\n"
+        "  excluded=[1, 1] k=2: lcm=1 min=1 collapse=False consistent=True\n"
+        "all consistent: True\n"))

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from conftest import with_period
+from conftest import closed_form_A, correction_term, ehrhart_form_A, reciprocity_A, with_period
 from qcp import (
     ArrangementInput,
     CountingFormula,
@@ -13,15 +13,11 @@ from qcp import (
     ValidationError,
     brute_force_count,
     characteristic_quasi_polynomial,
-    closed_form_A,
     collapse_report,
-    correction_term,
     divisor_formula_count,
-    ehrhart_form_A,
     family_matrix,
     lcm_period,
     q_zero,
-    reciprocity_A,
 )
 
 
