@@ -35,14 +35,16 @@ chain of C_J comes from its determinantal divisors d_1..d_m (d_k the gcd of
 all k x k minors, 0 above the rank), carried down the walk: when class c
 joins J the only new minors are those that use c, so d_k <- gcd(d_k,
 g(K + c)) over the (k-1)-subsets K of J, g(S) being the gcd of the
-|S| x |S| minors of S's columns (an exact determinant, memoised per walk).
+|S| x |S| minors of S's columns (exact determinants, read once per walk for
+all its inputs).
 The d_k of the whole coefficient matrix divides every d_k of C_J, so once
 d_k reaches it (1 in the common case, 0 only above the whole rank) it is
 skipped, and the rank of C_J is the number of nonzero d_k.  The chain is
 e_k = d_k / d_(k-1), computed once per distinct d_1..d_m in a table that
 the formulas of one batch share (see _formulas).  The floors come from the
 m x m minors of the first m-column sets of the whole matrix, one set per
-distinct column: once their gcd is 1, so is every d_k, since d_k divides
+distinct column, read through the walk's memo, so the walk reads none of
+them again: once their gcd is 1, so is every d_k, since d_k divides
 d_(k+1).  Only otherwise does Smith run on the whole coefficient matrix,
 and it runs on A_J only for a consistent choice with a nonzero offset whose
 C_J has e_r > 1 (r the rank).  Every other choice takes C_J's chain as its
@@ -108,7 +110,7 @@ import random
 from collections import Counter
 from itertools import accumulate, combinations, compress, islice, repeat
 from math import comb, gcd, lcm, prod
-from operator import eq, itemgetter, not_
+from operator import eq, mul, not_
 
 from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
 from .intlinalg import IntMatrix, _require_int, _require_ints, _smith_divisors, _Value
@@ -318,55 +320,47 @@ def _det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _minors_gcd(cols) -> int:
-    """gcd of all k x k minors of the matrix whose k columns are ``cols``
-    (0 when they are dependent).  One column gives the gcd of its entries
-    and two the gcd of their 2 x 2 minors, with no matrix built; m columns
-    of length m give their one determinant.  Otherwise the minors are read
-    until their gcd is 1, unless the first one is 0: then one Smith form of
-    the columns gives the gcd as the product of their elementary divisors,
-    0 when there are fewer than k, so no set reads C(m, k) minors for want
-    of a nonzero one."""
-    k = len(cols)
+def _minors_gcds(cols, key, m: int) -> list:
+    """g(K) for each draw of ``cols`` (its m-long columns, by class index):
+    the gcd of all k x k minors of the k columns that ``key`` indexes (0
+    when they are dependent), the case picked once for every draw.  One
+    column gives the gcd of its entries and two the gcd of their 2 x 2
+    minors, with no matrix built; m columns give their one determinant.
+    Otherwise the minors are read until their gcd is 1, unless the first
+    one is 0: then one Smith form of the columns gives the gcd as the
+    product of their elementary divisors, 0 when there are fewer than k, so
+    no set reads C(m, k) minors for want of a nonzero one."""
+    k = len(key)
     if k == 1:
-        return gcd(*cols[0])
-    g = 0
+        return [gcd(*c[key[0]]) for c in cols]
+    if k == m:  # one minor, the determinant of the transpose
+        return [abs(_det([c[i] for i in key])) for c in cols]
+    out = []
     if k == 2:
-        u, v = cols
-        for i, j in combinations(range(len(u)), 2):
-            g = gcd(g, u[i] * v[j] - u[j] * v[i])
-            if g == 1:
-                break
-        return g
-    if k == len(cols[0]):  # one minor, the determinant of the transpose
-        return abs(_det(cols))
-    row_sets = combinations(range(len(cols[0])), k)
-    g = abs(_det([[c[i] for c in cols] for i in next(row_sets)]))
-    if not g:
-        chain = _smith_divisors([list(c) for c in cols])
-        return prod(chain) if len(chain) == k else 0
-    for rows in row_sets:
-        if g == 1:
-            break
-        g = gcd(g, _det([[c[i] for c in cols] for i in rows]))
-    return g
-
-
-def _whole_determinantal(columns, m: int) -> tuple[int, ...]:
-    """d_1..d_m of the m-row matrix holding every column in ``columns``:
-    products of its elementary divisors, 0 above its rank.
-
-    The m x m minors of the first len(columns) m-column sets, in
-    combinations order, come first: once their gcd is 1, d_m is 1 and so is
-    every d_k, since d_k divides d_(k+1).  Otherwise, and with fewer than m
-    columns, one Smith form gives the chain."""
-    g = 0
-    for cols in islice(combinations(columns, m), len(columns)):
-        g = gcd(g, _minors_gcd(cols))
-        if g == 1:
-            return (1,) * m
-    chain = _smith_divisors([[c[i] for c in columns] for i in range(m)])
-    return tuple(prod(chain[:k]) if k <= len(chain) else 0 for k in range(1, m + 1))
+        i, j = key
+        row_pairs = list(combinations(range(m), 2))
+        for c in cols:
+            u, v, g = c[i], c[j], 0
+            for r, s in row_pairs:
+                g = gcd(g, u[r] * v[s] - u[s] * v[r])
+                if g == 1:
+                    break
+            out.append(g)
+        return out
+    first, *row_sets = combinations(range(m), k)
+    for c in cols:
+        sub = [c[i] for i in key]
+        g = abs(_det([[col[r] for col in sub] for r in first]))
+        if g:
+            for rows in row_sets:
+                if g == 1:
+                    break
+                g = gcd(g, _det([[col[r] for col in sub] for r in rows]))
+        else:
+            chain = _smith_divisors([list(col) for col in sub])
+            g = prod(chain) if len(chain) == k else 0
+        out.append(g)
+    return out
 
 
 def _extend_determinantal(dets, chosen, idx, minors, low, alive) -> list:
@@ -395,17 +389,31 @@ def _extend_determinantal(dets, chosen, idx, minors, low, alive) -> list:
 
 
 class _MinorGcds(dict):
-    """g(K) of sorted class-index tuples K for each draw of a lockstep walk,
-    the gcd of the |K| x |K| minors of K's columns (see _minors_gcd), read
-    at the first lookup of K; 0 for a draw whose rank is below |K|."""
+    """g(K) of sorted class-index tuples K for each draw of a lockstep walk
+    (``cols`` holds each draw's class columns, m long), read for all the
+    draws by one _minors_gcds call at the first lookup of K.
 
-    def __init__(self, cols, floors):
+    ``floors``, each draw's d_1..d_m of its whole matrix, are read through
+    the memo itself: the gcd of the m x m minors of the first len(columns)
+    m-column sets, in combinations order, until it is 1 for every draw,
+    then one Smith form for each draw where it is not (see the module
+    docstring).  The walk finds those minors in the memo."""
+
+    def __init__(self, cols, m: int):
         super().__init__()
-        self.cols, self.floors = cols, floors
+        self.cols, self.m = cols, m
+        g = [0] * len(cols)
+        for key in islice(combinations(range(len(cols[0])), m), len(cols[0])):
+            g = list(map(gcd, g, self[key]))
+            if g.count(1) == len(g):
+                break
+        self.floors = []
+        for x, c in zip(g, cols):
+            chain = [1] * m if x == 1 else _smith_divisors([list(row) for row in zip(*c)])
+            self.floors.append((*accumulate(chain, mul), *[0] * (m - len(chain))))
 
     def __missing__(self, key):
-        self[key] = g = [_minors_gcd([c[i] for i in key]) if floor[len(key) - 1] else 0
-                         for c, floor in zip(self.cols, self.floors)]
+        self[key] = g = _minors_gcds(self.cols, key, self.m)
         return g
 
 
@@ -421,16 +429,23 @@ def _divisor_chain(dets) -> tuple[int, ...]:
     return tuple(dets[k] // (dets[k - 1] if k else 1) for k in range(rank))
 
 
-def _new_chain(chains: dict, dets) -> tuple:
-    """Enter the chain of C_J with determinantal divisors ``dets`` in
-    ``chains``, emptied first when it holds _TABLE_CAP entries, and return
-    it with the all-zero choice's term key: (chain, (rank, ((e, e) for
-    e != 1)))."""
-    if len(chains) >= _TABLE_CAP:
-        chains.clear()
-    es = _divisor_chain(dets)
-    chains[dets] = chain = (es, (len(es), tuple((e, e) for e in es if e != 1)))
-    return chain
+def _chain(chains: dict, dets, errors: dict, d: int) -> tuple:
+    """(chain, all-zero choice's term key) of C_J with determinantal
+    divisors ``dets``, that is (es, (rank, ((e, e) for e in es if e != 1))),
+    read from ``chains`` or entered there, the table emptied first when it
+    holds _TABLE_CAP entries.  Inconsistent ``dets`` give (None, None) and
+    keep the error as draw ``d``'s in ``errors``, unless it has one."""
+    found = chains.get(dets)
+    if found is None:
+        if len(chains) >= _TABLE_CAP:
+            chains.clear()
+        try:
+            es = _divisor_chain(dets)
+        except InternalConsistencyError as exc:
+            errors.setdefault(d, exc)
+            return None, None
+        chains[dets] = found = (es, (len(es), tuple((e, e) for e in es if e != 1)))
+    return found
 
 
 def lcm_period(cmatrix: IntMatrix) -> int:
@@ -553,53 +568,66 @@ def _walks(arrs, chains: dict) -> list:
     error its walk raises, in order.
 
     An input's classes are its distinct coefficient columns with their
-    distinct offsets, its floors come from its maximal minors or one Smith
-    form (_whole_determinantal), and _least_offered may refuse it before any
-    walk.  The inputs with the same rows and class count walk in lockstep
-    (see _lockstep_walk), sharing ``chains`` (see _formulas).
+    distinct offsets.  The inputs with the same rows and class count form a
+    group with one _MinorGcds, which reads their floors, and _least_offered
+    may refuse an input before any walk; it runs once per distinct
+    arguments, so once per rank for a group's central inputs.  The rest of
+    the group walk in lockstep (see _lockstep_walk), sharing ``chains``
+    (see _formulas).
     """
     out: list = [None] * len(arrs)
-    groups: dict = {}  # (rows, class count) -> (input index, classes, floors) per input
+    groups: dict = {}  # (rows, class count) -> (input index, classes, pairs, zeros) per input
     for i, arr in enumerate(arrs):
         # column -> its distinct offsets; _least_offered's (classes, offsets)
         # pairs, one per class, and the classes that hold offset 0
         if arr.is_central:  # no loop: it costs a central-scan pass about 1%
             by_class = dict.fromkeys(arr.cmatrix.columns(), (0,))
-            pairs, zeros = [(1, 1)] * len(by_class), len(by_class)
+            pairs, zeros = ((1, 1),) * len(by_class), len(by_class)
         else:
             by_class = {}
             for c, b in zip(arr.cmatrix.columns(), arr.offsets):
                 bs = by_class.setdefault(c, [])
                 if b not in bs:
                     bs.append(b)
-            pairs = [(1, len(bs)) for bs in by_class.values()]
+            pairs = tuple((1, len(bs)) for bs in by_class.values())
             zeros = sum(0 in bs for bs in by_class.values())
-        floor = _whole_determinantal(list(by_class), arr.m)
-        try:
-            _least_offered(arr.m - floor.count(0), pairs, zeros)
-        except BudgetExceededError as exc:
-            out[i] = exc
-            continue
-        groups.setdefault((arr.m, len(by_class)), []).append((i, by_class, floor))
+        groups.setdefault((arr.m, len(by_class)), []).append((i, by_class, pairs, zeros))
     for (m, n), group in groups.items():
-        where, classes, floors = zip(*group)
-        for i, walked in zip(where, _lockstep_walk(m, n, classes, floors, chains)):
+        where, classes, pairs, zeros = zip(*group)
+        minors = _MinorGcds([list(draw) for draw in classes], m)
+        refusals: dict = {}  # _least_offered's arguments -> the error it raises, or None
+        for i, args in zip(where, zip((m - f.count(0) for f in minors.floors), pairs, zeros)):
+            if args not in refusals:
+                refusals[args] = None
+                try:
+                    _least_offered(*args)
+                except BudgetExceededError as exc:
+                    refusals[args] = exc
+            out[i] = refusals[args]
+        if any(refusals.values()):  # rare: the rest walk as a batch of their own
+            where = [i for i in where if out[i] is None]
+            for i, walked in zip(where, _walks([arrs[i] for i in where], chains)):
+                out[i] = walked
+            continue
+        for i, walked in zip(where, _lockstep_walk(m, n, classes, minors, chains)):
             out[i] = walked
     return out
 
 
-def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
+def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
     """The subset walks of draws with ``m`` rows and ``n`` classes each, run
     as one depth-first search over class-index tuples: (term table, lcm
     period) per draw, or the error its own walk would raise.
 
     ``classes`` maps each draw's coefficient columns to their distinct
-    offsets, and ``floors`` holds its d_1..d_m of the whole matrix.  A node
-    holds the draws alive under it and, for those, their d_1..d_m as m
-    columns (see _extend_determinantal) and their live offset choices as
-    (offsets, stacked basis), the root's one choice being the empty one.
-    The loop over joining classes, the (k-1)-subsets K and the minor keys
-    are paid once per node, and the minor gcds once per walk (_MinorGcds).
+    offsets, and ``minors``, a _MinorGcds of the same draws, holds their
+    floors, d_1..d_m of the whole matrix.  A node holds the draws alive
+    under it and, for those, their d_1..d_m as m columns (see
+    _extend_determinantal) and their live offset choices as (offsets,
+    stacked basis), the root's one choice being the empty one.  The loop
+    over joining classes, the (k-1)-subsets K and the minor keys are paid
+    once per node, and the minor gcds of a key once per walk, for all its
+    draws at once.
     Every rule of the module docstring holds draw by draw: a draw leaves
     the alive list below a class that leaves it no live choice, and below a
     saturated class set.  A group whose draws all have zero offsets only
@@ -607,18 +635,19 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
     offset side as a whole.
 
     Terms are tallied by draw and key in visiting order, which for each
-    draw is its own walk's order.  Every class set a draw visits is tallied
-    or saturated, so its lcm period is read off its tally and its floor.
+    draw is its own walk's order; a central group tallies d_1..d_m, each
+    read as its key from ``chains`` once the walk ends.  Every class set a
+    draw visits is tallied or saturated, so its lcm period is read off its
+    tally and its floor.
     Each draw is charged what its own walk is offered, width x offsets per
     joining class, the width being its live choices; a draw whose charge
     passes WALK_BUDGET leaves the walk at the start of that node, with its
     walk's error, and a group that cannot pass it is not charged.  A draw
     whose chain or stacked rank is inconsistent keeps walking, but only the
-    first error it meets is kept.
+    first error it meets is kept; a central draw meets its chains last.
     """
     size = len(classes)
-    cols = [list(draw) for draw in classes]
-    minors = _MinorGcds(cols, floors)
+    cols, floors = minors.cols, minors.floors
     central = not any(any(map(any, draw.values())) for draw in classes)
     # the most (class set, offset choice) pairs of a draw, and the offsets a
     # choice is offered before each class
@@ -631,7 +660,8 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
     charged = most > WALK_BUDGET  # else no draw can pass it, and charging costs central-scan 1%
     errors: dict[int, Exception] = {}
     offered = [0] * size
-    tally: Counter = Counter()  # (draw, term key, |J| even) -> class sets J
+    # (draw, |J| even, term key) -> class sets J; (draw, |J| even, d_1, ..., d_m) if central
+    tally: Counter = Counter()
     # (first class to add, chosen class indices, alive draws, their d_k and
     #  floor_k as columns, their floors as tuples, and per alive draw its
     #  live choices: None in a central group)
@@ -648,7 +678,9 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                 offered[d] += charge
                 within.append(offered[d] <= WALK_BUDGET)
                 if not within[-1]:
-                    errors.setdefault(d, _walk_budget_error())
+                    errors.setdefault(d, BudgetExceededError(
+                        f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} "
+                        f"column subsets"))
             if not all(within):
                 alive, dets, low, lows, lives = _narrow(within, alive, dets, low, lows, lives)
                 if not alive:
@@ -678,15 +710,6 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                         list(map(bool, kept)), alive, dets, low, lows, kept)
             now = _extend_determinantal(here_dets, chosen, idx, minors, here_low, here)
             keys = list(zip(*now))
-            found = list(map(chains.get, keys))
-            if None in found:
-                for j, key in enumerate(keys):
-                    if found[j] is None:
-                        try:
-                            found[j] = chains.get(key) or _new_chain(chains, key)
-                        except InternalConsistencyError as exc:
-                            errors.setdefault(here[j], exc)
-                            found[j] = (None, None)
             saturated = list(map(eq, keys, here_lows))
             some = any(saturated)
             # below a saturated J the subtree of a choice is J + S over the
@@ -695,13 +718,14 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             # A central group's one choice is all zero, and every later
             # class extends it with its offset 0.
             if central:
-                zero_keys = map(itemgetter(1), found)
-                if idx == n - 1 or not some:
-                    tally.update(zip(here, zero_keys, repeat(even)))
-                else:
-                    unsaturated = list(map(not_, saturated))
-                    tally.update(zip(compress(here, unsaturated), compress(zero_keys, unsaturated),
-                                     repeat(even)))
+                terms = zip(here, repeat(even), *now)
+                tally.update(terms if idx == n - 1 or not some
+                             else compress(terms, map(not_, saturated)))
+            else:
+                found = list(map(chains.get, keys))
+                if None in found:
+                    found = [f or _chain(chains, key, errors, d)
+                             for f, key, d in zip(found, keys, here)]
             now_chosen = chosen + (idx,)
             for j, choices in enumerate(kept) if kept else ():
                 es, zero_key = found[j]
@@ -724,7 +748,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                             f"stacked rank {rank} disagrees with the coefficient rank {len(es)}"
                         ))
                         continue
-                    tally[d, key, even] += 1
+                    tally[d, even, key] += 1
             if idx == n - 1:
                 continue
             if not some:
@@ -733,7 +757,12 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
                 stack.append((idx + 1, now_chosen, *_narrow(list(map(not_, saturated)), here,
                                                             now, here_low, here_lows, kept)))
     tables: list[dict] = [{} for _ in range(size)]
-    for (d, key, even), count in tally.items():
+    for entry, count in tally.items():
+        d, even, key = entry[:3]
+        if central:  # d_1..d_m, read as their term key
+            key = (chains.get(entry[2:]) or _chain(chains, entry[2:], errors, d))[1]
+            if key is None:
+                continue
         table = tables[d]
         table[key] = table.get(key, 0) + (count if even else -count)
     out: list = []
@@ -743,7 +772,7 @@ def _lockstep_walk(m: int, n: int, classes, floors, chains: dict) -> list:
             continue
         # a class set left out of the tally is saturated: the floor's e_r;
         # the last pair of a key holds e_r, and no pair means 1
-        es, _ = chains.get(floor) or _new_chain(chains, floor)
+        es, _ = _chain(chains, floor, errors, d)
         rho = lcm(es[-1], *(pairs[-1][0] for _, pairs in table if pairs))
         out.append(({key: coef for key, coef in table.items() if coef}, rho))
     return out
@@ -755,12 +784,6 @@ def _narrow(keep, alive, dets, low, *rows) -> tuple:
     return (list(compress(alive, keep)), [list(compress(col, keep)) for col in dets],
             [list(compress(col, keep)) for col in low],
             *(None if row is None else list(compress(row, keep)) for row in rows))
-
-
-def _walk_budget_error() -> BudgetExceededError:
-    return BudgetExceededError(
-        f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} column subsets"
-    )
 
 
 def _prime_powers(n: int, spent: list[int]) -> list[tuple[int, int]]:
@@ -937,7 +960,7 @@ def _formulas(arrs):
     The arrangements are walked _TABLE_CAP at a time, in lockstep (see
     _walks), so a long scan holds the walk state of at most _TABLE_CAP
     draws.  The formulas share two tables whose values depend on their keys
-    alone: the walk's divisor chains by d_1..d_m (see _new_chain) and the
+    alone: the walk's divisor chains by d_1..d_m (see _chain) and the
     indicator weights of each tuple of divisor pairs.  The 18 rows of ``qcp
     conjecture-scan --type B --rank 3 --k 2`` compute 5 chains and 3
     expansions, where formulas of their own compute 90 and 54.  Each table

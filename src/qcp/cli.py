@@ -41,10 +41,14 @@ def _load_arrangement(path: str) -> ArrangementInput:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"input file {path} is not valid JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # invalid UTF-8, an integer past the interpreter's digit limit, or
-        # arrays nested past its recursion limit
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # invalid UTF-8, or arrays nested past the interpreter's recursion limit
         raise ValidationError(f"cannot parse input file {path}: {exc}") from exc
+    except ValueError as exc:  # the digit limit; Python's message says how to lift it
+        raise ValidationError(
+            f"cannot parse input file {path}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit"
+        ) from exc
     return ArrangementInput.from_json_dict(data)
 
 

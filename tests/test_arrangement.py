@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -58,10 +59,9 @@ from qcp.arrangement import (
     _extend_determinantal,
     _formulas,
     _MinorGcds,
-    _minors_gcd,
+    _minors_gcds,
     _reduce_against,
     _walks,
-    _whole_determinantal,
 )
 from qcp.cli import main
 from qcp.intlinalg import _smith_divisors
@@ -431,24 +431,37 @@ def test_walk_period_matches_lcm_period_on_root_deletions(type_tag):
             assert _build_term_table(arr)[1] == bases_lcm_period(arr.cmatrix)
 
 
-def test_formula_walks_once(count_calls):
+def count_minor_reads(monkeypatch) -> Counter:
+    """Count, by |K|, the (class set K, draw) pairs whose minor gcd g(K) the
+    kernel _minors_gcds reads: one per draw it is handed for a key."""
+    reads: Counter = Counter()
+    kernel = arrangement_module._minors_gcds
+
+    def counting(cols, key, m):
+        reads[len(key)] += len(cols)
+        return kernel(cols, key, m)
+
+    monkeypatch.setattr(arrangement_module, "_minors_gcds", counting)
+    return reads
+
+
+def test_formula_walks_once(monkeypatch, count_calls):
     # 63 subsets of six distinct central columns: no reduction (the ranks
     # come from determinantal divisors, and a central walk builds no stacked
     # basis), no Smith form (the chains come from determinantal divisors,
     # and the whole matrix's floors from its first 3 x 3 minor, 1), the
     # minor gcd of each of the 6 + 15 + 20 column sets of size at most 3
-    # once in the walk and of that first set once more for the floors, and
-    # no separate lcm_period walk
+    # read once, the floors' first set included, and no separate
+    # lcm_period walk
     arr = arrangement(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)], (0,) * 6
     )
-    calls = count_calls(
-        arrangement_module, "lcm_period", "_smith_divisors", "_reduce_against", "_minors_gcd"
-    )
+    calls = count_calls(arrangement_module, "lcm_period", "_smith_divisors", "_reduce_against")
+    reads = count_minor_reads(monkeypatch)
     formula = CountingFormula.of(arr)
     assert calls["lcm_period"] == 0
     assert calls["_smith_divisors"] == 0
-    assert calls["_minors_gcd"] == 42
+    assert reads == {1: 6, 2: 15, 3: 20}
     assert calls["_reduce_against"] == 0
     assert formula.period == formula.minimum_period == 30
 
@@ -462,20 +475,27 @@ def test_walk_matches_unpruned_walk_on_central_scan_draws(seed):
         assert rho == bases_lcm_period(arr.cmatrix)
 
 
-def test_central_walk_checks_each_divisor_chain_once(count_calls):
+def test_central_walk_checks_each_divisor_chain_once(monkeypatch, count_calls):
     # the 60 draws of `qcp scan-central --m 3 --n 6 --entry-bound 5
     # --trials 60 --seed 1`: every class set the walk visits extends the
     # determinantal divisors, but only 1,591 distinct d_1..d_m turn up, each
     # walk reading its own chain once; no walk reduces a vector.  The walks
-    # read 2,460 minor gcds and the floors 229 more, the 3 x 3 minors of at
-    # most 6 column sets per draw; 47 draws reach gcd 1 that way, and the
-    # other 13 take a Smith form of the whole matrix
-    names = ("_extend_determinantal", "_divisor_chain", "_reduce_against", "_minors_gcd",
-             "_smith_divisors")
+    # read 2,460 minor gcds.  The floors read theirs, the 3 x 3 minors of
+    # at most 6 column sets per draw, through the same memo, so none is
+    # read twice; 47 draws reach gcd 1 that way, and the other 13 take a
+    # Smith form of the whole matrix
+    names = ("_extend_determinantal", "_divisor_chain", "_reduce_against", "_smith_divisors")
     calls = count_calls(arrangement_module, *names)
+    reads = count_minor_reads(monkeypatch)
     for arr in generate_central_inputs(3, 6, 5, 60, 1):
         _build_term_table(arr)
-    assert [calls[name] for name in names] == [3485, 1591, 0, 2689, 13]
+    assert [calls[name] for name in names] == [3485, 1591, 0, 13]
+    assert sum(reads.values()) == 2460
+    # the scan walks them as one batch: each of the 6 + 15 + 20 class sets
+    # is read once for all 60 draws, the same 2,460 reads
+    reads.clear()
+    central_scan(3, 6, 5, 60, 1)
+    assert reads == {1: 6 * 60, 2: 15 * 60, 3: 20 * 60}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -591,7 +611,7 @@ def test_dependent_minor_set_stops_at_the_first_minor(count_calls):
     calls = count_calls(arrangement_module, "_det")
     # the third column is the sum of the first two: one minor, not C(6, 3) = 20
     u, v = (1, 2, 0, 1, 3, -1), (0, 1, 1, 2, -1, 4)
-    assert _minors_gcd([u, v, tuple(a + b for a, b in zip(u, v))]) == 0
+    assert _minors_gcds([[u, v, tuple(a + b for a, b in zip(u, v))]], (0, 1, 2), 6) == [0]
     assert calls["_det"] == 1
 
 
@@ -601,7 +621,7 @@ def test_zero_first_minor_goes_to_smith(count_calls):
     # minors
     cols = [(1, 0, 0, 2, 0, 0), (0, 1, 0, 0, 2, 0), (1, 1, 0, 0, 0, 2)]
     rows = [[c[i] for c in cols] for i in range(6)]
-    assert _minors_gcd(cols) == minors_gcd(rows, 3) == 2
+    assert _minors_gcds([cols], (0, 1, 2), 6) == [minors_gcd(rows, 3)] == [2]
     assert calls == {"_det": 1, "_smith_divisors": 1}
 
 
@@ -987,21 +1007,28 @@ def test_walk_offers_at_least_its_up_front_bound(arr):
             _build_term_table(arr)
 
 
-def extend_one(cols, dets, chosen, idx, floor):
-    """_extend_determinantal for a batch of one draw with columns ``cols``."""
-    now = _extend_determinantal([[dk] for dk in dets], chosen, idx, _MinorGcds([cols], [floor]),
+def extend_one(minors, dets, chosen, idx, floor):
+    """_extend_determinantal for the first draw of ``minors`` (a _MinorGcds)
+    alone, with ``floor`` as its floors."""
+    now = _extend_determinantal([[dk] for dk in dets], chosen, idx, minors,
                                 [[low] for low in floor], [0])
     return tuple(dk for (dk,) in now)
 
 
+def whole_determinantal(cols, m):
+    """d_1..d_m of the matrix with columns ``cols``, as the walk's memo reads them."""
+    return _MinorGcds([cols], m).floors[0]
+
+
 def test_even_sum_determinantal_divisor_stays_two():
     cols = EVEN_SUM_4.cmatrix.columns()
-    floor = _whole_determinantal(cols, 4)
+    minors = _MinorGcds([cols], 4)
+    floor = minors.floors[0]
     assert floor == (1, 1, 1, 2)
     for low in (floor, (1,) * 4):
         chosen, dets = (), (0,) * 4
         for idx in range(len(cols)):
-            dets = extend_one(cols, dets, chosen, idx, low)
+            dets = extend_one(minors, dets, chosen, idx, low)
             chosen += (idx,)
         assert dets == (1, 1, 1, 2)
         assert _divisor_chain(dets) == (1, 1, 1, 2)
@@ -1014,26 +1041,54 @@ def test_divisor_chain_refuses_a_zero_before_a_nonzero_divisor():
         _divisor_chain((1, 0, 2))
 
 
-@given(st.integers(1, 4).flatmap(lambda m: st.one_of(
-    st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any).map(tuple),
-             min_size=1, max_size=8),
-    sublattice_columns(m, 8),
-)))
-@settings(max_examples=40, deadline=None)
-def test_chains_from_determinantal_divisors_match_smith(cols):
-    # every column set, each reached by adding its largest index last, with
-    # the whole matrix's determinantal divisors as floors and with none (1)
-    m = len(cols[0])
-    rows = [[c[i] for c in cols] for i in range(m)]
-    whole = _whole_determinantal(cols, m)
-    assert whole == tuple(minors_gcd(rows, k) for k in range(1, m + 1))
+@st.composite
+def kernel_batches(draw):
+    """A lockstep batch of one to three draws with m <= 5 rows and one class
+    count n <= 8: random, sublattice or rank-deficient columns (floors 0
+    above the rank), cycled to n so that columns repeat, some with one row
+    scaled by 2^70."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    column = st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any).map(tuple)
+    kinds = [st.lists(column, min_size=1, max_size=n), sublattice_columns(m, n)]
+    if m > 1:
+        kinds.append(rank_deficient_columns(m, n))
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        cols = (draw(st.one_of(kinds)) * n)[:n]
+        if draw(st.booleans()):
+            r = draw(st.integers(0, m - 1))
+            cols = [c[:r] + (c[r] << 70,) + c[r + 1:] for c in cols]
+        batch.append(cols)
+    return batch
 
-    for floor in (whole, (1,) * m):
+
+@given(kernel_batches())
+# rank 2 beside rank 3, and d_3 = 4 * 2^70
+@example([[(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+          [(2, 0, 0), (0, 2, 0), (0, 0, 1 << 70)]])
+@settings(max_examples=40, deadline=None)
+def test_chains_from_determinantal_divisors_match_smith(batch):
+    # the kernel gives every column set of every draw the cofactor oracle's
+    # minor gcd, called alone and through the batch's memo, 0 above a draw's
+    # rank; the memo's floors are each draw's d_1..d_m
+    m, n = len(batch[0][0]), len(batch[0])
+    rows = [[[c[i] for c in cols] for i in range(m)] for cols in batch]
+    minors = _MinorGcds(batch, m)
+    assert minors.floors == [tuple(minors_gcd(r, k) for k in range(1, m + 1)) for r in rows]
+    for size in range(1, m + 1):
+        for key in combinations(range(n), size):
+            oracle = [minors_gcd([[row[j] for j in key] for row in r], size) for r in rows]
+            assert _minors_gcds(batch, key, m) == minors[key] == oracle
+
+    # every column set of the first draw, each reached by adding its largest
+    # index last, with its determinantal divisors as floors and with none (1)
+    cols = batch[0]
+    for floor in (minors.floors[0], (1,) * m):
         stack = [((), (0,) * m)]
         while stack:
             chosen, dets = stack.pop()
-            for idx in range(chosen[-1] + 1 if chosen else 0, len(cols)):
-                now = extend_one(cols, dets, chosen, idx, floor)
+            for idx in range(chosen[-1] + 1 if chosen else 0, n):
+                now = extend_one(minors, dets, chosen, idx, floor)
                 now_chosen = chosen + (idx,)
                 smith = _smith_divisors([[cols[j][i] for j in now_chosen] for i in range(m)])
                 assert _divisor_chain(now) == tuple(smith)
@@ -1079,7 +1134,7 @@ def rank_deficient_columns(draw, m, max_n):
 )
 def test_whole_determinantal_examples(cols, dets):
     m = len(cols[0])
-    assert _whole_determinantal(cols, m) == smith_determinantal(cols, m) == dets
+    assert whole_determinantal(cols, m) == smith_determinantal(cols, m) == dets
 
 
 @given(st.integers(1, 4).flatmap(lambda m: st.one_of(
@@ -1093,7 +1148,7 @@ def test_whole_determinantal_matches_smith(cols):
     # the unit shortcut only ever answers (1, ..., 1), and anything else,
     # d_m > 1, rank below m or fewer columns than rows, is Smith's
     m = len(cols[0])
-    assert _whole_determinantal(cols, m) == smith_determinantal(cols, m)
+    assert whole_determinantal(cols, m) == smith_determinantal(cols, m)
 
 
 def test_naive_refuses_wide_input():

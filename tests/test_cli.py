@@ -477,7 +477,11 @@ def test_unparsable_input_file_is_a_validation_error(capsys, tmp_path, content, 
     code = main([*command, "--input", str(path), "--format", "json"])
     out, err = capsys.readouterr()
     assert (code, err) == (1, "")
-    assert json.loads(out)["kind"] == "validation"
+    payload = json.loads(out)
+    assert payload["kind"] == "validation"
+    # the digit limit is reported, without Python's advice to lift it
+    assert "set_int_max_str_digits" not in payload["error"]
+    assert ("more than 4300 digits" in payload["error"]) == (b"0" * 5000 in content)
 
 
 def test_validation_error_json_shape(capsys):
