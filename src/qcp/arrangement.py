@@ -72,6 +72,8 @@ budget is what stops a wide one.
 Before it offers the first subset, the walk bounds from its classes alone
 what it must offer (see _least_offered) and refuses at once past
 WALK_BUDGET: the central positive roots of A12 need at least 5.3 * 10^13.
+A refused input has that error as its first, as a draw that fails in
+the walk has, and its batch's one walk starts without it.
 
 Inputs walk in batches, in lockstep (see _lockstep_walk): those with the
 same rows and class count share one depth-first search over class-index
@@ -97,11 +99,12 @@ columns, under the same WALK_BUDGET; the tests keep a walk over bases only
 as the oracle for that value.
 
 CountingFormula expands every term into integer weights on divisibility
-indicators [D | q]; the value at any q, every constituent and the minimum
-period are read off those weights.  Every modulus D divides the lcm period,
-so [D | k] = [D | gcd(k, period)] and a constituent depends on its class k
-only through gcd(k, period): the gcd property holds by construction, and
-collapse_report states it without comparing constituents.
+indicators [D | q], checking its divisor pairs in the same pass; the value
+at any q, every constituent and the minimum period are read off those
+weights.  Every modulus D divides the lcm period, so [D | k] = [D | gcd(k,
+period)] and a constituent depends on its class k only through gcd(k,
+period): the gcd property holds by construction, and collapse_report
+states it without comparing constituents.
 """
 
 from __future__ import annotations
@@ -569,18 +572,18 @@ def _walks(arrs, chains: dict) -> list:
 
     An input's classes are its distinct coefficient columns with their
     distinct offsets.  The inputs with the same rows and class count form a
-    group with one _MinorGcds, which reads their floors, and _least_offered
-    may refuse an input before any walk; it runs once per distinct
-    arguments, so once per rank for a group's central inputs.  The rest of
-    the group walk in lockstep (see _lockstep_walk), sharing ``chains``
-    (see _formulas).
+    group with one _MinorGcds, which reads their floors, and walk in
+    lockstep (see _lockstep_walk), sharing ``chains`` (see _formulas).
+    _least_offered runs once per distinct arguments, so once per rank for a
+    group's central inputs; an input it refuses has that error as its first
+    and is not walked.
     """
     out: list = [None] * len(arrs)
     groups: dict = {}  # (rows, class count) -> (input index, classes, pairs, zeros) per input
     for i, arr in enumerate(arrs):
         # column -> its distinct offsets; _least_offered's (classes, offsets)
         # pairs, one per class, and the classes that hold offset 0
-        if arr.is_central:  # no loop: it costs a central-scan pass about 1%
+        if arr.is_central:  # no loop: it costs central-scan wall_s 1.0%
             by_class = dict.fromkeys(arr.cmatrix.columns(), (0,))
             pairs, zeros = ((1, 1),) * len(by_class), len(by_class)
         else:
@@ -596,33 +599,32 @@ def _walks(arrs, chains: dict) -> list:
         where, classes, pairs, zeros = zip(*group)
         minors = _MinorGcds([list(draw) for draw in classes], m)
         refusals: dict = {}  # _least_offered's arguments -> the error it raises, or None
-        for i, args in zip(where, zip((m - f.count(0) for f in minors.floors), pairs, zeros)):
+        errors: dict = {}  # draw -> its refusal, the first error of its walk
+        for d, args in enumerate(zip((m - f.count(0) for f in minors.floors), pairs, zeros)):
             if args not in refusals:
                 refusals[args] = None
                 try:
                     _least_offered(*args)
                 except BudgetExceededError as exc:
                     refusals[args] = exc
-            out[i] = refusals[args]
-        if any(refusals.values()):  # rare: the rest walk as a batch of their own
-            where = [i for i in where if out[i] is None]
-            for i, walked in zip(where, _walks([arrs[i] for i in where], chains)):
-                out[i] = walked
-            continue
-        for i, walked in zip(where, _lockstep_walk(m, n, classes, minors, chains)):
+            if refusals[args]:
+                errors[d] = refusals[args]
+        for i, walked in zip(where, _lockstep_walk(m, n, classes, minors, chains, errors)):
             out[i] = walked
     return out
 
 
-def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
+def _lockstep_walk(m: int, n: int, classes, minors, chains: dict, errors: dict) -> list:
     """The subset walks of draws with ``m`` rows and ``n`` classes each, run
     as one depth-first search over class-index tuples: (term table, lcm
     period) per draw, or the error its own walk would raise.
 
     ``classes`` maps each draw's coefficient columns to their distinct
     offsets, and ``minors``, a _MinorGcds of the same draws, holds their
-    floors, d_1..d_m of the whole matrix.  A node holds the draws alive
-    under it and, for those, their d_1..d_m as m columns (see
+    floors, d_1..d_m of the whole matrix.  ``errors`` maps draws to their
+    first error, which the walk adds to; a draw already there (refused up
+    front) is not walked.  A node holds the draws alive under it and, for
+    those, their d_1..d_m and floors as m columns each (see
     _extend_determinantal) and their live offset choices as (offsets,
     stacked basis), the root's one choice being the empty one.  The loop
     over joining classes, the (k-1)-subsets K and the minor keys are paid
@@ -630,9 +632,9 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
     draws at once.
     Every rule of the module docstring holds draw by draw: a draw leaves
     the alive list below a class that leaves it no live choice, and below a
-    saturated class set.  A group whose draws all have zero offsets only
-    ever has the all-zero choice, so it keeps no choices and skips the
-    offset side as a whole.
+    saturated class set, one whose d_1..d_m are the draw's floors.  A group
+    whose draws all have zero offsets only ever has the all-zero choice, so
+    it keeps no choices and skips the offset side as a whole.
 
     Terms are tallied by draw and key in visiting order, which for each
     draw is its own walk's order; a central group tallies d_1..d_m, each
@@ -648,6 +650,7 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
     """
     size = len(classes)
     cols, floors = minors.cols, minors.floors
+    alive = [d for d in range(size) if d not in errors]
     central = not any(any(map(any, draw.values())) for draw in classes)
     # the most (class set, offset choice) pairs of a draw, and the offsets a
     # choice is offered before each class
@@ -657,18 +660,18 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
         classes = [list(draw.items()) for draw in classes]  # (coefficient column, offsets)
         most = max(prod(len(bs) + 1 for _, bs in draw) for draw in classes) - 1
         ends = [list(accumulate((len(bs) for _, bs in draw), initial=0)) for draw in classes]
-    charged = most > WALK_BUDGET  # else no draw can pass it, and charging costs central-scan 1%
-    errors: dict[int, Exception] = {}
+    charged = most > WALK_BUDGET  # else no draw can pass it: saves central-scan wall_s 1.7%
     offered = [0] * size
     # (draw, |J| even, term key) -> class sets J; (draw, |J| even, d_1, ..., d_m) if central
     tally: Counter = Counter()
     # (first class to add, chosen class indices, alive draws, their d_k and
-    #  floor_k as columns, their floors as tuples, and per alive draw its
-    #  live choices: None in a central group)
-    stack = [(0, (), list(range(size)), [[0] * size] * m, [list(col) for col in zip(*floors)],
-              floors, None if central else [[((), [])]] * size)]
+    #  floor_k as columns, and per alive draw its live choices: None in a
+    #  central group)
+    stack = [(0, (), alive, [[0] * len(alive)] * m,
+              [[floors[d][k] for d in alive] for k in range(m)],
+              None if central else [[((), [])]] * len(alive))]
     while stack:
-        start, chosen, alive, dets, low, lows, lives = stack.pop()
+        start, chosen, alive, dets, low, lives = stack.pop()
         if charged:
             # width x offsets per class, the width being 1 in a central group
             charges = repeat(n - start) if central else [
@@ -682,12 +685,12 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
                         f"the subset walk offered more than WALK_BUDGET = {WALK_BUDGET} "
                         f"column subsets"))
             if not all(within):
-                alive, dets, low, lows, lives = _narrow(within, alive, dets, low, lows, lives)
-                if not alive:
-                    continue
+                alive, dets, low, lives = _narrow(within, alive, dets, low, lives)
+        if not alive:
+            continue
         even = len(chosen) % 2  # |J| = len(chosen) + 1 is even: sign +1
         for idx in range(start, n):
-            here, here_dets, here_low, here_lows = alive, dets, low, lows
+            here, here_dets, here_low = alive, dets, low
             kept = None  # a central group keeps no choices
             if not central:
                 kept = []
@@ -706,11 +709,11 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
                 if not all(kept):
                     if not any(kept):
                         continue
-                    here, here_dets, here_low, here_lows, kept = _narrow(
-                        list(map(bool, kept)), alive, dets, low, lows, kept)
+                    here, here_dets, here_low, kept = _narrow(
+                        list(map(bool, kept)), alive, dets, low, kept)
             now = _extend_determinantal(here_dets, chosen, idx, minors, here_low, here)
             keys = list(zip(*now))
-            saturated = list(map(eq, keys, here_lows))
+            saturated = list(map(eq, keys, map(floors.__getitem__, here)))
             some = any(saturated)
             # below a saturated J the subtree of a choice is J + S over the
             # subsets S of the classes that extend it, all with J's key: it
@@ -722,10 +725,7 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
                 tally.update(terms if idx == n - 1 or not some
                              else compress(terms, map(not_, saturated)))
             else:
-                found = list(map(chains.get, keys))
-                if None in found:
-                    found = [f or _chain(chains, key, errors, d)
-                             for f, key, d in zip(found, keys, here)]
+                found = [_chain(chains, key, errors, d) for key, d in zip(keys, here)]
             now_chosen = chosen + (idx,)
             for j, choices in enumerate(kept) if kept else ():
                 es, zero_key = found[j]
@@ -752,10 +752,10 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
             if idx == n - 1:
                 continue
             if not some:
-                stack.append((idx + 1, now_chosen, here, now, here_low, here_lows, kept))
+                stack.append((idx + 1, now_chosen, here, now, here_low, kept))
             elif not all(saturated):  # a saturated draw leaves the alive list
                 stack.append((idx + 1, now_chosen, *_narrow(list(map(not_, saturated)), here,
-                                                            now, here_low, here_lows, kept)))
+                                                            now, here_low, kept)))
     tables: list[dict] = [{} for _ in range(size)]
     for entry, count in tally.items():
         d, even, key = entry[:3]
@@ -778,12 +778,12 @@ def _lockstep_walk(m: int, n: int, classes, minors, chains: dict) -> list:
     return out
 
 
-def _narrow(keep, alive, dets, low, *rows) -> tuple:
+def _narrow(keep, alive, dets, low, lives) -> tuple:
     """The alive draws that ``keep`` marks, with their d_k and floor_k
-    columns and their entries of each of ``rows`` (None stays None)."""
+    columns and their live choices (None stays None)."""
     return (list(compress(alive, keep)), [list(compress(col, keep)) for col in dets],
             [list(compress(col, keep)) for col in low],
-            *(None if row is None else list(compress(row, keep)) for row in rows))
+            None if lives is None else list(compress(lives, keep)))
 
 
 def _prime_powers(n: int, spent: list[int]) -> list[tuple[int, int]]:
@@ -853,30 +853,6 @@ def _indicator_weights(pairs, spent: list[int]) -> dict[int, int]:
     return weights
 
 
-def _check_divisor_chains(terms: dict, rho: int, central: bool) -> None:
-    """Structural sanity: every term divisor divides the lcm period, and
-    central input (zero offset row) has equal chains.
-
-    Divisibility is what makes every constituent depend on its class only
-    through the gcd with the period; a violation would mean a bug in the
-    period or term computation.  With the period taken from the same walk,
-    e | rho holds by construction (every term's e is in the chain of a class
-    set whose largest divisor entered the lcm).  e' | rho still tests the
-    stacked Smith forms of nonzero offset choices against that period, and
-    the central e == e' check guards the walk's zero-offset shortcuts.
-    """
-    for (_, pairs), _ in terms.items():
-        for e, ep in pairs:
-            if central and e != ep:
-                raise InternalConsistencyError(
-                    "central arrangement produced unequal divisor chains"
-                )
-            if rho % e or rho % ep:
-                raise InternalConsistencyError(
-                    f"term divisor pair ({e}, {ep}) does not divide the lcm period {rho}"
-                )
-
-
 class CountingFormula(_Value):
     """The counting formula of one arrangement as weights on divisibility
     indicators: for every q >= 1,
@@ -897,8 +873,8 @@ class CountingFormula(_Value):
 
     A central arrangement never collapses (the paper's second main result):
     its minimum period is its lcm period.  ``of`` checks that on every
-    central input, as it checks the divisor chains, and raises
-    InternalConsistencyError when it fails.
+    central input, as it checks each term's divisor pairs while it expands
+    the term, and raises InternalConsistencyError when a check fails.
 
     Build one with ``CountingFormula.of``; ``weights`` maps each coefficient
     rank ell to its moduli and nonzero integer weights.
@@ -967,8 +943,9 @@ def _formulas(arrs):
     is emptied at _TABLE_CAP entries, so a long batch of large entries holds
     a bounded amount.  An input's error is raised when its turn comes, as
     its own formula would raise it.  Each formula's trial divisions are
-    charged to _FACTOR_BUDGET, and it checks its divisor chains and, for
-    central input, that its minimum period is its lcm period (see _expand).
+    charged to _FACTOR_BUDGET, and it checks each term's divisor pairs as
+    it expands the term and, for central input, that its minimum period is
+    its lcm period (see _expand).
     """
     chains: dict = {}
     by_pairs: dict[tuple, dict[int, int]] = {}
@@ -985,14 +962,30 @@ def _expand(arr: ArrangementInput, terms: dict, rho: int, by_pairs: dict) -> Cou
 
     Each term's indicator weights come from ``by_pairs``, the batch's table
     keyed by the term's divisor pairs, emptied at _TABLE_CAP entries; the
-    trial divisions of one formula are charged to _FACTOR_BUDGET.  Checks
-    the divisor chains and, for central input, that the minimum period is
-    the lcm period, raising InternalConsistencyError otherwise.
+    trial divisions of one formula are charged to _FACTOR_BUDGET.  Just
+    before it expands a term it checks that term's divisor pairs, and after
+    the pass that the minimum period divides the lcm period and, for central
+    input, equals it, raising InternalConsistencyError otherwise.
     """
-    _check_divisor_chains(terms, rho, arr.is_central)
+    central = arr.is_central
     spent = [0]  # trial divisors tried for this formula
     weights: dict[int, dict[int, int]] = {}
     for (ell, pairs), coef in terms.items():
+        # every divisor divides the lcm period, which makes a constituent
+        # depend on its class only through its gcd with the period: e | rho
+        # by construction (e is in the chain of a class set whose e_r
+        # entered the lcm), e' | rho tests the stacked Smith forms of nonzero
+        # offset choices, and e == e' on central input guards the walk's
+        # zero-offset shortcuts
+        for e, ep in pairs:
+            if central and e != ep:
+                raise InternalConsistencyError(
+                    "central arrangement produced unequal divisor chains"
+                )
+            if rho % e or rho % ep:
+                raise InternalConsistencyError(
+                    f"term divisor pair ({e}, {ep}) does not divide the lcm period {rho}"
+                )
         expansion = by_pairs.get(pairs)
         if expansion is None:
             if len(by_pairs) >= _TABLE_CAP:
@@ -1009,7 +1002,7 @@ def _expand(arr: ArrangementInput, terms: dict, rho: int, by_pairs: dict) -> Cou
         raise InternalConsistencyError(
             f"minimum period {minp} does not divide the lcm period {rho}"
         )
-    if arr.is_central and minp != rho:
+    if central and minp != rho:
         raise InternalConsistencyError(
             f"central arrangement {arr.to_json_dict()} collapses: minimum period "
             f"{minp}, lcm period {rho}"

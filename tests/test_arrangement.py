@@ -56,6 +56,7 @@ from qcp.arrangement import (
     _central_draws,
     _det,
     _divisor_chain,
+    _expand,
     _extend_determinantal,
     _formulas,
     _MinorGcds,
@@ -550,9 +551,9 @@ def test_scan_walks_at_most_the_table_cap_per_batch(monkeypatch):
     lockstep_walk = arrangement_module._lockstep_walk
     sizes = []
 
-    def spy(m, n, classes, floors, chains):
-        sizes.append(len(classes))
-        return lockstep_walk(m, n, classes, floors, chains)
+    def spy(*args):
+        sizes.append(len(args[2]))  # the classes of each draw
+        return lockstep_walk(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arrangement_module, "_lockstep_walk", spy)
@@ -968,14 +969,37 @@ def test_lockstep_draw_stops_at_the_walk_budget(monkeypatch):
     assert 0 < extended[0] <= 1_000
 
 
+def test_refused_draw_starts_its_group_walk_without_it(monkeypatch, count_calls):
+    # at WALK_BUDGET = 40 the up-front bound refuses `wide` (rank 3: 6 + 15
+    # + 20 = 41 subsets) but not `flat` (rank 2: 6 + 15 = 21, and its walk
+    # offers 26), both central with 6 classes: the refusal is `wide`'s first
+    # error, the group walks once without it, and one _MinorGcds serves both
+    monkeypatch.setattr(arrangement_module, "WALK_BUDGET", 40)
+    wide = arrangement(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)], (0,) * 6
+    )
+    flat = arrangement(
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, -1, 0), (3, 1, 0)], (0,) * 6
+    )
+    alone = _build_term_table(flat)
+    assert offered_by_its_walk(flat) == 26
+    calls = count_calls(arrangement_module, "_MinorGcds")
+    refused, walked = _walks([wide, flat], {})
+    assert isinstance(refused, BudgetExceededError)
+    assert "would offer at least 41 column subsets" in str(refused)
+    assert walked == alone
+    assert calls["_MinorGcds"] == 1
+
+
 @pytest.mark.parametrize("type_tag, rank", [("A", 7), ("D", 6), ("A", 12)])
 def test_lcm_period_refuses_wide_central_roots_before_any_subset(monkeypatch, type_tag, rank):
     # every set of at most `rank` of the central positive roots is offered:
-    # about 1.7 * 10^6, 7.7 * 10^5 and 5.3 * 10^13 subsets, past WALK_BUDGET
+    # about 1.7 * 10^6, 7.7 * 10^5 and 5.3 * 10^13 subsets, past WALK_BUDGET;
+    # the refused draw starts the walk without it, which offers no subset
     def never(*args):
-        raise AssertionError("the walk started")
+        raise AssertionError("the walk offered a subset")
 
-    monkeypatch.setattr(arrangement_module, "_lockstep_walk", never)
+    monkeypatch.setattr(arrangement_module, "_extend_determinantal", never)
     cols = positive_roots(type_tag, rank).positive_roots
     with pytest.raises(BudgetExceededError, match="would offer at least .* WALK_BUDGET"):
         lcm_period(IntMatrix.from_columns(cols))
@@ -1296,6 +1320,21 @@ def test_central_collapse_is_an_internal_error(monkeypatch):
         CountingFormula.of(arr)
     # a non-central arrangement may collapse
     assert CountingFormula.of(FAMILY_A_122).minimum_period == 1
+
+
+@pytest.mark.parametrize("central, pairs, weights, message", [
+    (True, ((2, 1),), None, "central arrangement produced unequal divisor chains"),
+    (False, ((3, 3),), None, "term divisor pair (3, 3) does not divide the lcm period 2"),
+    (False, ((2, 2),), {1: 1, 5: 1}, "minimum period 5 does not divide the lcm period 2"),
+], ids=["central-unequal", "pair-past-period", "minimum-past-period"])
+def test_expansion_checks_a_faulty_term_table(monkeypatch, central, pairs, weights, message):
+    # crafted tables at lcm period 2 that no walk produces
+    arr = arrangement([(2,), (2,)], (0, 0) if central else (0, 1))
+    if weights:
+        monkeypatch.setattr(arrangement_module, "_indicator_weights",
+                            lambda pairs, spent: weights)
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        _expand(arr, {(1, pairs): 1}, 2, {})
 
 
 def test_central_summary_rejects_non_central():
